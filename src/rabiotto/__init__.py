@@ -3,8 +3,8 @@
 Library layout:
   hilbert       operators on the truncated qubit (x) oscillator space
   hamiltonian   the generalized quantum Rabi Hamiltonian
-  eigensolver   self-contained dense symmetric/Hermitian eigensolver
-  spectral      certified eigendecomposition and cutoff convergence
+  spectral      LAPACK eigendecomposition behind a residual/orthonormality
+                certificate, and cutoff convergence
   cycle         Otto-cycle states, heat, work, per-level work, efficiency
   correlations  von Neumann entropy and quantum discord
   approx        displaced-oscillator closed forms and the positive-work bound
@@ -35,7 +35,6 @@ from .cycle import (
     thermal_populations,
     work_per_level,
 )
-from .eigensolver import EigensolverError, hermitian_eigh, symmetric_eigh
 from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
 from .hilbert import (
     FockCutoff,
@@ -53,7 +52,9 @@ from .spectral import (
     SpectralDecomposition,
     converged_cutoff,
     eigendecompose,
+    hermitian_eigh,
     relative_spectrum,
+    symmetric_eigh,
 )
 from .sweep import ConfigError, SweepConfig, figure_preset, parse_config, run_sweep, write_output
 from .units import DEFAULT_OMEGA_REF, thermal_energy

@@ -20,7 +20,8 @@ import dataclasses
 import json
 import sys
 
-from .eigensolver import EigensolverError
+import numpy as np
+
 from .spectral import ConvergenceError, converged_cutoff
 from .cycle import run_cycle
 from .sweep import (
@@ -36,7 +37,7 @@ from .sweep import (
     _format_value,
 )
 
-NUMERICAL_ERRORS = (EigensolverError, ConvergenceError, ArithmeticError, FloatingPointError)
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, ConvergenceError, ArithmeticError, FloatingPointError)
 
 CYCLE_SUMMARY_COLUMNS = [
     "g_over_omega_c", "theta", "variant", "W", "Q_h", "Q_c", "eta", "regime", "config_hash",
@@ -135,7 +136,10 @@ def _write_table(path: str | None, columns: list[str], rows: list[list]) -> None
 
 def _run_single_cycle(args: argparse.Namespace) -> int:
     config = _load_config(args, kind="cycle")
-    protocol = protocol_from_config(config)
+    try:
+        protocol = protocol_from_config(config)
+    except ValueError as exc:
+        raise ConfigError(f"invalid physical parameters: {exc}") from exc
     if config.cutoff.mode == "fixed":
         cutoff = int(config.cutoff.n_max)
     else:

@@ -30,6 +30,8 @@ class RabiParams:
     omega_q   : qubit angular frequency (>= 0)
     g         : qubit-cavity coupling strength (>= 0)
     theta     : mixing angle in radians, in [0, pi/2]
+
+    Every field must be finite.
     """
 
     omega_cav: float
@@ -38,6 +40,9 @@ class RabiParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_cav", "omega_q", "g", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega_cav > 0.0:
             raise ValueError(f"omega_cav must be > 0, got {self.omega_cav}")
         if self.omega_q < 0.0:

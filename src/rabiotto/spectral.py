@@ -1,10 +1,10 @@
 """Certified eigendecomposition of working-substance Hamiltonians.
 
-Every decomposition is checked against a residual gate ||H v - E v|| < 1e-9
-and column orthonormality < 1e-10 before being returned, and
-``converged_cutoff`` certifies that the lowest levels are stable under
-doubling of the Fock cutoff, so cycle observables cannot silently depend on
-truncation artifacts.
+Eigenpairs come from numpy's LAPACK routines (``eigh``/``eigvalsh``). Every
+decomposition is checked against a residual gate ||H v - E v|| < 1e-9 and
+column orthonormality < 1e-10 before being returned, and ``converged_cutoff``
+certifies that the lowest levels are stable under doubling of the Fock
+cutoff, so cycle observables cannot silently depend on truncation artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import hermitian_eigh, symmetric_eigh
 from .hamiltonian import RabiParams, build_hamiltonian
 from .hilbert import FockCutoff, OperatorMatrix, as_matrix
 
@@ -22,7 +21,9 @@ __all__ = [
     "SpectralDecomposition",
     "converged_cutoff",
     "eigendecompose",
+    "hermitian_eigh",
     "relative_spectrum",
+    "symmetric_eigh",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -63,41 +64,54 @@ class SpectralDecomposition:
         return rel
 
 
+def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues and, if asked, eigenvectors of a real symmetric matrix."""
+    return tuple(np.linalg.eigh(matrix)) if vectors else (np.linalg.eigvalsh(matrix), None)
+
+
+def hermitian_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues and, if asked, eigenvectors of a complex Hermitian matrix."""
+    return tuple(np.linalg.eigh(matrix)) if vectors else (np.linalg.eigvalsh(matrix), None)
+
+
 def eigendecompose(
     h: OperatorMatrix | np.ndarray,
     residual_tol: float = RESIDUAL_TOL,
 ) -> SpectralDecomposition:
     """Full decomposition of a Hermitian matrix with certified residuals.
 
-    Degenerate subspaces are returned with a deterministic orthonormal basis
-    (Gram-Schmidt in index order). Non-Hermitian input is rejected; a
-    non-converging QL iteration raises EigensolverError with the iteration
-    count.
+    Input whose imaginary part is exactly zero (every Rabi Hamiltonian) is
+    solved and certified in real arithmetic; ``states`` is complex128 either
+    way. Inside an exactly degenerate eigenvalue cluster the basis is the one
+    LAPACK returns. Non-Hermitian input raises ValueError; a LAPACK failure
+    raises numpy.linalg.LinAlgError; a failed or NaN residual or
+    orthonormality gate raises ConvergenceError.
     """
     m = as_matrix(h)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"eigendecompose requires a square matrix, got shape {m.shape}")
+    real = not np.any(m.imag)
+    if real:
+        m = np.ascontiguousarray(m.real)
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
         raise ValueError("eigendecompose requires a Hermitian matrix")
-    if np.max(np.abs(m.imag)) <= 1e-14 * scale:
-        w, v = symmetric_eigh(m.real)
-        v = v.astype(complex)
-    else:
-        w, v = hermitian_eigh(m)
+    w, v = symmetric_eigh(m) if real else hermitian_eigh(m)
     residuals = np.linalg.norm(m @ v - v * w, axis=0)
     residual = float(residuals.max())
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
     gram = v.conj().T @ v
     ortho_err = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-    if ortho_err > ORTHONORMALITY_TOL:
+    if not ortho_err <= ORTHONORMALITY_TOL:
         raise ConvergenceError(f"eigenvector orthonormality error {ortho_err:.3e}")
     cutoff = None
     if isinstance(h, OperatorMatrix) and h.subsystem_dims is not None:
         cutoff = FockCutoff(h.subsystem_dims[1])
     return SpectralDecomposition(
-        energies=w, states=v, cutoff_used=cutoff, residual_norm=residual
+        energies=w, states=v.astype(complex, copy=False), cutoff_used=cutoff, residual_norm=residual
     )
 
 

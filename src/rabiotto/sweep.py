@@ -7,9 +7,10 @@ variables with the RABIOTTO_ prefix, nested keys joined by double underscores
 (e.g. RABIOTTO_SWEEP__N_POINTS=50).
 
 Output is CSV (header row, UTF-8, 12-significant-digit floats) or a JSON
-mirror of the same table. Identical configs produce bit-identical files; rows
-are ordered by (series value, swept value) regardless of worker count, and
-every row echoes a hash of the fully resolved config.
+mirror of the same table. Identical configs produce bit-identical files on
+one machine and numpy/BLAS build; rows are ordered by (series value, swept
+value) regardless of worker count, and every row echoes a hash of the fully
+resolved config.
 
 Sweep kinds:
   cycle    -- Otto-cycle observables per grid point (optionally with discord)
@@ -174,6 +175,8 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
         elif expected is float:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{where}: expected a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: expected a finite number, got {value!r}")
         elif expected is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -233,7 +236,13 @@ def _config_from_dict(data: dict) -> SweepConfig:
     series = None
     if base.get("series") is not None:
         raw = dict(base.pop("series"))
-        raw["values"] = tuple(float(v) for v in raw.get("values", ()))
+        values = raw.get("values", ())
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in values
+        ):
+            raise ConfigError(f"series.values: expected finite numbers, got {values!r}")
+        raw["values"] = tuple(float(v) for v in values)
         series = SeriesSpec(**raw)
     else:
         base.pop("series", None)
@@ -295,6 +304,16 @@ def _validate(config: SweepConfig) -> None:
             raise ConfigError("t_hot: approx bound requires T_h/T_c > ratio")
     if config.workers < 0:
         raise ConfigError(f"workers: must be >= 0, got {config.workers}")
+    # every protocol constraint is an interval in the swept parameter, so
+    # valid endpoints mean a valid grid
+    for series_value in config.series.values if config.series is not None else (None,):
+        for endpoint in (config.sweep.start, config.sweep.stop):
+            try:
+                build_protocol(config, series_value, endpoint)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"sweep: invalid physical parameters at {config.sweep.parameter} = {endpoint}: {exc}"
+                ) from exc
 
 
 def parse_config(text: str, environ: dict | None = None) -> SweepConfig:

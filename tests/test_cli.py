@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rabiotto.cli import main
@@ -96,6 +97,13 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--config", "/nonexistent.json"], capsys)
         assert code == 2
 
+    def test_invalid_sweep_range_is_config_error(self, fast_config_path, capsys, monkeypatch):
+        monkeypatch.setenv("RABIOTTO_SWEEP__START", "-1")
+        code, out, err = run_cli(["sweep", "--config", fast_config_path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "g must be >= 0" in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"sweep": {"n_points": 1}}', encoding="utf-8")
@@ -123,6 +131,32 @@ class TestCycleCommand:
         assert len(lines) == 1 + 6  # n_levels rows
         first = lines[1].split(",")
         assert first[0] == "0" and first[5] == "0"  # W_0 = 0 exactly
+
+    @pytest.mark.parametrize(
+        "variable, value, message",
+        [
+            ("RABIOTTO_G_OVER_OMEGA_C", "-1", "g must be >= 0"),
+            ("RABIOTTO_G_OVER_OMEGA_C", "NaN", "g_over_omega_c: expected a finite number"),
+            ("RABIOTTO_OMEGA_QC", "NaN", "omega_qc: expected a finite number"),
+        ],
+    )
+    def test_invalid_physical_parameters_are_config_errors(
+        self, fast_config_path, capsys, monkeypatch, variable, value, message
+    ):
+        monkeypatch.setenv(variable, value)
+        code, out, err = run_cli(["cycle", "--config", fast_config_path], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_lapack_failure_is_numerical_failure(self, fast_config_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("rabiotto.cli.run_cycle", fail)
+        code, _, err = run_cli(["cycle", "--config", fast_config_path], capsys)
+        assert code == 3
+        assert "numerical failure: Eigenvalues did not converge" in err
 
 
 class TestDiscordCommand:

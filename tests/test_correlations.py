@@ -15,6 +15,7 @@ from rabiotto import (
     tensor,
     von_neumann_entropy,
 )
+from rabiotto.sweep import _resolve_cutoff, build_protocol, figure_preset
 
 from conftest import random_density
 
@@ -178,6 +179,18 @@ class TestQuantumDiscord:
         states, _ = run_cycle(protocol, cutoff=16)
         result = quantum_discord(states.rho1, grid=(16, 32))
         assert result.discord < 1e-9
+
+    @pytest.mark.parametrize("theta", figure_preset("fig4").series.values)
+    def test_fig4_discord_vanishes_at_zero_coupling(self, theta):
+        # g = 0 levels are exactly degenerate and LAPACK picks its own basis
+        # inside each cluster; the cycle states do not depend on that choice,
+        # because each degenerate pair carries equal populations
+        config = figure_preset("fig4")
+        protocol = build_protocol(config, theta, 0.0)
+        states, _ = run_cycle(protocol, cutoff=_resolve_cutoff(config, theta))
+        diffs = discord_differences(states)
+        for result in (diffs.rho1, diffs.rho3, diffs.rho4):
+            assert result.discord < 1e-12
 
     def test_thermal_discord_positive_at_strong_coupling(self, small_cycle):
         _, states, _ = small_cycle

@@ -14,6 +14,10 @@ class TestRabiParams:
             dict(omega_cav=1.0, omega_q=-0.5),
             dict(omega_cav=1.0, omega_q=1.0, g=-0.1),
             dict(omega_cav=1.0, omega_q=1.0, theta=2.0),
+            dict(omega_cav=1.0, omega_q=1.0, g=float("nan")),
+            dict(omega_cav=1.0, omega_q=float("nan")),
+            dict(omega_cav=float("inf"), omega_q=1.0),
+            dict(omega_cav=1.0, omega_q=1.0, theta=float("nan")),
         ],
     )
     def test_invalid(self, kwargs):

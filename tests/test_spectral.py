@@ -11,7 +11,20 @@ from rabiotto import (
     parity_operator,
     relative_spectrum,
 )
-from test_eigensolver import charpoly_roots
+
+
+def charpoly_roots(m):
+    """Independent eigenvalue oracle: Faddeev-LeVerrier characteristic
+    polynomial coefficients followed by companion-matrix root finding."""
+    n = m.shape[0]
+    coeffs = np.zeros(n + 1)
+    coeffs[0] = 1.0
+    mk = np.array(m, dtype=float)
+    for k in range(1, n + 1):
+        coeffs[k] = -np.trace(mk) / k
+        if k < n:
+            mk = m @ (mk + coeffs[k] * np.eye(n))
+    return np.sort(np.roots(coeffs).real)
 
 
 class TestEigendecompose:

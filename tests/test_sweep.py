@@ -69,6 +69,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cutoff.tol: expected a number"):
             parse_config(json.dumps({"cutoff": {"tol": "tight"}}), environ={})
 
+    @pytest.mark.parametrize("text", ['{"omega_qc": NaN}', '{"sweep": {"stop": Infinity}}'])
+    def test_rejects_non_finite_numbers(self, text):
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            parse_config(text, environ={})
+
+    @pytest.mark.parametrize("values", [[float("nan")], ["pi"]])
+    def test_rejects_non_finite_series_values(self, values):
+        doc = {"series": {"parameter": "theta", "values": values}}
+        with pytest.raises(ConfigError, match="series.values: expected finite numbers"):
+            parse_config(json.dumps(doc), environ={})
+
+    def test_rejects_invalid_physical_parameters_at_sweep_endpoints(self):
+        with pytest.raises(ConfigError, match="g_over_omega_c = -1.0: g must be >= 0"):
+            parse_config(json.dumps({"sweep": {"start": -1.0}}), environ={})
+        doc = {"variant": "coupled-coupling", "series": {"parameter": "alpha", "values": [1.0, -0.5]}}
+        with pytest.raises(ConfigError, match="g must be >= 0"):
+            parse_config(json.dumps(doc), environ={})
+
     def test_rejects_wrong_variant_for_swept_parameter(self):
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(json.dumps({"sweep": {"parameter": "alpha"}}), environ={})
