@@ -27,13 +27,13 @@ from .cycle import (
     CycleReport,
     CycleStates,
     ReservoirSpec,
+    certified_cutoffs,
     classify_regime,
     coupled_coupling_protocol,
     qubit_frequency_protocol,
     resonator_frequency_protocol,
     run_cycle,
     thermal_populations,
-    work_per_level,
 )
 from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
 from .hilbert import (

@@ -22,19 +22,19 @@ import sys
 
 import numpy as np
 
-from .spectral import ConvergenceError, converged_cutoff
-from .cycle import run_cycle
+from .cycle import certified_cutoffs, run_cycle
+from .spectral import ConvergenceError
+from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .sweep import (
     ConfigError,
     SweepConfig,
     SweepResult,
-    _config_from_dict,
     apply_env_overrides,
+    config_from_dict,
     figure_preset,
     protocol_from_config,
     run_sweep,
     write_output,
-    _format_value,
 )
 
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, ConvergenceError, ArithmeticError, FloatingPointError)
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycle = sub.add_parser("cycle", help="a single Otto cycle")
     _add_common(p_cycle)
     p_cycle.add_argument("--per-level", dest="per_level",
-                         help="also write a per-level CSV (n, E_n_h, E_n_c, P_n_h, P_n_c, W_n)")
+                         help="also write a per-level table (n, E_n_h, E_n_c, P_n_h, P_n_c, W_n)"
+                              " in the output format")
     p_preset = sub.add_parser("preset", help="print a resolved figure-preset config")
     p_preset.add_argument("name", help="preset name (fig2 ... fig10)")
     p_preset.add_argument("--out", help="output file (default: stdout)")
@@ -107,30 +108,12 @@ def _load_config(args: argparse.Namespace, kind: str | None) -> SweepConfig:
         data["out_format"] = args.format
     if getattr(args, "out", None):
         data["out_path"] = args.out
-    return _config_from_dict(data)
+    return config_from_dict(data)
 
 
-def _emit(result: SweepResult, config: SweepConfig) -> int:
-    text = write_output(result, config.out_path, config.out_format)
-    if not config.out_path:
-        sys.stdout.write(text)
-    error_col = result.columns.index("error")
-    data_rows = [row for row in result.rows]
-    if data_rows and all(row[error_col] for row in data_rows):
-        sys.stderr.write("rabiotto: every sweep point failed\n")
-        return 3
-    return 0
-
-
-def _write_table(path: str | None, columns: list[str], rows: list[list]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+def _emit(result: SweepResult, path: str | None, fmt: str) -> None:
+    text = write_output(result, path, fmt)
+    if not path:
         sys.stdout.write(text)
 
 
@@ -143,31 +126,31 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
     if config.cutoff.mode == "fixed":
         cutoff = int(config.cutoff.n_max)
     else:
-        cutoff = max(
-            converged_cutoff(params, config.n_levels, config.cutoff.tol,
-                             ceiling=config.cutoff.ceiling).n_max
-            for params in (protocol.cold, protocol.hot)
-        )
+        cutoff = certified_cutoffs([[protocol]], config.cutoff.tol, config.cutoff.ceiling)[0]
     states, report = run_cycle(protocol, cutoff=cutoff)
     config_hash = config.config_hash()
-    summary = [
+
+    def table(columns: list[str], rows: list[tuple]) -> SweepResult:
+        rows = tuple(row + (config_hash,) for row in rows)
+        return SweepResult(tuple(columns), rows, config, config_hash)
+
+    summary = (
         config.g_over_omega_c, config.theta, config.variant,
-        report.work, report.q_hot, report.q_cold, report.eta, report.regime, config_hash,
-    ]
-    _write_table(config.out_path, CYCLE_SUMMARY_COLUMNS, [summary])
+        report.work, report.q_hot, report.q_cold, report.eta, report.regime,
+    )
+    _emit(table(CYCLE_SUMMARY_COLUMNS, [summary]), config.out_path, config.out_format)
     for warning in report.warnings:
         sys.stderr.write(f"rabiotto: warning: {warning}\n")
     if getattr(args, "per_level", None):
         eh = states.hot.ground_referenced()
         ec = states.cold.ground_referenced()
-        rows = []
-        for n in range(min(protocol.n_levels, states.hot.dim)):
-            rows.append([
-                n, float(eh[n]), float(ec[n]),
-                float(states.populations_hot[n]), float(states.populations_cold[n]),
-                float(report.work_per_level[n]), config_hash,
-            ])
-        _write_table(args.per_level, PER_LEVEL_COLUMNS, rows)
+        rows = [
+            (n, float(eh[n]), float(ec[n]),
+             float(states.populations_hot[n]), float(states.populations_cold[n]),
+             float(report.work_per_level[n]))
+            for n in range(len(report.work_per_level))
+        ]
+        _emit(table(PER_LEVEL_COLUMNS, rows), args.per_level, config.out_format)
     return 0
 
 
@@ -194,7 +177,12 @@ def main(argv: list[str] | None = None) -> int:
                 config, discord=dataclasses.replace(d, enabled=True)
             )
         result = run_sweep(config)
-        return _emit(result, config)
+        _emit(result, config.out_path, config.out_format)
+        error_col = result.columns.index("error")
+        if result.rows and all(row[error_col] for row in result.rows):
+            sys.stderr.write("rabiotto: every sweep point failed\n")
+            return 3
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"rabiotto: config error: {exc}\n")
         return 2

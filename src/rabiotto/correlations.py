@@ -47,6 +47,7 @@ __all__ = [
 EIG_FLOOR = 1e-14
 OUTCOME_FLOOR = 1e-14
 DISCORD_TOL = 1e-9
+AXIS_TOL = 1e-6
 DEFAULT_GRID = (64, 128)
 
 
@@ -131,8 +132,6 @@ class _BlockEvaluator:
     """Conditional entropy of one state, batched over measurement angles."""
 
     def __init__(self, rho: OperatorMatrix):
-        if rho.subsystem_dims is None:
-            raise ValueError("quantum_discord requires qubit (x) oscillator structure")
         m = rho.matrix
         _, n = rho.subsystem_dims
         r00, r01 = m[:n, :n], m[:n, n:]
@@ -175,7 +174,7 @@ class _BlockEvaluator:
         return total
 
 
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
+def _sphere_angles(theta: float, phi: float) -> tuple[float, float]:
     """Fold arbitrary angles onto theta in [0, pi], phi in [0, 2*pi)."""
     nx = math.sin(theta) * math.cos(phi)
     ny = math.sin(theta) * math.sin(phi)
@@ -184,6 +183,23 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     if math.sin(t) < 1e-12:
         return t, 0.0
     return t, math.atan2(ny, nx) % (2.0 * math.pi)
+
+
+def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
+    """The reported measurement axis: one representative of n and -n.
+
+    Measuring along n and along -n is the same measurement (the outcomes
+    swap), so the reported axis is the one whose first Bloch component, in
+    the order x, z, y, that exceeds AXIS_TOL in magnitude is positive.
+    AXIS_TOL lies above the refinement's ~1e-7 angle scatter. Returns theta
+    in [0, pi] and phi in (-pi, pi].
+    """
+    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    if next((c for c in n[[0, 2, 1]] if abs(c) > AXIS_TOL), 0.0) < 0.0:
+        n = -n
+    t = math.acos(max(-1.0, min(1.0, n[2])))
+    p = math.atan2(n[1], n[0]) if math.sin(t) >= 1e-12 else 0.0
+    return t, (p if p > -math.pi else math.pi)
 
 
 def quantum_discord(
@@ -196,17 +212,12 @@ def quantum_discord(
 
     ``grid = (n_theta, n_phi)`` sets the coarse search; ``refine`` runs
     Nelder-Mead from the best grid point. ``collect_trace`` stores the
-    refinement's (angles, value) evaluations on the result.
+    refinement's (angles, value) evaluations on the result. The reported
+    ``optimal_basis`` is one representative of the axis pair n, -n.
     """
     if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
         raise ValueError("quantum_discord requires qubit (x) oscillator structure")
-    m = rho.matrix
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("quantum_discord requires a Hermitian density matrix")
-    lam_ab = np.linalg.eigvalsh(m)
-    if abs(lam_ab.sum() - 1.0) > 1e-10 or lam_ab.min() < -1e-10:
-        raise ValueError("quantum_discord requires a density matrix (unit trace, PSD)")
-    entropy_ab = _entropy_from_eigenvalues(lam_ab)
+    entropy_ab = von_neumann_entropy(rho)  # rejects non-density matrices
     entropy_a = von_neumann_entropy(partial_trace(rho, "qubit"))
 
     evaluator = _BlockEvaluator(rho)
@@ -236,7 +247,7 @@ def quantum_discord(
         step = (math.pi / max(n_theta - 1, 1), 2.0 * math.pi / n_phi)
 
         def objective(x: np.ndarray) -> float:
-            t, p = _canonical_angles(float(x[0]), float(x[1]))
+            t, p = _sphere_angles(float(x[0]), float(x[1]))
             return float(evaluator(np.array([t]), np.array([p]))[0])
 
         x_opt, f_opt = nelder_mead(
@@ -244,7 +255,7 @@ def quantum_discord(
         )
         if f_opt < best_val:  # refinement is monotone against the grid
             best_val = float(f_opt)
-            best_angles = _canonical_angles(float(x_opt[0]), float(x_opt[1]))
+            best_angles = (float(x_opt[0]), float(x_opt[1]))
 
     discord = entropy_a - entropy_ab + best_val
     if discord < -DISCORD_TOL:
@@ -255,7 +266,7 @@ def quantum_discord(
         discord = 0.0
     return DiscordResult(
         discord=discord,
-        optimal_basis=MeasurementBasis(*best_angles),
+        optimal_basis=MeasurementBasis(*_canonical_angles(*best_angles)),
         entropy_a=entropy_a,
         entropy_ab=entropy_ab,
         conditional_entropy_min=best_val,

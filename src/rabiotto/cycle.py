@@ -29,14 +29,22 @@ alpha = 1 makes H_h exactly proportional to H_c) and "qubit-frequency"
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
 from .hilbert import FockCutoff, OperatorMatrix
-from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose
+from .spectral import (
+    CUTOFF_CEILING,
+    CUTOFF_TOL,
+    SpectralDecomposition,
+    converged_cutoff,
+    eigendecompose,
+)
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 
 __all__ = [
@@ -44,13 +52,13 @@ __all__ = [
     "CycleReport",
     "CycleStates",
     "ReservoirSpec",
+    "certified_cutoffs",
     "classify_regime",
     "coupled_coupling_protocol",
     "qubit_frequency_protocol",
     "resonator_frequency_protocol",
     "run_cycle",
     "thermal_populations",
-    "work_per_level",
 ]
 
 VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
@@ -58,7 +66,6 @@ VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
 DEFAULT_N_LEVELS = 24
 TAIL_MASS_TOL = 1e-8
 WORK_REGIME_TOL = 1e-12
-_CUTOFF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,8 @@ class CycleProtocol:
         if self.n_levels < 1:
             raise ValueError(f"n_levels must be >= 1, got {self.n_levels}")
         c, h = self.cold, self.hot
+        if abs(h.theta - c.theta) > 1e-12:
+            raise ValueError("mixing angle theta must be shared between hot and cold")
         if self.variant == "resonator-frequency" or self.variant == "coupled-coupling":
             if not (
                 math.isclose(c.omega_cav, c.omega_q, rel_tol=0, abs_tol=1e-12)
@@ -121,8 +130,6 @@ class CycleProtocol:
             # >= rather than > so the trivial identical-Hamiltonian cycle (R = 1) is allowed
             if h.omega_cav < c.omega_cav:
                 raise ValueError("requires omega_h >= omega_c")
-            if abs(h.theta - c.theta) > 1e-12:
-                raise ValueError("mixing angle theta must be shared between hot and cold")
         if self.variant == "resonator-frequency":
             if abs(h.g - c.g) > 1e-12:
                 raise ValueError("resonator-frequency variant keeps g constant")
@@ -137,8 +144,6 @@ class CycleProtocol:
         else:  # qubit-frequency
             if abs(h.omega_cav - c.omega_cav) > 1e-12 or abs(h.g - c.g) > 1e-12:
                 raise ValueError("qubit-frequency variant keeps omega_cav and g constant")
-            if abs(h.theta - c.theta) > 1e-12:
-                raise ValueError("mixing angle theta must be shared between hot and cold")
             if h.omega_q < c.omega_q:
                 raise ValueError("qubit-frequency variant requires omega_qh >= omega_qc")
 
@@ -204,14 +209,24 @@ def qubit_frequency_protocol(
     )
 
 
+def _density_from(decomposition: SpectralDecomposition, populations: np.ndarray) -> OperatorMatrix:
+    v = decomposition.states
+    rho = (v * populations) @ v.conj().T
+    dims = None
+    if decomposition.cutoff_used is not None:
+        dims = (2, decomposition.cutoff_used.n_max)
+    return OperatorMatrix(rho, subsystem_dims=dims)
+
+
 @dataclass(frozen=True)
 class CycleStates:
-    """The four cycle states plus the spectral data they were built from."""
+    """Both spectra and both population vectors; the four states on demand.
 
-    rho1: OperatorMatrix
-    rho2: OperatorMatrix
-    rho3: OperatorMatrix
-    rho4: OperatorMatrix
+    Each ``rho`` property builds its dense density matrix at every access,
+    in the dtype of the eigenvectors (float64 for every Rabi Hamiltonian), so
+    callers that read no state, such as the work sweeps, pay for none.
+    """
+
     hot: SpectralDecomposition
     cold: SpectralDecomposition
     populations_hot: np.ndarray  # P_n(T_h), full length dim
@@ -222,6 +237,11 @@ class CycleStates:
             p = np.asarray(getattr(self, name), dtype=float)
             p.flags.writeable = False
             object.__setattr__(self, name, p)
+
+    rho1 = property(lambda self: _density_from(self.hot, self.populations_hot))  # hot thermal
+    rho2 = property(lambda self: _density_from(self.cold, self.populations_hot))  # after expansion
+    rho3 = property(lambda self: _density_from(self.cold, self.populations_cold))  # cold thermal
+    rho4 = property(lambda self: _density_from(self.hot, self.populations_cold))  # after compression
 
 
 @dataclass(frozen=True)
@@ -263,22 +283,6 @@ def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:
     x -= x.max()  # no-op for sorted input; guards unsorted against overflow
     p = np.exp(x)
     return p / p.sum()
-
-
-def work_per_level(
-    hot: SpectralDecomposition,
-    cold: SpectralDecomposition,
-    reservoirs: ReservoirSpec,
-    n: int,
-) -> float:
-    """W_n = (E_n^h - E_n^c)(P_n(T_h) - P_n(T_c)), spectra ground-referenced."""
-    if not 0 <= n < min(hot.dim, cold.dim):
-        raise IndexError(f"level index {n} out of range")
-    eh = hot.ground_referenced()
-    ec = cold.ground_referenced()
-    ph = thermal_populations(hot.energies, reservoirs.kt_hot)
-    pc = thermal_populations(cold.energies, reservoirs.kt_cold)
-    return float((eh[n] - ec[n]) * (ph[n] - pc[n]))
 
 
 def classify_regime(work: "float | CycleReport", tol: float = WORK_REGIME_TOL) -> str:
@@ -329,29 +333,41 @@ def _report_from_spectra(
     )
 
 
-def _density_from(decomposition: SpectralDecomposition, populations: np.ndarray) -> OperatorMatrix:
-    v = decomposition.states
-    rho = (v * populations) @ v.conj().T
-    dims = None
-    if decomposition.cutoff_used is not None:
-        dims = (2, decomposition.cutoff_used.n_max)
-    return OperatorMatrix(rho, subsystem_dims=dims)
+def certified_cutoffs(
+    groups: Iterable[Iterable[CycleProtocol]],
+    tol: float = CUTOFF_TOL,
+    ceiling: int = CUTOFF_CEILING,
+) -> list[FockCutoff]:
+    """For each group of protocols, the largest certified cutoff of their sides.
+
+    Every hot and cold RabiParams of a group gets a ``converged_cutoff`` scan
+    (at the protocol's n_levels) and the group's cutoff is the largest. Each
+    distinct (RabiParams, n_levels) is scanned once per call, however many
+    groups share it; nothing is kept between calls.
+    """
+    @functools.cache
+    def scan(params: RabiParams, n_levels: int) -> int:
+        return converged_cutoff(params, n_levels, tol, ceiling=ceiling).n_max
+
+    return [
+        FockCutoff(max(scan(side, p.n_levels) for p in group for side in (p.cold, p.hot)))
+        for group in groups
+    ]
 
 
 def run_cycle(
     protocol: CycleProtocol,
     cutoff: FockCutoff | int | None = None,
 ) -> tuple[CycleStates, CycleReport]:
-    """Build the four cycle states and the heat/work/efficiency report.
+    """Solve both Hamiltonians; return the cycle states and the heat/work report.
 
-    When ``cutoff`` is omitted, both Hamiltonians get a certified converged
-    cutoff and the larger one is used. Populations are normalized over the
-    full truncated spectrum; only the heat/work sums truncate at n_levels.
+    When ``cutoff`` is omitted, the protocol's ``certified_cutoffs`` value at
+    the default tolerance is used. Populations are normalized over the full
+    truncated spectrum; only the heat/work sums truncate at n_levels. The
+    density matrices are built only when a ``rho`` property is read.
     """
     if cutoff is None:
-        n_hot = converged_cutoff(protocol.hot, protocol.n_levels, _CUTOFF_TOL).n_max
-        n_cold = converged_cutoff(protocol.cold, protocol.n_levels, _CUTOFF_TOL).n_max
-        cutoff = FockCutoff(max(n_hot, n_cold))
+        cutoff = certified_cutoffs([[protocol]])[0]
     elif not isinstance(cutoff, FockCutoff):
         cutoff = FockCutoff(int(cutoff))
 
@@ -360,16 +376,7 @@ def run_cycle(
     p_hot = thermal_populations(hot.energies, protocol.reservoirs.kt_hot)
     p_cold = thermal_populations(cold.energies, protocol.reservoirs.kt_cold)
 
-    states = CycleStates(
-        rho1=_density_from(hot, p_hot),
-        rho2=_density_from(cold, p_hot),  # expansion: hot populations, cold basis
-        rho3=_density_from(cold, p_cold),
-        rho4=_density_from(hot, p_cold),  # compression: cold populations, hot basis
-        hot=hot,
-        cold=cold,
-        populations_hot=p_hot,
-        populations_cold=p_cold,
-    )
+    states = CycleStates(hot=hot, cold=cold, populations_hot=p_hot, populations_cold=p_cold)
     report = _report_from_spectra(
         hot.energies, cold.energies, p_hot, p_cold, protocol.n_levels
     )

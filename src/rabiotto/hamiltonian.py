@@ -7,7 +7,7 @@ with hbar = 1 and every frequency in units of the reference omega_ref (the
 cold resonator frequency, by default). theta = 0 is the standard quantum Rabi
 model; theta = pi/2 couples purely through sigma_z and the Hamiltonian splits
 into two displaced-oscillator blocks. With the qubit-first tensor ordering all
-matrix entries are real.
+matrix entries are real, and the matrix is stored as float64.
 """
 
 from __future__ import annotations

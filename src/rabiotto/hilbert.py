@@ -2,9 +2,10 @@
 
 Tensor-product convention, fixed package-wide: the qubit is the FIRST factor
 and the oscillator the second, so a composite basis index is q * n_max + n.
-Everything is stored as dense complex128 even though the Rabi Hamiltonians are
-real symmetric; the measurement projectors used by the correlations module are
-genuinely complex and a single matrix type avoids conversions.
+Operators are dense and keep the dtype of their entries: float64 for real
+input (every Rabi Hamiltonian, every cycle state) and complex128 only for
+complex input, such as the measurement projectors of the correlations module's
+reference path.
 
 All operator values are immutable after construction and safe to share across
 parallel workers.
@@ -51,8 +52,9 @@ def _as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense square complex operator with optional qubit/oscillator structure.
+    """Dense square operator with optional qubit/oscillator structure.
 
+    ``matrix`` is float64 for real input and complex128 for complex input.
     ``subsystem_dims`` is ``(2, n_max)`` for operators living on the composite
     space (qubit first) and ``None`` for unstructured matrices.
     """
@@ -61,7 +63,7 @@ class OperatorMatrix:
     subsystem_dims: tuple[int, int] | None = field(default=None)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
+        m = np.array(as_matrix(self.matrix), order="C")  # own copy: frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if self.subsystem_dims is not None:
@@ -94,14 +96,16 @@ class OperatorMatrix:
 
 
 def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
-    """Accept either an OperatorMatrix or a bare ndarray."""
-    return op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    """The matrix of an OperatorMatrix, or a bare array as complex128 if complex, else float64."""
+    if isinstance(op, OperatorMatrix):
+        return op.matrix
+    return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
 
 
 def annihilation(cutoff: FockCutoff | int) -> OperatorMatrix:
     """Truncated bosonic annihilation operator, <n-1|a|n> = sqrt(n)."""
     n_max = _as_cutoff(cutoff).n_max
-    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1).astype(complex)
+    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1)
     return OperatorMatrix(a)
 
 
@@ -113,19 +117,19 @@ def creation(cutoff: FockCutoff | int) -> OperatorMatrix:
 def number_operator(cutoff: FockCutoff | int) -> OperatorMatrix:
     """a^dagger a, diagonal 0 ... n_max-1."""
     n_max = _as_cutoff(cutoff).n_max
-    return OperatorMatrix(np.diag(np.arange(n_max, dtype=float)).astype(complex))
+    return OperatorMatrix(np.diag(np.arange(n_max, dtype=float)))
 
 
 def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=complex))
+    return OperatorMatrix(np.eye(dim))
 
 
 def pauli(axis: str) -> OperatorMatrix:
     """Standard 2x2 Pauli matrix, axis 'x' or 'z' (sigma_z = diag(+1, -1))."""
     if axis == "x":
-        return OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        return OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     if axis == "z":
-        return OperatorMatrix(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+        return OperatorMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
 
 

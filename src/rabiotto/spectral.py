@@ -28,6 +28,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
+CUTOFF_TOL = 1e-8
 CUTOFF_CEILING = 512
 
 
@@ -59,7 +60,6 @@ class SpectralDecomposition:
     def ground_referenced(self) -> np.ndarray:
         """Energies relative to the ground state, element 0 exactly 0."""
         rel = self.energies - self.energies[0]
-        rel = rel.copy()
         rel[0] = 0.0
         return rel
 
@@ -80,9 +80,9 @@ def eigendecompose(
 ) -> SpectralDecomposition:
     """Full decomposition of a Hermitian matrix with certified residuals.
 
-    Input whose imaginary part is exactly zero (every Rabi Hamiltonian) is
-    solved and certified in real arithmetic; ``states`` is complex128 either
-    way. Inside an exactly degenerate eigenvalue cluster the basis is the one
+    Real input, and complex input whose imaginary part is exactly zero, is
+    solved and certified in real arithmetic and gets float64 ``states``;
+    other complex input gets complex128 ``states``. Inside an exactly degenerate eigenvalue cluster the basis is the one
     LAPACK returns. Non-Hermitian input raises ValueError; a LAPACK failure
     raises numpy.linalg.LinAlgError; a failed or NaN residual or
     orthonormality gate raises ConvergenceError.
@@ -90,7 +90,7 @@ def eigendecompose(
     m = as_matrix(h)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecompose requires a square matrix, got shape {m.shape}")
-    real = not np.any(m.imag)
+    real = not (np.iscomplexobj(m) and np.any(m.imag))
     if real:
         m = np.ascontiguousarray(m.real)
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -111,7 +111,7 @@ def eigendecompose(
     if isinstance(h, OperatorMatrix) and h.subsystem_dims is not None:
         cutoff = FockCutoff(h.subsystem_dims[1])
     return SpectralDecomposition(
-        energies=w, states=v.astype(complex, copy=False), cutoff_used=cutoff, residual_norm=residual
+        energies=w, states=v, cutoff_used=cutoff, residual_norm=residual
     )
 
 
@@ -123,7 +123,7 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 
 
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
-    h = build_hamiltonian(params, FockCutoff(n_max)).matrix.real
+    h = build_hamiltonian(params, FockCutoff(n_max)).matrix
     w, _ = symmetric_eigh(h, vectors=False)
     rel = w[:n_levels] - w[0]
     rel[0] = 0.0
@@ -133,7 +133,7 @@ def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarra
 def converged_cutoff(
     params: RabiParams,
     n_levels: int,
-    tol: float,
+    tol: float = CUTOFF_TOL,
     start: int | None = None,
     ceiling: int = CUTOFF_CEILING,
 ) -> FockCutoff:
@@ -141,7 +141,8 @@ def converged_cutoff(
 
     The scan doubles the cutoff from ``start`` (default max(n_levels, 8)) and
     compares ground-referenced energies; eigenvalues-only solves keep it cheap.
-    Raises ConvergenceError if the ceiling (default 512) is reached.
+    Raises ConvergenceError if the ceiling (default 512) is reached; ``tol``
+    defaults to 1e-8.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -35,19 +35,22 @@ from .correlations import discord_differences
 from .cycle import (
     CycleProtocol,
     ReservoirSpec,
+    certified_cutoffs,
     coupled_coupling_protocol,
     qubit_frequency_protocol,
     resonator_frequency_protocol,
     run_cycle,
 )
 from .hamiltonian import RabiParams, build_hamiltonian
-from .spectral import converged_cutoff, eigendecompose, relative_spectrum
+from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum
+from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
 
 __all__ = [
     "ConfigError",
     "SweepConfig",
     "SweepResult",
+    "config_from_dict",
     "figure_preset",
     "parse_config",
     "run_sweep",
@@ -69,8 +72,8 @@ class ConfigError(ValueError):
 class CutoffPolicy:
     mode: str = "auto"  # "auto" | "fixed"
     n_max: int | None = None
-    tol: float = 1e-8
-    ceiling: int = 512
+    tol: float = CUTOFF_TOL
+    ceiling: int = CUTOFF_CEILING
 
 
 @dataclass(frozen=True)
@@ -228,7 +231,8 @@ def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
     return data
 
 
-def _config_from_dict(data: dict) -> SweepConfig:
+def config_from_dict(data: dict) -> SweepConfig:
+    """Validate a raw config dict (no environment overrides) and fill defaults."""
     _check_keys(data, _SCHEMA)
     base = _strip_nones(data)
     cutoff = CutoffPolicy(**base.pop("cutoff")) if "cutoff" in base else CutoffPolicy()
@@ -253,6 +257,10 @@ def _config_from_dict(data: dict) -> SweepConfig:
     config = SweepConfig(cutoff=cutoff, sweep=sweep, series=series, discord=discord, **base)
     _validate(config)
     return config
+
+
+def _series_values(config: SweepConfig) -> list[float | None]:
+    return list(config.series.values) if config.series is not None else [None]
 
 
 def _validate(config: SweepConfig) -> None:
@@ -306,7 +314,7 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(f"workers: must be >= 0, got {config.workers}")
     # every protocol constraint is an interval in the swept parameter, so
     # valid endpoints mean a valid grid
-    for series_value in config.series.values if config.series is not None else (None,):
+    for series_value in _series_values(config):
         for endpoint in (config.sweep.start, config.sweep.stop):
             try:
                 build_protocol(config, series_value, endpoint)
@@ -325,8 +333,7 @@ def parse_config(text: str, environ: dict | None = None) -> SweepConfig:
         raise ConfigError(f"config document is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    data = apply_env_overrides(data, environ)
-    return _config_from_dict(data)
+    return config_from_dict(apply_env_overrides(data, environ))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def figure_preset(name: str) -> SweepConfig:
     """The sweep configuration reproducing one figure's underlying data."""
     if name not in _PRESETS:
         raise ConfigError(f"preset: unknown preset {name!r}; known: {sorted(_PRESETS)}")
-    return _config_from_dict(json.loads(json.dumps(_PRESETS[name])))
+    return config_from_dict(json.loads(json.dumps(_PRESETS[name])))
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +419,7 @@ class SweepResult:
 
 
 def _field_values(config: SweepConfig, series_value: float | None, swept_value: float) -> dict:
-    fields = {
-        "g_over_omega_c": config.g_over_omega_c,
-        "theta": config.theta,
-        "alpha": config.alpha,
-        "omega_qh": config.omega_qh,
-    }
+    fields = {name: getattr(config, name) for name in SWEEPABLE}
     if config.series is not None and series_value is not None:
         fields[config.series.parameter] = series_value
     fields[config.sweep.parameter] = swept_value
@@ -448,32 +450,23 @@ def build_protocol(config: SweepConfig, series_value: float | None, swept_value:
 
 def protocol_from_config(config: SweepConfig) -> CycleProtocol:
     """CycleProtocol at the config's template values (no sweep applied)."""
-    template = {
-        "g_over_omega_c": config.g_over_omega_c,
-        "theta": config.theta,
-        "alpha": config.alpha,
-        "omega_qh": config.omega_qh,
-    }[config.sweep.parameter]
-    return build_protocol(config, None, template)
+    return build_protocol(config, None, getattr(config, config.sweep.parameter))
 
 
-def _resolve_cutoff(config: SweepConfig, series_value: float | None) -> int:
-    """Fock cutoff for one series: fixed, or converged at the sweep endpoints.
+def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
+    """Fock cutoff per series value: fixed, or certified at the sweep endpoints.
 
-    Fock support grows monotonically with (g/omega)^2, so converging at the
-    endpoints covers the whole grid.
+    Fock support grows monotonically with (g/omega)^2, so certifying the
+    endpoints covers the whole grid. Series values that leave a side's
+    RabiParams unchanged share its scan.
     """
+    series_values = _series_values(config)
     if config.cutoff.mode == "fixed":
-        return int(config.cutoff.n_max)
-    best = 2
-    for endpoint in (config.sweep.start, config.sweep.stop):
-        protocol = build_protocol(config, series_value, endpoint)
-        for params in (protocol.cold, protocol.hot):
-            found = converged_cutoff(
-                params, config.n_levels, config.cutoff.tol, ceiling=config.cutoff.ceiling
-            )
-            best = max(best, found.n_max)
-    return best
+        return {sv: int(config.cutoff.n_max) for sv in series_values}
+    endpoints = (config.sweep.start, config.sweep.stop)
+    groups = [[build_protocol(config, sv, g) for g in endpoints] for sv in series_values]
+    found = certified_cutoffs(groups, config.cutoff.tol, config.cutoff.ceiling)
+    return {sv: cutoff.n_max for sv, cutoff in zip(series_values, found)}
 
 
 def _cycle_row(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> dict:
@@ -595,16 +588,9 @@ def _columns_for(config: SweepConfig) -> list[str]:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute a sweep; rows ordered by (series, swept value), failures recorded."""
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
-    series_values: list[float | None] = (
-        list(config.series.values) if config.series is not None else [None]
-    )
-    cutoffs = {sv: _resolve_cutoff(config, sv) for sv in series_values}
-    tasks = []
-    index = 0
-    for sv in series_values:
-        for gv in grid:
-            tasks.append((index, config, sv, float(gv), cutoffs[sv]))
-            index += 1
+    cutoffs = _series_cutoffs(config)
+    points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
+    tasks = [(index, config, sv, gv, cutoffs[sv]) for index, (sv, gv) in enumerate(points)]
 
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(tasks))

@@ -41,7 +41,7 @@ from rabiotto import (
 )
 from rabiotto.approx import approx_w1
 from rabiotto.cycle import WORK_REGIME_TOL, _report_from_spectra
-from rabiotto.sweep import _resolve_cutoff, figure_preset
+from rabiotto.sweep import _series_cutoffs, figure_preset
 
 FIG2_GRID = np.linspace(0.0, 3.5, 100)
 COUPLED_GRID = np.linspace(0.0, 2.0, 50)
@@ -85,7 +85,7 @@ def _discord_point(args):
 @pytest.fixture(scope="module")
 def fig2_sweep():
     """The official Fig. 2 sweep: 100 points, auto-resolved cutoff, timed."""
-    cutoff = _resolve_cutoff(figure_preset("fig2"), None)
+    cutoff = _series_cutoffs(figure_preset("fig2"))[None]
     start = time.time()
     with ProcessPoolExecutor(max_workers=2) as pool:
         reports = list(pool.map(_fig2_point, [(g, cutoff) for g in FIG2_GRID]))
@@ -95,7 +95,7 @@ def fig2_sweep():
 
 @pytest.fixture(scope="module")
 def coupled_sweep():
-    cutoff = _resolve_cutoff(figure_preset("fig6"), 1.0)
+    cutoff = _series_cutoffs(figure_preset("fig6"))[1.0]
     with ProcessPoolExecutor(max_workers=2) as pool:
         reports = list(pool.map(_coupled_point, [(g, cutoff) for g in COUPLED_GRID]))
     return cutoff, reports

@@ -120,6 +120,19 @@ class TestCycleCommand:
         assert lines[0] == "g_over_omega_c,theta,variant,W,Q_h,Q_c,eta,regime,config_hash"
         assert len(lines) == 2
 
+    def test_json_format(self, fast_config_path, capsys):
+        code, out, _ = run_cli(["cycle", "--config", fast_config_path, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["columns"] == [
+            "g_over_omega_c", "theta", "variant", "W", "Q_h", "Q_c", "eta", "regime", "config_hash",
+        ]
+        assert len(doc["rows"]) == 1
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        assert row["config_hash"] == doc["config_hash"]
+        assert row["variant"] == "resonator-frequency"
+        assert abs(row["W"] - (row["Q_h"] + row["Q_c"])) < 1e-10
+
     def test_per_level_file(self, fast_config_path, tmp_path, capsys):
         per_level = tmp_path / "levels.csv"
         code, out, _ = run_cli(

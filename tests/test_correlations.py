@@ -15,7 +15,8 @@ from rabiotto import (
     tensor,
     von_neumann_entropy,
 )
-from rabiotto.sweep import _resolve_cutoff, build_protocol, figure_preset
+from rabiotto.correlations import AXIS_TOL, _canonical_angles
+from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
 from conftest import random_density
 
@@ -187,7 +188,7 @@ class TestQuantumDiscord:
         # because each degenerate pair carries equal populations
         config = figure_preset("fig4")
         protocol = build_protocol(config, theta, 0.0)
-        states, _ = run_cycle(protocol, cutoff=_resolve_cutoff(config, theta))
+        states, _ = run_cycle(protocol, cutoff=_series_cutoffs(config)[theta])
         diffs = discord_differences(states)
         for result in (diffs.rho1, diffs.rho3, diffs.rho4):
             assert result.discord < 1e-12
@@ -224,6 +225,43 @@ class TestQuantumDiscord:
     def test_rejects_unstructured(self, rng):
         with pytest.raises(ValueError):
             quantum_discord(OperatorMatrix(random_density(rng, 4)))
+
+
+class TestReportedAxis:
+    """A measurement along n is the one along -n; one of the two is reported."""
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            (math.pi / 2, 0.0),  # on the equator: phi = 0 against phi = pi
+            (0.7305, 2 * math.pi - 1e-8),
+            (0.7305, 1e-8),
+            (2.411, math.pi),
+            (1.9, 4.0),
+            (0.0, 0.0),
+            (math.pi / 2, math.pi / 2),
+        ],
+    )
+    def test_antipodes_report_one_axis(self, theta, phi):
+        reported = _canonical_angles(theta, phi)
+        assert reported == pytest.approx(_canonical_angles(math.pi - theta, phi + math.pi), abs=1e-12)
+        t, p = reported
+        assert 0.0 <= t <= math.pi and -math.pi < p <= math.pi
+        n = MeasurementBasis(t, p).bloch_vector()
+        m = MeasurementBasis(theta, phi).bloch_vector()
+        assert min(np.abs(n - m).max(), np.abs(n + m).max()) < 1e-12
+
+    def test_no_jump_across_phi_zero(self):
+        below = _canonical_angles(0.7305, 2 * math.pi - 1e-8)
+        above = _canonical_angles(0.7305, 1e-8)
+        assert below == pytest.approx(above, abs=3e-8)
+
+    def test_discord_reports_the_positive_x_representative(self, small_cycle):
+        # theta = 0: the optimal axis lies in the x-z plane, phi in {0, pi}
+        _, states, _ = small_cycle
+        basis = quantum_discord(states.rho1, grid=(16, 32)).optimal_basis
+        assert -math.pi < basis.phi_m <= math.pi
+        assert basis.bloch_vector()[0] > -AXIS_TOL
 
 
 class TestDiscordDifferences:

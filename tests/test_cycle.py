@@ -13,7 +13,6 @@ from rabiotto import (
     resonator_frequency_protocol,
     run_cycle,
     thermal_populations,
-    work_per_level,
 )
 from rabiotto.cycle import CycleProtocol, _report_from_spectra
 
@@ -161,16 +160,13 @@ class TestRunCycle:
 
 class TestWorkPerLevel:
     def test_ground_level_is_exactly_zero(self, small_cycle):
-        _, states, report = small_cycle
-        protocol, _, _ = small_cycle
+        _, _, report = small_cycle
         assert report.work_per_level[0] == 0.0
-        assert work_per_level(states.hot, states.cold, protocol.reservoirs, 0) == 0.0
 
     def test_identical_spectra_zero(self):
         protocol = resonator_frequency_protocol(g=0.8, ratio=1.0)
-        states, _ = run_cycle(protocol, cutoff=24)
-        for n in range(6):
-            assert work_per_level(states.hot, states.cold, protocol.reservoirs, n) == 0.0
+        _, report = run_cycle(protocol, cutoff=24)
+        assert np.all(report.work_per_level == 0.0)
 
     def test_refrigeration_window_is_first_level(self):
         # theta = 0, R = 2, T_h = 9 T_c, g/omega_c = 2: W_1 < 0, W_2 and W_3 >= 0
@@ -180,17 +176,6 @@ class TestWorkPerLevel:
         assert wn[1] < 0.0
         assert wn[2] >= 0.0
         assert wn[3] >= 0.0
-
-    def test_out_of_range_index(self, small_cycle):
-        protocol, states, _ = small_cycle
-        with pytest.raises(IndexError):
-            work_per_level(states.hot, states.cold, protocol.reservoirs, 10_000)
-
-    def test_matches_report(self, small_cycle):
-        protocol, states, report = small_cycle
-        for n in range(1, 5):
-            direct = work_per_level(states.hot, states.cold, protocol.reservoirs, n)
-            assert abs(direct - report.work_per_level[n]) < 1e-14
 
 
 class TestClassifyRegime:
@@ -227,6 +212,6 @@ class TestShiftInvariance:
         signs = {}
         for g in (bound - 0.3, bound + 0.3):
             protocol = resonator_frequency_protocol(g=g, reservoirs=reservoirs)
-            states, _ = run_cycle(protocol, cutoff=48)
-            signs[g] = work_per_level(states.hot, states.cold, reservoirs, 1)
+            _, report = run_cycle(protocol, cutoff=48)
+            signs[g] = report.work_per_level[1]
         assert signs[bound - 0.3] > 0.0 > signs[bound + 0.3]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -164,6 +165,41 @@ class TestRunSweep:
         w_idx, qh_idx, qc_idx = cols.index("W"), cols.index("Q_h"), cols.index("Q_c")
         for row in result.rows:
             assert abs(row[w_idx] - (row[qh_idx] + row[qc_idx])) < 1e-10
+
+    @pytest.mark.parametrize(
+        "preset, scans, cutoffs",
+        [
+            # the cold side does not depend on omega_qh: 2 cold + 3 x 2 hot
+            ("fig7", 8, [96, 96, 96]),
+            # nor on alpha, and g = 0 makes every hot side (2, 2, 0): 2 + 1 + 3
+            ("fig6", 6, [48, 48, 96]),
+        ],
+    )
+    def test_each_distinct_side_is_scanned_once(self, preset, scans, cutoffs, monkeypatch):
+        import rabiotto.cycle
+        import rabiotto.sweep
+
+        scanned, used = [], []
+        converged_cutoff, run_cycle = rabiotto.cycle.converged_cutoff, rabiotto.sweep.run_cycle
+
+        def counting_scan(params, *args, **kwargs):
+            scanned.append(params)
+            return converged_cutoff(params, *args, **kwargs)
+
+        def recording_cycle(protocol, cutoff):
+            used.append(cutoff)
+            return run_cycle(protocol, cutoff=cutoff)
+
+        monkeypatch.setattr(rabiotto.cycle, "converged_cutoff", counting_scan)
+        monkeypatch.setattr(rabiotto.sweep, "run_cycle", recording_cycle)
+        config = figure_preset(preset)
+        config = dataclasses.replace(
+            config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
+        )
+        result = run_sweep(config)
+        assert len(scanned) == len(set(scanned)) == scans
+        assert used == [c for c in cutoffs for _ in range(2)]
+        assert all(row[result.columns.index("error")] == "" for row in result.rows)
 
     def test_degenerate_two_point_sweep(self):
         config = parse_config(
