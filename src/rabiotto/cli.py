@@ -16,13 +16,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from .cycle import certified_cutoffs, run_cycle
+from .cycle import run_cycle
 from .spectral import ConvergenceError
 from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .sweep import (
@@ -43,6 +42,13 @@ CYCLE_SUMMARY_COLUMNS = [
     "g_over_omega_c", "theta", "variant", "W", "Q_h", "Q_c", "eta", "regime", "config_hash",
 ]
 PER_LEVEL_COLUMNS = ["n", "E_n_h", "E_n_c", "P_n_h", "P_n_c", "W_n", "config_hash"]
+# what each subcommand sets in the config document
+COMMAND_OVERRIDES = {
+    "cycle": {"kind": "cycle"},
+    "spectrum": {"kind": "spectrum"},
+    "approx": {"kind": "approx"},
+    "discord": {"discord": {"enabled": True}},
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -80,12 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, kind: str | None) -> SweepConfig:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+def _overlay(data: dict, overrides: dict) -> None:
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            _overlay(data[key], value)
+        else:
+            data[key] = value
+
+
+def _load_config(args: argparse.Namespace) -> SweepConfig:
+    """The config document with env, subcommand and flag overrides, in that order."""
+    if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
-    if getattr(args, "preset", None):
+    if args.preset:
         data = figure_preset(args.preset).resolved_dict()
-    elif getattr(args, "config", None):
+    elif args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -98,16 +113,10 @@ def _load_config(args: argparse.Namespace, kind: str | None) -> SweepConfig:
     else:
         data = {}
     apply_env_overrides(data)
-    if kind is not None:
-        data["kind"] = kind
-    if getattr(args, "workers", None) is not None:
-        data["workers"] = args.workers
-    if getattr(args, "omega_ref", None) is not None:
-        data["omega_ref"] = args.omega_ref
-    if getattr(args, "format", None):
-        data["out_format"] = args.format
-    if getattr(args, "out", None):
-        data["out_path"] = args.out
+    _overlay(data, COMMAND_OVERRIDES.get(args.command, {}))
+    flags = {"workers": args.workers, "omega_ref": args.omega_ref,
+             "out_format": args.format, "out_path": args.out or None}
+    _overlay(data, {key: value for key, value in flags.items() if value is not None})
     return config_from_dict(data)
 
 
@@ -118,16 +127,12 @@ def _emit(result: SweepResult, path: str | None, fmt: str) -> None:
 
 
 def _run_single_cycle(args: argparse.Namespace) -> int:
-    config = _load_config(args, kind="cycle")
+    config = _load_config(args)
     try:
         protocol = protocol_from_config(config)
     except ValueError as exc:
         raise ConfigError(f"invalid physical parameters: {exc}") from exc
-    if config.cutoff.mode == "fixed":
-        cutoff = int(config.cutoff.n_max)
-    else:
-        cutoff = certified_cutoffs([[protocol]], config.cutoff.tol, config.cutoff.ceiling)[0]
-    states, report = run_cycle(protocol, cutoff=cutoff)
+    states, report = run_cycle(protocol, cutoff=config.cutoff.resolve([[protocol]])[0])
     config_hash = config.config_hash()
 
     def table(columns: list[str], rows: list[tuple]) -> SweepResult:
@@ -169,13 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "cycle":
             return _run_single_cycle(args)
-        kind = {"spectrum": "spectrum", "approx": "approx"}.get(args.command)
-        config = _load_config(args, kind=kind)
-        if args.command == "discord":
-            d = config.discord
-            config = dataclasses.replace(
-                config, discord=dataclasses.replace(d, enabled=True)
-            )
+        config = _load_config(args)
         result = run_sweep(config)
         _emit(result, config.out_path, config.out_format)
         error_col = result.columns.index("error")

@@ -51,6 +51,11 @@ AXIS_TOL = 1e-6
 DEFAULT_GRID = (64, 128)
 
 
+def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
+    """Unit Bloch vector (sin theta cos phi, sin theta sin phi, cos theta)."""
+    return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Rank-1 projective qubit measurement along Bloch direction (theta_m, phi_m)."""
@@ -63,8 +68,7 @@ class MeasurementBasis:
             raise ValueError(f"theta_m must lie in [0, pi], got {self.theta_m}")
 
     def bloch_vector(self) -> np.ndarray:
-        t, p = self.theta_m, self.phi_m
-        return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+        return np.array(_bloch(self.theta_m, self.phi_m))
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(Pi_plus, Pi_minus) as 2x2 complex matrices; they sum to identity."""
@@ -176,9 +180,7 @@ class _BlockEvaluator:
 
 def _sphere_angles(theta: float, phi: float) -> tuple[float, float]:
     """Fold arbitrary angles onto theta in [0, pi], phi in [0, 2*pi)."""
-    nx = math.sin(theta) * math.cos(phi)
-    ny = math.sin(theta) * math.sin(phi)
-    nz = math.cos(theta)
+    nx, ny, nz = _bloch(theta, phi)
     t = math.acos(max(-1.0, min(1.0, nz)))
     if math.sin(t) < 1e-12:
         return t, 0.0
@@ -194,7 +196,7 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     AXIS_TOL lies above the refinement's ~1e-7 angle scatter. Returns theta
     in [0, pi] and phi in (-pi, pi].
     """
-    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    n = np.array(_bloch(theta, phi))
     if next((c for c in n[[0, 2, 1]] if abs(c) > AXIS_TOL), 0.0) < 0.0:
         n = -n
     t = math.acos(max(-1.0, min(1.0, n[2])))

@@ -1,8 +1,9 @@
 """Parameter sweeps, figure presets, and deterministic data export.
 
-A sweep is described by a JSON config document (all keys optional; defaults
-reproduce the resonator-frequency work curve of the engine/refrigerator
-transition analysis). Every config key can be overridden through environment
+A sweep is described by a JSON config document whose keys are the fields of
+SweepConfig and its sub-objects (all optional; defaults reproduce the
+resonator-frequency work curve of the engine/refrigerator transition
+analysis). Every config key can be overridden through environment
 variables with the RABIOTTO_ prefix, nested keys joined by double underscores
 (e.g. RABIOTTO_SWEEP__N_POINTS=50).
 
@@ -17,22 +18,27 @@ Sweep kinds:
   spectrum -- lowest relative energy levels of the cold Hamiltonian
   levels   -- first-excited energies/populations vs the thermal energies
   approx   -- numeric W_1 against the two-level closed form and its bound
+Only cycle sweeps a parameter other than g_over_omega_c.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
 
 import numpy as np
 
 from .approx import approx_w1, positive_work_bound
 from .correlations import discord_differences
 from .cycle import (
+    VARIANTS,
     CycleProtocol,
     ReservoirSpec,
     certified_cutoffs,
@@ -41,7 +47,7 @@ from .cycle import (
     resonator_frequency_protocol,
     run_cycle,
 )
-from .hamiltonian import RabiParams, build_hamiltonian
+from .hamiltonian import build_hamiltonian
 from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum
 from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
@@ -60,8 +66,10 @@ __all__ = [
 ENV_PREFIX = "RABIOTTO_"
 
 SWEEPABLE = ("g_over_omega_c", "theta", "alpha", "omega_qh")
-KINDS = ("cycle", "spectrum", "levels", "approx")
 FORMATS = ("csv", "json")
+# the variant that varies each variant-specific parameter; a cycle row leaves
+# the parameter blank under every other variant
+PARAMETER_VARIANT = {"alpha": "coupled-coupling", "omega_qh": "qubit-frequency"}
 
 
 class ConfigError(ValueError):
@@ -74,6 +82,21 @@ class CutoffPolicy:
     n_max: int | None = None
     tol: float = CUTOFF_TOL
     ceiling: int = CUTOFF_CEILING
+
+    def resolve(self, groups: list[list[CycleProtocol]]) -> list[int]:
+        """Fock cutoff per group of protocols: n_max, or the largest certified.
+
+        With no groups it scans nothing and only validates the policy.
+        """
+        if self.mode not in ("auto", "fixed"):
+            raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {self.mode!r}")
+        if self.mode == "fixed" and (self.n_max is None or self.n_max < 2):
+            raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
+        if self.tol <= 0.0:
+            raise ConfigError(f"cutoff.tol: must be > 0, got {self.tol}")
+        if self.mode == "fixed":
+            return [self.n_max] * len(groups)
+        return [found.n_max for found in certified_cutoffs(groups, self.tol, self.ceiling)]
 
 
 @dataclass(frozen=True)
@@ -139,79 +162,67 @@ class SweepConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-_SCHEMA = {
-    "kind": str,
-    "variant": str,
-    "omega_c": float,
-    "ratio": float,
-    "g_over_omega_c": float,
-    "theta": float,
-    "alpha": float,
-    "omega_qc": float,
-    "omega_qh": float,
-    "t_cold": float,
-    "t_hot": float,
-    "omega_ref": float,
-    "n_levels": int,
-    "cutoff": {"mode": str, "n_max": int, "tol": float, "ceiling": int},
-    "sweep": {"parameter": str, "start": float, "stop": float, "n_points": int},
-    "series": {"parameter": str, "values": list},
-    "discord": {"enabled": bool, "n_theta": int, "n_phi": int, "refine": bool},
-    "workers": int,
-    "out_path": str,
-    "out_format": str,
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Config key -> type for a config dataclass; ``X | None`` reads as X."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        options = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+        types[f.name] = options[0] if isinstance(hints[f.name], UnionType) else hints[f.name]
+    return types
+
+
+# type -> (accepted JSON types, name in the error message)
+_ACCEPTS = {
+    bool: (bool, "a boolean"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
 }
 
 
-def _check_keys(data: dict, schema: dict, path: str = "") -> None:
+def _build(cls, data: dict, path: str = ""):
+    """Instance of a config dataclass from its raw dict; null means "use the default"."""
+    types = _field_types(cls)
+    values = {}
     for key, value in data.items():
         where = f"{path}{key}"
-        if key not in schema:
+        if key not in types:
             raise ConfigError(f"{where}: unknown configuration key")
-        expected = schema[key]
-        if value is None:
-            continue  # null means "use the default"
-        if isinstance(expected, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: expected an object")
-            _check_keys(value, expected, where + ".")
-        elif expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{where}: expected a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-        elif expected is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        elif expected is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-        elif expected is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{where}: expected a string, got {value!r}")
-        elif expected is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if value is not None:
+            values[key] = _check_value(types[key], value, where)
+    return cls(**values)
 
 
-def _strip_nones(data: dict) -> dict:
-    """Drop null values (meaning 'use default'); a null sub-object stays absent."""
-    cleaned = {}
-    for key, value in data.items():
-        if value is None:
-            continue
-        cleaned[key] = _strip_nones(value) if isinstance(value, dict) else value
-    return cleaned
+def _check_value(expected, value, where: str):
+    if is_dataclass(expected):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object")
+        return _build(expected, value, where + ".")
+    base = typing.get_origin(expected) or expected  # tuple[float, ...] -> tuple
+    accepted, name = _ACCEPTS[base]
+    if not isinstance(value, accepted) or (base is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    if base is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if base is tuple:
+        if not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value
+        ):
+            raise ConfigError(f"{where}: expected finite numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    return value
 
 
 def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
     """Overlay RABIOTTO_* environment variables onto a raw config dict."""
     environ = os.environ if environ is None else environ
 
-    def visit(schema: dict, target: dict, prefix: str) -> None:
-        for key, expected in schema.items():
-            env_key = (prefix + key).upper()
-            if isinstance(expected, dict):
+    def visit(cls, target: dict, prefix: str) -> None:
+        for key, expected in _field_types(cls).items():
+            if is_dataclass(expected):
                 sub = target.get(key)
                 if not isinstance(sub, dict):
                     sub = {}
@@ -219,7 +230,7 @@ def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
                 if sub:
                     target[key] = sub
                 continue
-            raw = environ.get(ENV_PREFIX + env_key)
+            raw = environ.get(ENV_PREFIX + (prefix + key).upper())
             if raw is None:
                 continue
             try:
@@ -227,34 +238,16 @@ def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
             except json.JSONDecodeError:
                 target[key] = raw
 
-    visit(_SCHEMA, data, "")
+    visit(SweepConfig, data, "")
     return data
 
 
 def config_from_dict(data: dict) -> SweepConfig:
     """Validate a raw config dict (no environment overrides) and fill defaults."""
-    _check_keys(data, _SCHEMA)
-    base = _strip_nones(data)
-    cutoff = CutoffPolicy(**base.pop("cutoff")) if "cutoff" in base else CutoffPolicy()
-    sweep = SweepAxis(**base.pop("sweep")) if "sweep" in base else SweepAxis()
-    series = None
-    if base.get("series") is not None:
-        raw = dict(base.pop("series"))
-        values = raw.get("values", ())
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in values
-        ):
-            raise ConfigError(f"series.values: expected finite numbers, got {values!r}")
-        raw["values"] = tuple(float(v) for v in values)
-        series = SeriesSpec(**raw)
-    else:
-        base.pop("series", None)
-    discord = DiscordOptions(**base.pop("discord")) if "discord" in base else DiscordOptions()
-    if "t_cold" in base and "t_hot" not in base:
+    config = _build(SweepConfig, data)
+    if data.get("t_cold") is not None and data.get("t_hot") is None:
         # preserve the default T_h = 9 T_c ratio when only T_c is given
-        base["t_hot"] = 9 * float(base["t_cold"])
-    config = SweepConfig(cutoff=cutoff, sweep=sweep, series=series, discord=discord, **base)
+        config = replace(config, t_hot=9 * float(config.t_cold))
     _validate(config)
     return config
 
@@ -264,8 +257,8 @@ def _series_values(config: SweepConfig) -> list[float | None]:
 
 
 def _validate(config: SweepConfig) -> None:
-    if config.kind not in KINDS:
-        raise ConfigError(f"kind: must be one of {KINDS}, got {config.kind!r}")
+    if config.kind not in _KINDS:
+        raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {config.kind!r}")
     if config.out_format not in FORMATS:
         raise ConfigError(f"out_format: must be one of {FORMATS}, got {config.out_format!r}")
     if config.sweep.n_points < 2:
@@ -274,21 +267,22 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(
             f"sweep.start: must not exceed sweep.stop ({config.sweep.start} > {config.sweep.stop})"
         )
-    if config.sweep.parameter not in SWEEPABLE:
-        raise ConfigError(
-            f"sweep.parameter: must be one of {SWEEPABLE}, got {config.sweep.parameter!r}"
-        )
-    if config.variant not in ("resonator-frequency", "coupled-coupling", "qubit-frequency"):
+    if config.variant not in VARIANTS:
         raise ConfigError(f"variant: unknown variant {config.variant!r}")
-    if config.sweep.parameter == "alpha" and config.variant != "coupled-coupling":
-        raise ConfigError("sweep.parameter: alpha is only swept in the coupled-coupling variant")
-    if config.sweep.parameter == "omega_qh" and config.variant != "qubit-frequency":
-        raise ConfigError("sweep.parameter: omega_qh is only swept in the qubit-frequency variant")
+    axes = [("sweep", config.sweep.parameter)]
     if config.series is not None:
-        if config.series.parameter not in SWEEPABLE:
-            raise ConfigError(
-                f"series.parameter: must be one of {SWEEPABLE}, got {config.series.parameter!r}"
-            )
+        axes.append(("series", config.series.parameter))
+    for axis, parameter in axes:
+        if parameter not in SWEEPABLE:
+            raise ConfigError(f"{axis}.parameter: must be one of {SWEEPABLE}, got {parameter!r}")
+        owner = PARAMETER_VARIANT.get(parameter, config.variant)
+        if owner != config.variant:
+            raise ConfigError(f"{axis}.parameter: {parameter} is only swept in the {owner} variant")
+    if config.kind != "cycle" and config.sweep.parameter != "g_over_omega_c":
+        raise ConfigError(
+            f"sweep.parameter: kind {config.kind} sweeps only g_over_omega_c (use a theta series)"
+        )
+    if config.series is not None:
         if config.series.parameter == config.sweep.parameter:
             raise ConfigError("series.parameter: must differ from sweep.parameter")
         if len(config.series.values) == 0:
@@ -299,15 +293,12 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(f"omega_ref: must be > 0, got {config.omega_ref}")
     if config.n_levels < 1:
         raise ConfigError(f"n_levels: must be >= 1, got {config.n_levels}")
-    if config.cutoff.mode not in ("auto", "fixed"):
-        raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {config.cutoff.mode!r}")
-    if config.cutoff.mode == "fixed" and (config.cutoff.n_max is None or config.cutoff.n_max < 2):
-        raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
-    if config.cutoff.tol <= 0.0:
-        raise ConfigError(f"cutoff.tol: must be > 0, got {config.cutoff.tol}")
+    config.cutoff.resolve([])  # checks the policy, scans nothing
     if config.kind == "approx":
         if config.variant != "resonator-frequency":
             raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
+        if config.theta != 0.0 or config.series is not None:
+            raise ConfigError("theta: approx is the theta = 0 closed form; set no theta or series")
         if config.t_hot / config.t_cold <= config.ratio:
             raise ConfigError("t_hot: approx bound requires T_h/T_c > ratio")
     if config.workers < 0:
@@ -396,18 +387,10 @@ def figure_preset(name: str) -> SweepConfig:
 # ---------------------------------------------------------------------------
 # sweep execution
 
-CYCLE_COLUMNS = [
-    "g_over_omega_c", "theta", "alpha", "omega_qh", "variant",
-    "W", "Q_h", "Q_c", "eta", "regime",
-    "W_1", "W_2", "W_3", "tail_mass_hot",
-]
 DISCORD_COLUMNS = [
     "D_rho1", "D_rho3", "D_rho4", "diff_41", "diff_31", "diff_34",
     "theta_m_opt", "phi_m_opt",
 ]
-SPECTRUM_COLUMNS = ["g_over_omega", "level_index", "energy_relative"]
-LEVELS_COLUMNS = ["g_over_omega_c", "E1_h", "E1_c", "kT_h", "kT_c", "P1_h", "P1_c"]
-APPROX_COLUMNS = ["g_over_omega", "W1_numeric", "W1_approx", "bound"]
 
 
 @dataclass(frozen=True)
@@ -419,11 +402,11 @@ class SweepResult:
 
 
 def _field_values(config: SweepConfig, series_value: float | None, swept_value: float) -> dict:
-    fields = {name: getattr(config, name) for name in SWEEPABLE}
+    values = {name: getattr(config, name) for name in SWEEPABLE}
     if config.series is not None and series_value is not None:
-        fields[config.series.parameter] = series_value
-    fields[config.sweep.parameter] = swept_value
-    return fields
+        values[config.series.parameter] = series_value
+    values[config.sweep.parameter] = swept_value
+    return values
 
 
 def build_protocol(config: SweepConfig, series_value: float | None, swept_value: float) -> CycleProtocol:
@@ -461,25 +444,18 @@ def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
     RabiParams unchanged share its scan.
     """
     series_values = _series_values(config)
-    if config.cutoff.mode == "fixed":
-        return {sv: int(config.cutoff.n_max) for sv in series_values}
     endpoints = (config.sweep.start, config.sweep.stop)
-    groups = [[build_protocol(config, sv, g) for g in endpoints] for sv in series_values]
-    found = certified_cutoffs(groups, config.cutoff.tol, config.cutoff.ceiling)
-    return {sv: cutoff.n_max for sv, cutoff in zip(series_values, found)}
+    groups = [[build_protocol(config, sv, x) for x in endpoints] for sv in series_values]
+    return dict(zip(series_values, config.cutoff.resolve(groups)))
 
 
-def _cycle_row(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> dict:
-    f = _field_values(config, series_value, swept_value)
-    protocol = build_protocol(config, series_value, swept_value)
+# Point functions return the columns they compute; run_sweep fills the
+# columns that the grid point itself fixes (_point_columns).
+
+def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
     states, report = run_cycle(protocol, cutoff=cutoff)
     wn = report.work_per_level
     row = {
-        "g_over_omega_c": f["g_over_omega_c"],
-        "theta": f["theta"],
-        "alpha": f["alpha"] if config.variant == "coupled-coupling" else None,
-        "omega_qh": f["omega_qh"] if config.variant == "qubit-frequency" else None,
-        "variant": config.variant,
         "W": report.work,
         "Q_h": report.q_hot,
         "Q_c": report.q_cold,
@@ -508,81 +484,77 @@ def _cycle_row(config: SweepConfig, series_value: float | None, swept_value: flo
                 "phi_m_opt": diffs.rho1.optimal_basis.phi_m,
             }
         )
-    return row
+    return [row]
 
 
-def _spectrum_rows(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> list[dict]:
-    protocol = build_protocol(config, series_value, swept_value)
+def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
     decomposition = eigendecompose(build_hamiltonian(protocol.cold, cutoff))
     rel = relative_spectrum(decomposition, config.n_levels)
-    return [
-        {"g_over_omega": swept_value, "level_index": k, "energy_relative": float(rel[k])}
-        for k in range(len(rel))
-    ]
+    return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))]
 
 
-def _levels_row(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> dict:
-    protocol = build_protocol(config, series_value, swept_value)
+def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
     states, _ = run_cycle(protocol, cutoff=cutoff)
-    return {
-        "g_over_omega_c": swept_value,
+    return [{
         "E1_h": float(states.hot.ground_referenced()[1]),
         "E1_c": float(states.cold.ground_referenced()[1]),
         "kT_h": protocol.reservoirs.kt_hot,
         "kT_c": protocol.reservoirs.kt_cold,
         "P1_h": float(states.populations_hot[1]),
         "P1_c": float(states.populations_cold[1]),
-    }
+    }]
 
 
-def _approx_row(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> dict:
-    protocol = build_protocol(config, series_value, swept_value)
+def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
     _, report = run_cycle(protocol, cutoff=cutoff)
-    w1_approx = approx_w1(
-        config.omega_c, config.ratio, config.t_cold, config.t_hot,
-        swept_value * config.omega_c, config.omega_ref,
-    )
-    return {
-        "g_over_omega": swept_value,
+    return [{
         "W1_numeric": float(report.work_per_level[1]),
-        "W1_approx": w1_approx,
+        "W1_approx": approx_w1(
+            config.omega_c, config.ratio, config.t_cold, config.t_hot, protocol.cold.g, config.omega_ref
+        ),
         "bound": positive_work_bound(config.ratio, config.t_hot / config.t_cold),
-    }
+    }]
 
 
-def _compute_point(config: SweepConfig, series_value: float | None, swept_value: float, cutoff: int) -> list[dict]:
-    if config.kind == "cycle":
-        return [_cycle_row(config, series_value, swept_value, cutoff)]
-    if config.kind == "spectrum":
-        return _spectrum_rows(config, series_value, swept_value, cutoff)
-    if config.kind == "levels":
-        return [_levels_row(config, series_value, swept_value, cutoff)]
-    return [_approx_row(config, series_value, swept_value, cutoff)]
+# kind -> (columns, point function); the discord columns show only when enabled
+_KINDS = {
+    "cycle": (
+        ["g_over_omega_c", "theta", "alpha", "omega_qh", "variant", "W", "Q_h", "Q_c", "eta",
+         "regime", "W_1", "W_2", "W_3", "tail_mass_hot", *DISCORD_COLUMNS],
+        _cycle_rows,
+    ),
+    "spectrum": (["g_over_omega", "level_index", "energy_relative"], _spectrum_rows),
+    "levels": (["g_over_omega_c", "E1_h", "E1_c", "kT_h", "kT_c", "P1_h", "P1_c"], _levels_rows),
+    "approx": (["g_over_omega", "W1_numeric", "W1_approx", "bound"], _approx_rows),
+}
 
 
 def _point_task(args: tuple) -> tuple[int, list[dict], str | None]:
     index, config, series_value, swept_value, cutoff = args
     try:
-        return index, _compute_point(config, series_value, swept_value, cutoff), None
+        protocol = build_protocol(config, series_value, swept_value)
+        return index, _KINDS[config.kind][1](config, protocol, cutoff), None
     except Exception as exc:  # per-point failure: recorded, sweep continues
         return index, [], f"{type(exc).__name__}: {exc}"
 
 
 def _columns_for(config: SweepConfig) -> list[str]:
-    if config.kind == "cycle":
-        cols = list(CYCLE_COLUMNS)
-        if config.discord.enabled:
-            cols += DISCORD_COLUMNS
-    elif config.kind == "spectrum":
-        cols = list(SPECTRUM_COLUMNS)
-    elif config.kind == "levels":
-        cols = list(LEVELS_COLUMNS)
-    else:
-        cols = list(APPROX_COLUMNS)
+    columns = [c for c in _KINDS[config.kind][0] if config.discord.enabled or c not in DISCORD_COLUMNS]
+    series = [f"series_{config.series.parameter}"] if config.series is not None else []
+    return series + columns + ["error", "config_hash"]
+
+
+def _point_columns(config: SweepConfig, series_value: float | None, swept_value: float) -> dict:
+    """The columns a grid point fixes before anything is computed at it."""
+    fixed = {
+        name: value if PARAMETER_VARIANT.get(name, config.variant) == config.variant else None
+        for name, value in _field_values(config, series_value, swept_value).items()
+    }
+    fixed["g_over_omega"] = fixed["g_over_omega_c"]
+    fixed["variant"] = config.variant
     if config.series is not None:
-        series_col = f"series_{config.series.parameter}"
-        cols.insert(0, series_col)
-    return cols + ["error", "config_hash"]
+        fixed[f"series_{config.series.parameter}"] = series_value
+    return fixed
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -604,26 +576,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     columns = _columns_for(config)
     config_hash = config.config_hash()
     rows: list[tuple] = []
-    for (task_index, point_rows, error), task in zip(outcomes, tasks):
-        _, _, sv, gv, _ = task
-        if error is not None:
-            point_rows = [{}]
-        for data in point_rows:
-            row = []
-            for col in columns:
-                if col == "error":
-                    row.append(error or "")
-                elif col == "config_hash":
-                    row.append(config_hash)
-                elif config.series is not None and col == f"series_{config.series.parameter}":
-                    row.append(sv)
-                elif col in data:
-                    row.append(data[col])
-                elif error is not None and col in ("g_over_omega", "g_over_omega_c"):
-                    row.append(gv)  # keep the grid location on failed points
-                else:
-                    row.append(None)
-            rows.append(tuple(row))
+    for (_, point_rows, error), (sv, gv) in zip(outcomes, points):
+        fixed = _point_columns(config, sv, gv)
+        fixed.update(error=error or "", config_hash=config_hash)
+        for data in [{}] if error is not None else point_rows:
+            rows.append(tuple(fixed[c] if c in fixed else data.get(c) for c in columns))
     return SweepResult(
         columns=tuple(columns), rows=tuple(rows), config=config, config_hash=config_hash
     )

@@ -104,6 +104,17 @@ class TestSweepCommand:
         assert out == ""
         assert "g must be >= 0" in err
 
+    def test_series_parameter_of_another_variant_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "series.json"
+        path.write_text(
+            json.dumps({**FAST_CONFIG, "series": {"parameter": "alpha", "values": [0.5, 1.5]}}),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "series.parameter: alpha is only swept in the coupled-coupling variant" in err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"sweep": {"n_points": 1}}', encoding="utf-8")

@@ -92,6 +92,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(json.dumps({"sweep": {"parameter": "alpha"}}), environ={})
 
+    @pytest.mark.parametrize("parameter", ["alpha", "omega_qh"])
+    def test_rejects_series_parameter_the_variant_does_not_vary(self, parameter):
+        doc = {"series": {"parameter": parameter, "values": [0.5, 1.5]}}
+        with pytest.raises(ConfigError, match=f"series.parameter: {parameter} is only swept"):
+            parse_config(json.dumps(doc), environ={})
+
+    @pytest.mark.parametrize("kind", ["spectrum", "levels", "approx"])
+    def test_non_cycle_kinds_sweep_only_g(self, kind):
+        doc = {"kind": kind, "g_over_omega_c": 1.0, "sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0}}
+        with pytest.raises(ConfigError, match="sweep.parameter: kind .* sweeps only g_over_omega_c"):
+            parse_config(json.dumps(doc), environ={})
+
+    @pytest.mark.parametrize(
+        "extra", [{"theta": 0.3}, {"series": {"parameter": "theta", "values": [0.0, 0.4]}}]
+    )
+    def test_approx_is_the_theta_zero_closed_form(self, extra):
+        with pytest.raises(ConfigError, match="theta = 0 closed form"):
+            parse_config(json.dumps({"kind": "approx", **extra}), environ={})
+
     def test_rejects_bad_temperatures(self):
         with pytest.raises(ConfigError, match="t_cold"):
             parse_config(json.dumps({"t_cold": 0.1, "t_hot": 0.05}), environ={})
@@ -280,6 +299,30 @@ class TestRunSweep:
         assert all(row[err_idx] for row in result.rows)
         g_idx = result.columns.index("g_over_omega")
         assert [row[g_idx] for row in result.rows] == [0.0, 1.0]
+
+    def test_failed_row_keeps_its_grid_point(self, monkeypatch):
+        import rabiotto.sweep
+
+        run_cycle = rabiotto.sweep.run_cycle
+
+        def fail_at_theta_one(protocol, cutoff):
+            if protocol.cold.theta == 1.0:
+                raise ArithmeticError("forced")
+            return run_cycle(protocol, cutoff=cutoff)
+
+        monkeypatch.setattr(rabiotto.sweep, "run_cycle", fail_at_theta_one)
+        doc = {
+            "g_over_omega_c": 0.7,
+            "sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0, "n_points": 2},
+            "cutoff": {"mode": "fixed", "n_max": 12},
+            "workers": 1,
+        }
+        result = run_sweep(parse_config(json.dumps(doc), environ={}))
+        ok, failed = result.rows
+        assert ok[result.columns.index("error")] == ""
+        assert failed[result.columns.index("error")] == "ArithmeticError: forced"
+        assert failed[:5] == (0.7, 1.0, None, None, "resonator-frequency")
+        assert ok[:5] == (0.7, 0.0, None, None, "resonator-frequency")
 
     def test_spectrum_rows_long_format(self):
         config = parse_config(
