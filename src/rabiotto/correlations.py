@@ -9,18 +9,27 @@ parametrized by Bloch angles (theta_m, phi_m). Entropies use the natural log.
 
 The minimization is deterministic: a coarse grid over the Bloch sphere
 (default 64 x 128) followed by local Nelder-Mead refinement, which by
-construction never returns a value above the best grid point. Grid evaluation
-avoids building full-space projectors: the post-measurement oscillator state
-for outcome |v> is the block combination sum_ab conj(v_a) v_b rho_ab, and all
-angles are batched through numpy's eigvalsh. The oscillator blocks are first
-compressed onto the support of the unconditional oscillator state (every
-post-measurement state lives inside it), which caps the batched eigenproblem
-size by the number of thermally occupied modes. For real-valued states the
-conditional entropy is even in phi_m, halving the grid work.
+construction never returns a value above the best grid point.
+
+Only the "+" outcome is ever evaluated, f(n) = p_+ S(rho_B | +n): the "-"
+outcome along n is the "+" outcome along -n, so the sum over outcomes is
+S(n) = f(n) + f(-n). The search takes real states only. For those f is even
+in phi_m, so f(-n) = f(pi - theta_m, pi - phi_m), and with an even number of
+phi_m steps the half grid phi_m = 0 ... pi holds every antipode: S is f plus
+f with both grid axes reversed.
+
+Evaluation avoids building full-space projectors: the post-measurement
+oscillator state for outcome |v> is the block combination
+sum_ab conj(v_a) v_b rho_ab, and all angles are batched through numpy's
+eigvalsh. The oscillator blocks are first compressed onto the support of the
+unconditional oscillator state (every post-measurement state lives inside
+it), which caps the batched eigenproblem size by the number of thermally
+occupied modes.
 
 ``conditional_entropy`` is the independent reference path: it applies full
 projectors (Pi (x) I) rho (Pi (x) I) and partial-traces, with no compression
-or batching, and is what the vectorized path is tested against.
+or batching, takes complex states too, and is what the vectorized path is
+tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +58,8 @@ OUTCOME_FLOOR = 1e-14
 DISCORD_TOL = 1e-9
 AXIS_TOL = 1e-6
 DEFAULT_GRID = (64, 128)
+REAL_TOL = 1e-14
+BLOCK_BYTES = 2**19  # one batch of (angles, k, k) complex blocks
 
 
 def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
@@ -87,13 +98,13 @@ class DiscordResult:
     entropy_a: float
     entropy_ab: float
     conditional_entropy_min: float
-    optimizer_trace: tuple | None = None
 
 
-def _entropy_from_eigenvalues(lam: np.ndarray) -> float:
+def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """-sum lam ln lam over the last axis; eigenvalues <= EIG_FLOOR count 0."""
     lam = np.asarray(lam, dtype=float)
     safe = np.where(lam > EIG_FLOOR, lam, 1.0)
-    return float(-np.sum(np.where(lam > EIG_FLOOR, lam * np.log(safe), 0.0)))
+    return -np.sum(np.where(lam > EIG_FLOOR, lam * np.log(safe), 0.0), axis=-1)
 
 
 def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
@@ -106,7 +117,7 @@ def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
         raise ValueError(f"density matrix must have unit trace, got {lam.sum()}")
     if lam.min() < -1e-10:
         raise ValueError(f"density matrix has negative eigenvalue {lam.min():.3e}")
-    return _entropy_from_eigenvalues(lam)
+    return float(_entropy_from_eigenvalues(lam))
 
 
 def conditional_entropy(rho: OperatorMatrix, basis: MeasurementBasis) -> float:
@@ -124,7 +135,7 @@ def conditional_entropy(rho: OperatorMatrix, basis: MeasurementBasis) -> float:
         rho_b = partial_trace(
             OperatorMatrix(projected / p, subsystem_dims=rho.subsystem_dims), "oscillator"
         )
-        total += p * _entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b.matrix))
+        total += p * float(_entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b.matrix)))
     return total
 
 
@@ -133,14 +144,17 @@ def conditional_entropy(rho: OperatorMatrix, basis: MeasurementBasis) -> float:
 
 
 class _BlockEvaluator:
-    """Conditional entropy of one state, batched over measurement angles."""
+    """The "+" outcome term f = p_+ S(rho_B | +n) of one state, batched over angles.
+
+    The weights depend only on the Bloch vector of (theta, phi), so any real
+    angles are valid, and the state may be complex.
+    """
 
     def __init__(self, rho: OperatorMatrix):
         m = rho.matrix
         _, n = rho.subsystem_dims
         r00, r01 = m[:n, :n], m[:n, n:]
         r10, r11 = m[n:, :n], m[n:, n:]
-        self.is_real = bool(np.max(np.abs(m.imag)) <= 1e-14)
         # every post-measurement oscillator state is supported on the range of
         # the unconditional state r00 + r11; compress onto it
         support_w, support_v = np.linalg.eigh(r00 + r11)
@@ -151,40 +165,27 @@ class _BlockEvaluator:
         self.b10 = u.conj().T @ r10 @ u
         self.b11 = u.conj().T @ r11 @ u
 
-    def __call__(self, thetas: np.ndarray, phis: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         out = np.empty(thetas.shape[0])
-        for i in range(0, thetas.shape[0], chunk):
-            out[i : i + chunk] = self._batch(thetas[i : i + chunk], phis[i : i + chunk])
+        k = self.b00.shape[0]
+        step = max(1, BLOCK_BYTES // (16 * k * k))
+        for i in range(0, thetas.shape[0], step):
+            out[i : i + step] = self._batch(thetas[i : i + step], phis[i : i + step])
         return out
 
     def _batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        c2 = np.cos(thetas / 2.0) ** 2
-        s2 = np.sin(thetas / 2.0) ** 2
-        cross = np.cos(thetas / 2.0) * np.sin(thetas / 2.0) * np.exp(1j * phis)
-        total = np.zeros(thetas.shape[0])
-        for w00, w01 in ((c2, cross), (s2, -cross)):  # outcomes +/-
-            m = (
-                w00[:, None, None] * self.b00
-                + w01[:, None, None] * self.b01
-                + np.conj(w01)[:, None, None] * self.b10
-                + (1.0 - w00)[:, None, None] * self.b11
-            )
-            p = np.einsum("bii->b", m).real
-            lam = np.linalg.eigvalsh(m)
-            norm = np.where(p[:, None] > OUTCOME_FLOOR, lam / p[:, None], 0.0)
-            safe = np.where(norm > EIG_FLOOR, norm, 1.0)
-            entropy = -np.sum(np.where(norm > EIG_FLOOR, norm * np.log(safe), 0.0), axis=1)
-            total += np.where(p > OUTCOME_FLOOR, p * entropy, 0.0)
-        return total
-
-
-def _sphere_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Fold arbitrary angles onto theta in [0, pi], phi in [0, 2*pi)."""
-    nx, ny, nz = _bloch(theta, phi)
-    t = math.acos(max(-1.0, min(1.0, nz)))
-    if math.sin(t) < 1e-12:
-        return t, 0.0
-    return t, math.atan2(ny, nx) % (2.0 * math.pi)
+        w00 = np.cos(thetas / 2.0) ** 2
+        w01 = np.cos(thetas / 2.0) * np.sin(thetas / 2.0) * np.exp(1j * phis)
+        m = (
+            w00[:, None, None] * self.b00
+            + w01[:, None, None] * self.b01
+            + np.conj(w01)[:, None, None] * self.b10
+            + (1.0 - w00)[:, None, None] * self.b11
+        )
+        p = np.einsum("bii->b", m).real
+        lam = np.linalg.eigvalsh(m)
+        norm = np.where(p[:, None] > OUTCOME_FLOOR, lam / p[:, None], 0.0)
+        return np.where(p > OUTCOME_FLOOR, p * _entropy_from_eigenvalues(norm), 0.0)
 
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -208,53 +209,43 @@ def quantum_discord(
     rho: OperatorMatrix,
     grid: tuple[int, int] = DEFAULT_GRID,
     refine: bool = True,
-    collect_trace: bool = False,
 ) -> DiscordResult:
-    """Quantum discord D_A of a structured density matrix.
+    """Quantum discord D_A of a real, structured density matrix.
 
-    ``grid = (n_theta, n_phi)`` sets the coarse search; ``refine`` runs
-    Nelder-Mead from the best grid point. ``collect_trace`` stores the
-    refinement's (angles, value) evaluations on the result. The reported
-    ``optimal_basis`` is one representative of the axis pair n, -n.
+    ``grid = (n_theta, n_phi)`` sets the coarse search over theta_m in
+    [0, pi] and phi_m in [0, 2 pi); it needs n_theta >= 2 and an even
+    n_phi >= 2. ``refine`` runs Nelder-Mead from the best grid point. The
+    reported ``optimal_basis`` is one representative of the axis pair n, -n.
     """
     if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
         raise ValueError("quantum_discord requires qubit (x) oscillator structure")
+    n_theta, n_phi = grid
+    if n_theta < 2 or n_phi < 2 or n_phi % 2:
+        raise ValueError(f"grid needs n_theta >= 2 and an even n_phi >= 2, got {grid}")
+    if np.max(np.abs(rho.matrix.imag)) > REAL_TOL:
+        raise ValueError("quantum_discord requires a real density matrix")
     entropy_ab = von_neumann_entropy(rho)  # rejects non-density matrices
     entropy_a = von_neumann_entropy(partial_trace(rho, "qubit"))
 
     evaluator = _BlockEvaluator(rho)
-    n_theta, n_phi = grid
     thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[: n_phi // 2 + 1]
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    f = evaluator(tt.ravel(), pp.ravel()).reshape(tt.shape)
+    values = f + f[::-1, ::-1]  # the antipode of (theta_i, phi_j), mirrored in phi
 
-    if evaluator.is_real and n_phi % 2 == 0:
-        # real state: S(theta, phi) = S(theta, 2*pi - phi); evaluate half
-        half = n_phi // 2 + 1
-        tt, pp = np.meshgrid(thetas, phis[:half], indexing="ij")
-        vals_half = evaluator(tt.ravel(), pp.ravel()).reshape(n_theta, half)
-        values = np.empty((n_theta, n_phi))
-        values[:, :half] = vals_half
-        values[:, half:] = vals_half[:, half - 2 : 0 : -1]
-    else:
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        values = evaluator(tt.ravel(), pp.ravel()).reshape(n_theta, n_phi)
-
-    flat_best = int(np.argmin(values))
-    i_t, i_p = divmod(flat_best, n_phi)
+    i_t, i_p = np.unravel_index(int(np.argmin(values)), values.shape)
     best_val = float(values[i_t, i_p])
     best_angles = (float(thetas[i_t]), float(phis[i_p]))
 
-    trace: list | None = [] if collect_trace else None
     if refine:
-        step = (math.pi / max(n_theta - 1, 1), 2.0 * math.pi / n_phi)
+        step = (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi)
 
         def objective(x: np.ndarray) -> float:
-            t, p = _sphere_angles(float(x[0]), float(x[1]))
-            return float(evaluator(np.array([t]), np.array([p]))[0])
+            t, p = float(x[0]), float(x[1])
+            return float(evaluator(np.array([t, math.pi - t]), np.array([p, math.pi - p])).sum())
 
-        x_opt, f_opt = nelder_mead(
-            objective, best_angles, step=step, ftol=1e-13, max_iter=300, trace=trace
-        )
+        x_opt, f_opt = nelder_mead(objective, best_angles, step=step, ftol=1e-13, max_iter=300)
         if f_opt < best_val:  # refinement is monotone against the grid
             best_val = float(f_opt)
             best_angles = (float(x_opt[0]), float(x_opt[1]))
@@ -272,7 +263,6 @@ def quantum_discord(
         entropy_a=entropy_a,
         entropy_ab=entropy_ab,
         conditional_entropy_min=best_val,
-        optimizer_trace=tuple(trace) if trace is not None else None,
     )
 
 
@@ -298,9 +288,6 @@ class DiscordDifferences:
     def d34(self) -> float:
         """D(rho3) - D(rho4): across the compression stage."""
         return self.rho3.discord - self.rho4.discord
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.d41, self.d31, self.d34
 
 
 def discord_differences(

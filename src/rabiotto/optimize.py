@@ -1,9 +1,9 @@
 """Minimal Nelder-Mead simplex minimizer.
 
 Used to refine the discord measurement angles after the coarse grid search.
-The objective there is smooth and periodic on the Bloch sphere, so no bound
-handling is needed beyond folding angles back into range (the caller does
-that). Deterministic for a given start; returns the best vertex ever seen.
+The objective there is smooth, periodic and defined for all real angles, so
+no bound handling is needed. Deterministic for a given start; returns the
+best vertex ever seen.
 """
 
 from __future__ import annotations
@@ -21,23 +21,19 @@ def nelder_mead(
     step: Sequence[float] | float = 0.1,
     ftol: float = 1e-12,
     max_iter: int = 400,
-    trace: list | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize ``func`` from ``x0``; returns (x_best, f_best).
 
     ``step`` sets the initial simplex edge per coordinate. Terminates when the
     simplex function spread drops below ``ftol`` or after ``max_iter``
-    iterations. If ``trace`` is a list, (x, f) evaluations are appended to it.
+    iterations.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
     steps = np.broadcast_to(np.asarray(step, dtype=float), (dim,))
 
     def f(x: np.ndarray) -> float:
-        val = float(func(x))
-        if trace is not None:
-            trace.append((x.copy(), val))
-        return val
+        return float(func(x))
 
     simplex = [x0.copy()]
     for i in range(dim):

@@ -293,6 +293,10 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(f"omega_ref: must be > 0, got {config.omega_ref}")
     if config.n_levels < 1:
         raise ConfigError(f"n_levels: must be >= 1, got {config.n_levels}")
+    if config.discord.n_theta < 2:
+        raise ConfigError(f"discord.n_theta: must be >= 2, got {config.discord.n_theta}")
+    if config.discord.n_phi < 2 or config.discord.n_phi % 2:
+        raise ConfigError(f"discord.n_phi: must be even and >= 2, got {config.discord.n_phi}")
     config.cutoff.resolve([])  # checks the policy, scans nothing
     if config.kind == "approx":
         if config.variant != "resonator-frequency":

@@ -196,6 +196,15 @@ class TestDiscordCommand:
         for column in ("D_rho1", "D_rho3", "D_rho4", "diff_41", "diff_31", "diff_34"):
             assert column in header
 
+    def test_odd_phi_grid_is_config_error(self, tmp_path, capsys):
+        cfg = {**FAST_CONFIG, "discord": {"n_theta": 8, "n_phi": 15}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, err = run_cli(["discord", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "discord.n_phi: must be even and >= 2" in err
+
 
 class TestApproxCommand:
     def test_empty_config_file_is_config_error(self, capsys):

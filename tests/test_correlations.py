@@ -34,6 +34,11 @@ def product_thermalish(rng, dim_b=5):
     return tensor(rho_a, rho_b), rho_a, rho_b
 
 
+def both_outcomes(evaluator, t, p):
+    """Conditional entropy at (t, p): the "+" term there plus at the antipode."""
+    return float(evaluator(np.array([t, math.pi - t]), np.array([p, p + math.pi])).sum())
+
+
 class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert abs(von_neumann_entropy(bell_state())) < 1e-12
@@ -108,8 +113,7 @@ class TestConditionalEntropy:
             t = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 2.0 * math.pi)
             scalar = conditional_entropy(states.rho1, MeasurementBasis(t, p))
-            vectorized = float(evaluator(np.array([t]), np.array([p]))[0])
-            assert abs(scalar - vectorized) < 1e-10
+            assert abs(scalar - both_outcomes(evaluator, t, p)) < 1e-10
 
     def test_bounded_below_by_entropy_difference(self, rng):
         # nonnegativity of discord restated per evaluation:
@@ -132,15 +136,19 @@ class TestConditionalEntropy:
             t = rng.uniform(0.0, math.pi)
             p = rng.uniform(0.0, 2.0 * math.pi)
             scalar = conditional_entropy(rho, MeasurementBasis(t, p))
-            vectorized = float(evaluator(np.array([t]), np.array([p]))[0])
-            assert abs(scalar - vectorized) < 1e-10
+            assert abs(scalar - both_outcomes(evaluator, t, p)) < 1e-10
 
 
 class TestQuantumDiscord:
     def test_product_state_has_zero_discord(self, rng):
-        rho, _, _ = product_thermalish(rng)
-        result = quantum_discord(rho, grid=(24, 48))
+        _, rho_a, rho_b = product_thermalish(rng)
+        result = quantum_discord(tensor(rho_a.real, rho_b.real), grid=(24, 48))
         assert result.discord < 1e-9
+
+    def test_rejects_complex_state(self, rng):
+        rho, _, _ = product_thermalish(rng)
+        with pytest.raises(ValueError, match="real density matrix"):
+            quantum_discord(rho, grid=(24, 48))
 
     def test_bell_state_ln2(self):
         result = quantum_discord(bell_state(), grid=(24, 48))
@@ -172,7 +180,9 @@ class TestQuantumDiscord:
         ts = np.linspace(0.0, math.pi, 96)
         ps = np.linspace(0.0, 2.0 * math.pi, 192, endpoint=False)
         tt, pp = np.meshgrid(ts, ps, indexing="ij")
-        dense_best = float(evaluator(tt.ravel(), pp.ravel()).min())
+        tt, pp = tt.ravel(), pp.ravel()
+        dense = evaluator(tt, pp) + evaluator(math.pi - tt, pp + math.pi)
+        dense_best = float(dense.min())
         assert result.conditional_entropy_min <= dense_best + 1e-9
 
     def test_discord_vanishes_as_coupling_vanishes(self):
@@ -197,18 +207,12 @@ class TestQuantumDiscord:
         _, states, _ = small_cycle
         assert quantum_discord(states.rho1, grid=(24, 48)).discord > 1e-3
 
-    def test_trace_collection(self, small_cycle):
-        _, states, _ = small_cycle
-        result = quantum_discord(states.rho1, grid=(8, 16), collect_trace=True)
-        assert result.optimizer_trace is not None and len(result.optimizer_trace) > 3
-
     def test_phi_mirror_symmetry_for_real_states(self, small_cycle):
-        # the grid halving for real states relies on S(t, phi) = S(t, 2pi - phi)
+        # the half grid for real states relies on f(t, phi) = f(t, 2pi - phi)
         from rabiotto.correlations import _BlockEvaluator
 
         _, states, _ = small_cycle
         evaluator = _BlockEvaluator(states.rho1)
-        assert evaluator.is_real
         for t in (0.4, 1.1, 2.0):
             for p in (0.3, 1.9, 3.0):
                 a = float(evaluator(np.array([t]), np.array([p]))[0])
@@ -216,11 +220,14 @@ class TestQuantumDiscord:
                 assert abs(a - b) < 1e-12
 
     def test_even_and_odd_phi_grids_agree(self, small_cycle):
-        # even n_phi takes the mirrored half-grid path, odd evaluates everything
+        # two even grids agree; an odd n_phi or a single theta row has no antipodes
         _, states, _ = small_cycle
-        even = quantum_discord(states.rho1, grid=(16, 32))
-        odd = quantum_discord(states.rho1, grid=(16, 31))
-        assert abs(even.discord - odd.discord) < 1e-7
+        a = quantum_discord(states.rho1, grid=(16, 32))
+        b = quantum_discord(states.rho1, grid=(15, 30))
+        assert abs(a.discord - b.discord) < 1e-7
+        for grid in ((16, 31), (1, 32), (0, 32)):
+            with pytest.raises(ValueError, match="even n_phi"):
+                quantum_discord(states.rho1, grid=grid)
 
     def test_rejects_unstructured(self, rng):
         with pytest.raises(ValueError):

@@ -111,6 +111,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta = 0 closed form"):
             parse_config(json.dumps({"kind": "approx", **extra}), environ={})
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"n_theta": 0}, "discord.n_theta: must be >= 2"),
+            ({"n_theta": -3}, "discord.n_theta: must be >= 2"),
+            ({"n_theta": 1}, "discord.n_theta: must be >= 2"),
+            ({"n_phi": 0}, "discord.n_phi: must be even and >= 2"),
+            ({"n_phi": 31}, "discord.n_phi: must be even and >= 2"),
+        ],
+        ids=["n_theta=0", "n_theta=-3", "n_theta=1", "n_phi=0", "n_phi=31"],
+    )
+    def test_rejects_discord_grid_without_antipodes(self, grid, message):
+        doc = {"discord": {"enabled": True, **grid}}
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc), environ={})
+
     def test_rejects_bad_temperatures(self):
         with pytest.raises(ConfigError, match="t_cold"):
             parse_config(json.dumps({"t_cold": 0.1, "t_hot": 0.05}), environ={})
