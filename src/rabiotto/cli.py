@@ -29,9 +29,9 @@ from .sweep import (
     SweepConfig,
     SweepResult,
     apply_env_overrides,
+    build_protocol,
     config_from_dict,
     figure_preset,
-    protocol_from_config,
     run_sweep,
     write_output,
 )
@@ -128,11 +128,9 @@ def _emit(result: SweepResult, path: str | None, fmt: str) -> None:
 
 def _run_single_cycle(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    try:
-        protocol = protocol_from_config(config)
-    except ValueError as exc:
-        raise ConfigError(f"invalid physical parameters: {exc}") from exc
-    states, report = run_cycle(protocol, cutoff=config.cutoff.resolve([[protocol]])[0])
+    protocol = build_protocol(config, None, getattr(config, config.sweep.parameter))
+    cutoff = config.cutoff.resolve([[protocol.cold, protocol.hot]], config.n_levels)[0]
+    states, report = run_cycle(protocol, cutoff=cutoff)
     config_hash = config.config_hash()
 
     def table(columns: list[str], rows: list[tuple]) -> SweepResult:

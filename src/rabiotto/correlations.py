@@ -57,6 +57,7 @@ EIG_FLOOR = 1e-14
 OUTCOME_FLOOR = 1e-14
 DISCORD_TOL = 1e-9
 AXIS_TOL = 1e-6
+FLAT_TOL = 1e-12  # grid span of S below which no measurement axis is preferred
 DEFAULT_GRID = (64, 128)
 REAL_TOL = 1e-14
 BLOCK_BYTES = 2**19  # one batch of (angles, k, k) complex blocks
@@ -215,7 +216,9 @@ def quantum_discord(
     ``grid = (n_theta, n_phi)`` sets the coarse search over theta_m in
     [0, pi] and phi_m in [0, 2 pi); it needs n_theta >= 2 and an even
     n_phi >= 2. ``refine`` runs Nelder-Mead from the best grid point. The
-    reported ``optimal_basis`` is one representative of the axis pair n, -n.
+    reported ``optimal_basis`` is one representative of the axis pair n, -n,
+    or (0, 0) when the grid values of S span no more than FLAT_TOL (a
+    product state), where round-off alone would pick the axis.
     """
     if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
         raise ValueError("quantum_discord requires qubit (x) oscillator structure")
@@ -250,6 +253,8 @@ def quantum_discord(
             best_val = float(f_opt)
             best_angles = (float(x_opt[0]), float(x_opt[1]))
 
+    if float(np.ptp(values)) <= FLAT_TOL:  # no axis preferred; report z, not round-off
+        best_angles = (0.0, 0.0)
     discord = entropy_a - entropy_ab + best_val
     if discord < -DISCORD_TOL:
         raise ArithmeticError(

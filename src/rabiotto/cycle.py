@@ -334,25 +334,23 @@ def _report_from_spectra(
 
 
 def certified_cutoffs(
-    groups: Iterable[Iterable[CycleProtocol]],
+    groups: Iterable[Iterable[RabiParams]],
+    n_levels: int,
     tol: float = CUTOFF_TOL,
     ceiling: int = CUTOFF_CEILING,
 ) -> list[FockCutoff]:
-    """For each group of protocols, the largest certified cutoff of their sides.
+    """For each group of Hamiltonian sides, the largest certified cutoff.
 
-    Every hot and cold RabiParams of a group gets a ``converged_cutoff`` scan
-    (at the protocol's n_levels) and the group's cutoff is the largest. Each
-    distinct (RabiParams, n_levels) is scanned once per call, however many
-    groups share it; nothing is kept between calls.
+    Every RabiParams of a group gets a ``converged_cutoff`` scan of its lowest
+    n_levels, and the group's cutoff is the largest. Callers pass only the
+    sides they solve. Each distinct RabiParams is scanned once per call,
+    however many groups share it; nothing is kept between calls.
     """
     @functools.cache
-    def scan(params: RabiParams, n_levels: int) -> int:
+    def scan(params: RabiParams) -> int:
         return converged_cutoff(params, n_levels, tol, ceiling=ceiling).n_max
 
-    return [
-        FockCutoff(max(scan(side, p.n_levels) for p in group for side in (p.cold, p.hot)))
-        for group in groups
-    ]
+    return [FockCutoff(max(scan(side) for side in group)) for group in groups]
 
 
 def run_cycle(
@@ -361,13 +359,13 @@ def run_cycle(
 ) -> tuple[CycleStates, CycleReport]:
     """Solve both Hamiltonians; return the cycle states and the heat/work report.
 
-    When ``cutoff`` is omitted, the protocol's ``certified_cutoffs`` value at
-    the default tolerance is used. Populations are normalized over the full
+    When ``cutoff`` is omitted, the ``certified_cutoffs`` value of both sides
+    at the default tolerance is used. Populations are normalized over the full
     truncated spectrum; only the heat/work sums truncate at n_levels. The
     density matrices are built only when a ``rho`` property is read.
     """
     if cutoff is None:
-        cutoff = certified_cutoffs([[protocol]])[0]
+        cutoff = certified_cutoffs([[protocol.cold, protocol.hot]], protocol.n_levels)[0]
     elif not isinstance(cutoff, FockCutoff):
         cutoff = FockCutoff(int(cutoff))
 

@@ -74,10 +74,7 @@ def hermitian_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
     return tuple(np.linalg.eigh(matrix)) if vectors else (np.linalg.eigvalsh(matrix), None)
 
 
-def eigendecompose(
-    h: OperatorMatrix | np.ndarray,
-    residual_tol: float = RESIDUAL_TOL,
-) -> SpectralDecomposition:
+def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
     """Full decomposition of a Hermitian matrix with certified residuals.
 
     Real input, and complex input whose imaginary part is exactly zero, is
@@ -85,7 +82,8 @@ def eigendecompose(
     other complex input gets complex128 ``states``. Inside an exactly degenerate eigenvalue cluster the basis is the one
     LAPACK returns. Non-Hermitian input raises ValueError; a LAPACK failure
     raises numpy.linalg.LinAlgError; a failed or NaN residual or
-    orthonormality gate raises ConvergenceError.
+    orthonormality gate raises ConvergenceError. The gates are fixed at
+    RESIDUAL_TOL (1e-9) and ORTHONORMALITY_TOL (1e-10).
     """
     m = as_matrix(h)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -99,9 +97,9 @@ def eigendecompose(
     w, v = symmetric_eigh(m) if real else hermitian_eigh(m)
     residuals = np.linalg.norm(m @ v - v * w, axis=0)
     residual = float(residuals.max())
-    if not residual <= residual_tol:
+    if not residual <= RESIDUAL_TOL:
         raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     gram = v.conj().T @ v
     ortho_err = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
@@ -134,13 +132,12 @@ def converged_cutoff(
     params: RabiParams,
     n_levels: int,
     tol: float = CUTOFF_TOL,
-    start: int | None = None,
     ceiling: int = CUTOFF_CEILING,
 ) -> FockCutoff:
     """Smallest tested cutoff whose doubling moves the lowest n_levels by < tol.
 
-    The scan doubles the cutoff from ``start`` (default max(n_levels, 8)) and
-    compares ground-referenced energies; eigenvalues-only solves keep it cheap.
+    The scan doubles the cutoff from max(n_levels, 8) and compares
+    ground-referenced energies; eigenvalues-only solves keep it cheap.
     Raises ConvergenceError if the ceiling (default 512) is reached; ``tol``
     defaults to 1e-8.
     """
@@ -148,8 +145,7 @@ def converged_cutoff(
         raise ValueError(f"tol must be > 0, got {tol}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    n = start if start is not None else max(n_levels, 8)
-    n = max(int(n), 2)
+    n = max(n_levels, 8)
     current = _relative_levels(params, n, n_levels)
     while n <= ceiling:
         doubled = _relative_levels(params, 2 * n, n_levels)

@@ -47,7 +47,7 @@ from .cycle import (
     resonator_frequency_protocol,
     run_cycle,
 )
-from .hamiltonian import build_hamiltonian
+from .hamiltonian import RabiParams, build_hamiltonian
 from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum
 from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
@@ -83,8 +83,8 @@ class CutoffPolicy:
     tol: float = CUTOFF_TOL
     ceiling: int = CUTOFF_CEILING
 
-    def resolve(self, groups: list[list[CycleProtocol]]) -> list[int]:
-        """Fock cutoff per group of protocols: n_max, or the largest certified.
+    def resolve(self, groups: list[list[RabiParams]], n_levels: int) -> list[int]:
+        """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
         With no groups it scans nothing and only validates the policy.
         """
@@ -96,7 +96,7 @@ class CutoffPolicy:
             raise ConfigError(f"cutoff.tol: must be > 0, got {self.tol}")
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
-        return [found.n_max for found in certified_cutoffs(groups, self.tol, self.ceiling)]
+        return [found.n_max for found in certified_cutoffs(groups, n_levels, self.tol, self.ceiling)]
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(f"discord.n_theta: must be >= 2, got {config.discord.n_theta}")
     if config.discord.n_phi < 2 or config.discord.n_phi % 2:
         raise ConfigError(f"discord.n_phi: must be even and >= 2, got {config.discord.n_phi}")
-    config.cutoff.resolve([])  # checks the policy, scans nothing
+    config.cutoff.resolve([], config.n_levels)  # checks the policy, scans nothing
     if config.kind == "approx":
         if config.variant != "resonator-frequency":
             raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
@@ -307,16 +307,6 @@ def _validate(config: SweepConfig) -> None:
             raise ConfigError("t_hot: approx bound requires T_h/T_c > ratio")
     if config.workers < 0:
         raise ConfigError(f"workers: must be >= 0, got {config.workers}")
-    # every protocol constraint is an interval in the swept parameter, so
-    # valid endpoints mean a valid grid
-    for series_value in _series_values(config):
-        for endpoint in (config.sweep.start, config.sweep.stop):
-            try:
-                build_protocol(config, series_value, endpoint)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"sweep: invalid physical parameters at {config.sweep.parameter} = {endpoint}: {exc}"
-                ) from exc
 
 
 def parse_config(text: str, environ: dict | None = None) -> SweepConfig:
@@ -414,43 +404,47 @@ def _field_values(config: SweepConfig, series_value: float | None, swept_value: 
 
 
 def build_protocol(config: SweepConfig, series_value: float | None, swept_value: float) -> CycleProtocol:
-    """CycleProtocol for one grid point of a sweep."""
+    """CycleProtocol for one grid point; out-of-range physics is a ConfigError naming it."""
     f = _field_values(config, series_value, swept_value)
-    reservoirs = ReservoirSpec(config.t_cold, config.t_hot, config.omega_ref)
     g = f["g_over_omega_c"] * config.omega_c
-    if config.variant == "resonator-frequency":
-        return resonator_frequency_protocol(
-            g=g, theta=f["theta"], omega_c=config.omega_c, ratio=config.ratio,
+    try:
+        reservoirs = ReservoirSpec(config.t_cold, config.t_hot, config.omega_ref)
+        if config.variant == "resonator-frequency":
+            return resonator_frequency_protocol(
+                g=g, theta=f["theta"], omega_c=config.omega_c, ratio=config.ratio,
+                reservoirs=reservoirs, n_levels=config.n_levels,
+            )
+        if config.variant == "coupled-coupling":
+            return coupled_coupling_protocol(
+                g_c=g, alpha=f["alpha"], theta=f["theta"], omega_c=config.omega_c,
+                ratio=config.ratio, reservoirs=reservoirs, n_levels=config.n_levels,
+            )
+        return qubit_frequency_protocol(
+            g=g, omega_qc=config.omega_qc, omega_qh=f["omega_qh"],
+            omega_cav=config.omega_c, theta=f["theta"],
             reservoirs=reservoirs, n_levels=config.n_levels,
         )
-    if config.variant == "coupled-coupling":
-        return coupled_coupling_protocol(
-            g_c=g, alpha=f["alpha"], theta=f["theta"], omega_c=config.omega_c,
-            ratio=config.ratio, reservoirs=reservoirs, n_levels=config.n_levels,
-        )
-    return qubit_frequency_protocol(
-        g=g, omega_qc=config.omega_qc, omega_qh=f["omega_qh"],
-        omega_cav=config.omega_c, theta=f["theta"],
-        reservoirs=reservoirs, n_levels=config.n_levels,
-    )
-
-
-def protocol_from_config(config: SweepConfig) -> CycleProtocol:
-    """CycleProtocol at the config's template values (no sweep applied)."""
-    return build_protocol(config, None, getattr(config, config.sweep.parameter))
+    except ValueError as exc:
+        point = f"{config.sweep.parameter} = {swept_value}"
+        if series_value is not None:
+            point = f"{config.series.parameter} = {series_value}, {point}"
+        raise ConfigError(f"invalid physical parameters at {point}: {exc}") from exc
 
 
 def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
     """Fock cutoff per series value: fixed, or certified at the sweep endpoints.
 
-    Fock support grows monotonically with (g/omega)^2, so certifying the
-    endpoints covers the whole grid. Series values that leave a side's
-    RabiParams unchanged share its scan.
+    Building the endpoint protocols validates the sweep: every protocol
+    constraint is an interval in the swept parameter, and Fock support grows
+    monotonically with (g/omega)^2, so the endpoints cover the whole grid.
+    Only the sides the kind solves are certified; series values that leave a
+    side's RabiParams unchanged share its scan.
     """
     series_values = _series_values(config)
     endpoints = (config.sweep.start, config.sweep.stop)
-    groups = [[build_protocol(config, sv, x) for x in endpoints] for sv in series_values]
-    return dict(zip(series_values, config.cutoff.resolve(groups)))
+    protocols = [[build_protocol(config, sv, x) for x in endpoints] for sv in series_values]
+    groups = [[getattr(p, side) for p in group for side in _KINDS[config.kind][2]] for group in protocols]
+    return dict(zip(series_values, config.cutoff.resolve(groups, config.n_levels)))
 
 
 # Point functions return the columns they compute; run_sweep fills the
@@ -520,16 +514,18 @@ def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> l
     }]
 
 
-# kind -> (columns, point function); the discord columns show only when enabled
+# kind -> (columns, point function, protocol sides it solves); the discord
+# columns show only when enabled
 _KINDS = {
     "cycle": (
         ["g_over_omega_c", "theta", "alpha", "omega_qh", "variant", "W", "Q_h", "Q_c", "eta",
          "regime", "W_1", "W_2", "W_3", "tail_mass_hot", *DISCORD_COLUMNS],
-        _cycle_rows,
+        _cycle_rows, ("cold", "hot"),
     ),
-    "spectrum": (["g_over_omega", "level_index", "energy_relative"], _spectrum_rows),
-    "levels": (["g_over_omega_c", "E1_h", "E1_c", "kT_h", "kT_c", "P1_h", "P1_c"], _levels_rows),
-    "approx": (["g_over_omega", "W1_numeric", "W1_approx", "bound"], _approx_rows),
+    "spectrum": (["g_over_omega", "level_index", "energy_relative"], _spectrum_rows, ("cold",)),
+    "levels": (["g_over_omega_c", "E1_h", "E1_c", "kT_h", "kT_c", "P1_h", "P1_c"], _levels_rows,
+               ("cold", "hot")),
+    "approx": (["g_over_omega", "W1_numeric", "W1_approx", "bound"], _approx_rows, ("cold", "hot")),
 }
 
 

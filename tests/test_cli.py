@@ -173,6 +173,17 @@ class TestCycleCommand:
         assert out == ""
         assert message in err
 
+    def test_ignores_the_sweep_range(self, fast_config_path, capsys, monkeypatch):
+        def summary():
+            code, out, _ = run_cli(["cycle", "--config", fast_config_path], capsys)
+            assert code == 0
+            header, row = out.splitlines()
+            return {k: v for k, v in zip(header.split(","), row.split(",")) if k != "config_hash"}
+
+        expected = summary()
+        monkeypatch.setenv("RABIOTTO_SWEEP__START", "-1")
+        assert summary() == expected
+
     def test_lapack_failure_is_numerical_failure(self, fast_config_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -145,6 +145,12 @@ class TestQuantumDiscord:
         result = quantum_discord(tensor(rho_a.real, rho_b.real), grid=(24, 48))
         assert result.discord < 1e-9
 
+    def test_product_state_reports_the_z_axis(self, rng):
+        # the conditional entropy is flat in the angle; round-off must not pick the axis
+        _, rho_a, rho_b = product_thermalish(rng)
+        basis = quantum_discord(tensor(rho_a.real, rho_b.real), grid=(24, 48)).optimal_basis
+        assert (basis.theta_m, basis.phi_m) == (0.0, 0.0)
+
     def test_rejects_complex_state(self, rng):
         rho, _, _ = product_thermalish(rng)
         with pytest.raises(ValueError, match="real density matrix"):

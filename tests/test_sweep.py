@@ -81,13 +81,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="series.values: expected finite numbers"):
             parse_config(json.dumps(doc), environ={})
 
-    def test_rejects_invalid_physical_parameters_at_sweep_endpoints(self):
-        with pytest.raises(ConfigError, match="g_over_omega_c = -1.0: g must be >= 0"):
-            parse_config(json.dumps({"sweep": {"start": -1.0}}), environ={})
-        doc = {"variant": "coupled-coupling", "series": {"parameter": "alpha", "values": [1.0, -0.5]}}
-        with pytest.raises(ConfigError, match="g must be >= 0"):
-            parse_config(json.dumps(doc), environ={})
-
     def test_rejects_wrong_variant_for_swept_parameter(self):
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(json.dumps({"sweep": {"parameter": "alpha"}}), environ={})
@@ -235,6 +228,35 @@ class TestRunSweep:
         assert len(scanned) == len(set(scanned)) == scans
         assert used == [c for c in cutoffs for _ in range(2)]
         assert all(row[result.columns.index("error")] == "" for row in result.rows)
+
+    def test_spectrum_scans_only_cold_sides(self, monkeypatch):
+        import rabiotto.cycle
+
+        scanned = []
+        converged_cutoff = rabiotto.cycle.converged_cutoff
+
+        def counting_scan(params, *args, **kwargs):
+            scanned.append(params)
+            return converged_cutoff(params, *args, **kwargs)
+
+        monkeypatch.setattr(rabiotto.cycle, "converged_cutoff", counting_scan)
+        config = figure_preset("fig9")
+        config = dataclasses.replace(
+            config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
+        )
+        run_sweep(config)
+        cold = {build_protocol(config, None, x).cold for x in (config.sweep.start, config.sweep.stop)}
+        assert len(scanned) == len(set(scanned)) == 2
+        assert set(scanned) == cold
+
+    def test_rejects_invalid_physical_parameters_at_sweep_endpoints(self):
+        config = parse_config(json.dumps({"sweep": {"start": -1.0}}), environ={})
+        with pytest.raises(ConfigError, match="g_over_omega_c = -1.0: g must be >= 0"):
+            run_sweep(config)
+        doc = {"variant": "coupled-coupling", "series": {"parameter": "alpha", "values": [1.0, -0.5]}}
+        config = parse_config(json.dumps(doc), environ={})
+        with pytest.raises(ConfigError, match="g must be >= 0"):
+            run_sweep(config)
 
     def test_degenerate_two_point_sweep(self):
         config = parse_config(
