@@ -44,7 +44,7 @@ for g in (0.0, 0.3, 0.8, 1.5, 2.5, 3.5):
     cutoff = converged_cutoff(params, n_levels=6, tol=1e-8)
     dec = eigendecompose(build_hamiltonian(params, cutoff))
     rel = relative_spectrum(dec, 6)
-    print(f"{g:>8.2f} | " + " ".join(f"{e:>9.5f}" for e in rel) + f"   ({cutoff.n_max})")
+    print(f"{g:>8.2f} | " + " ".join(f"{e:>9.5f}" for e in rel) + f"   ({cutoff})")
 
 print(
     "\nNote the lowest pair collapsing like exp(-2 g^2): at g = 2.5 the gap is"

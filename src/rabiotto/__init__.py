@@ -37,7 +37,6 @@ from .cycle import (
 )
 from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
 from .hilbert import (
-    FockCutoff,
     OperatorMatrix,
     annihilation,
     creation,

@@ -20,24 +20,26 @@ with both spectra referenced to their own ground state (W_0 = 0 and all
 quantities invariant under constant spectral shifts). Sums truncate at
 n_levels; the neglected hot-bath population mass is checked and reported.
 
-Three adiabatic-protocol variants are supported: "resonator-frequency"
+A CycleProtocol is the two sides of the adiabats, cold and hot RabiParams,
+with the reservoirs and n_levels. Three constructors define the adiabatic
+protocols and check their own inputs: ``resonator_frequency_protocol``
 (omega_cav = omega_q swept between omega_c and omega_h at fixed g, theta),
-"coupled-coupling" (additionally g_h = alpha (omega_h/omega_c) g_c, so
-alpha = 1 makes H_h exactly proportional to H_c) and "qubit-frequency"
-(resonator and coupling fixed, only omega_q changes).
+``coupled_coupling_protocol`` (additionally g_h = alpha (omega_h/omega_c) g_c,
+so alpha = 1 makes H_h exactly proportional to H_c) and
+``qubit_frequency_protocol`` (resonator and coupling fixed, only omega_q
+changes).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
-from .hilbert import FockCutoff, OperatorMatrix
+from .hilbert import OperatorMatrix
 from .spectral import (
     CUTOFF_CEILING,
     CUTOFF_TOL,
@@ -60,8 +62,6 @@ __all__ = [
     "run_cycle",
     "thermal_populations",
 ]
-
-VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
 
 DEFAULT_N_LEVELS = 24
 TAIL_MASS_TOL = 1e-8
@@ -104,48 +104,30 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class CycleProtocol:
-    """One full Otto-cycle configuration (validated per variant)."""
+    """One full Otto cycle: the cold and hot sides, the reservoirs and n_levels."""
 
-    variant: str
     cold: RabiParams
     hot: RabiParams
     reservoirs: ReservoirSpec
-    alpha: float | None = None
     n_levels: int = DEFAULT_N_LEVELS
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.n_levels < 1:
             raise ValueError(f"n_levels must be >= 1, got {self.n_levels}")
-        c, h = self.cold, self.hot
-        if abs(h.theta - c.theta) > 1e-12:
+        if abs(self.hot.theta - self.cold.theta) > 1e-12:
             raise ValueError("mixing angle theta must be shared between hot and cold")
-        if self.variant == "resonator-frequency" or self.variant == "coupled-coupling":
-            if not (
-                math.isclose(c.omega_cav, c.omega_q, rel_tol=0, abs_tol=1e-12)
-                and math.isclose(h.omega_cav, h.omega_q, rel_tol=0, abs_tol=1e-12)
-            ):
-                raise ValueError(f"{self.variant} requires omega_cav = omega_q on both sides")
-            # >= rather than > so the trivial identical-Hamiltonian cycle (R = 1) is allowed
-            if h.omega_cav < c.omega_cav:
-                raise ValueError("requires omega_h >= omega_c")
-        if self.variant == "resonator-frequency":
-            if abs(h.g - c.g) > 1e-12:
-                raise ValueError("resonator-frequency variant keeps g constant")
-        elif self.variant == "coupled-coupling":
-            if self.alpha is None:
-                raise ValueError("coupled-coupling variant requires alpha")
-            expected = self.alpha * (h.omega_cav / c.omega_cav) * c.g
-            if abs(h.g - expected) > 1e-10 * max(1.0, abs(expected)):
-                raise ValueError(
-                    f"coupled-coupling requires g_h = alpha (omega_h/omega_c) g_c = {expected}, got {h.g}"
-                )
-        else:  # qubit-frequency
-            if abs(h.omega_cav - c.omega_cav) > 1e-12 or abs(h.g - c.g) > 1e-12:
-                raise ValueError("qubit-frequency variant keeps omega_cav and g constant")
-            if h.omega_q < c.omega_q:
-                raise ValueError("qubit-frequency variant requires omega_qh >= omega_qc")
+
+
+def _resonant_sides(
+    omega_c: float, ratio: float, g_c: float, g_h: float, theta: float
+) -> tuple[RabiParams, RabiParams]:
+    """Cold and hot sides with omega_cav = omega_q, ramped from omega_c to ratio * omega_c."""
+    cold = RabiParams.resonant(omega_c, g=g_c, theta=theta)
+    hot = RabiParams.resonant(ratio * omega_c, g=g_h, theta=theta)
+    # >= rather than > so the trivial identical-Hamiltonian cycle (R = 1) is allowed
+    if hot.omega_cav < cold.omega_cav:
+        raise ValueError("requires omega_h >= omega_c")
+    return cold, hot
 
 
 def resonator_frequency_protocol(
@@ -158,13 +140,8 @@ def resonator_frequency_protocol(
 ) -> CycleProtocol:
     """Resonator-frequency protocol: omega_cav = omega_q swept, g and theta fixed."""
     reservoirs = reservoirs or ReservoirSpec(0.019, 9 * 0.019)
-    return CycleProtocol(
-        variant="resonator-frequency",
-        cold=RabiParams.resonant(omega_c, g=g, theta=theta),
-        hot=RabiParams.resonant(ratio * omega_c, g=g, theta=theta),
-        reservoirs=reservoirs,
-        n_levels=n_levels,
-    )
+    cold, hot = _resonant_sides(omega_c, ratio, g, g, theta)
+    return CycleProtocol(cold, hot, reservoirs, n_levels)
 
 
 def coupled_coupling_protocol(
@@ -178,15 +155,8 @@ def coupled_coupling_protocol(
 ) -> CycleProtocol:
     """Coupled-coupling protocol: g_h = alpha (omega_h/omega_c) g_c."""
     reservoirs = reservoirs or ReservoirSpec(0.019, 9 * 0.019)
-    g_h = alpha * ratio * g_c
-    return CycleProtocol(
-        variant="coupled-coupling",
-        cold=RabiParams.resonant(omega_c, g=g_c, theta=theta),
-        hot=RabiParams.resonant(ratio * omega_c, g=g_h, theta=theta),
-        reservoirs=reservoirs,
-        alpha=alpha,
-        n_levels=n_levels,
-    )
+    cold, hot = _resonant_sides(omega_c, ratio, g_c, alpha * ratio * g_c, theta)
+    return CycleProtocol(cold, hot, reservoirs, n_levels)
 
 
 def qubit_frequency_protocol(
@@ -200,21 +170,17 @@ def qubit_frequency_protocol(
 ) -> CycleProtocol:
     """Qubit-frequency protocol: only omega_q changes during the adiabats."""
     reservoirs = reservoirs or ReservoirSpec(0.019, 4 * 0.019)
-    return CycleProtocol(
-        variant="qubit-frequency",
-        cold=RabiParams(omega_cav, omega_qc, g=g, theta=theta),
-        hot=RabiParams(omega_cav, omega_qh, g=g, theta=theta),
-        reservoirs=reservoirs,
-        n_levels=n_levels,
-    )
+    cold = RabiParams(omega_cav, omega_qc, g=g, theta=theta)
+    hot = RabiParams(omega_cav, omega_qh, g=g, theta=theta)
+    if hot.omega_q < cold.omega_q:
+        raise ValueError("qubit-frequency variant requires omega_qh >= omega_qc")
+    return CycleProtocol(cold, hot, reservoirs, n_levels)
 
 
 def _density_from(decomposition: SpectralDecomposition, populations: np.ndarray) -> OperatorMatrix:
     v = decomposition.states
     rho = (v * populations) @ v.conj().T
-    dims = None
-    if decomposition.cutoff_used is not None:
-        dims = (2, decomposition.cutoff_used.n_max)
+    dims = None if decomposition.cutoff_used is None else (2, decomposition.cutoff_used)
     return OperatorMatrix(rho, subsystem_dims=dims)
 
 
@@ -285,15 +251,11 @@ def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:
     return p / p.sum()
 
 
-def classify_regime(work: "float | CycleReport", tol: float = WORK_REGIME_TOL) -> str:
-    """'engine' for W > tol, 'refrigerator' for W < -tol, else 'idle'.
-
-    Accepts either the net work value or a whole CycleReport.
-    """
-    w = work.work if isinstance(work, CycleReport) else float(work)
-    if w > tol:
+def classify_regime(work: float, tol: float = WORK_REGIME_TOL) -> str:
+    """'engine' for W > tol, 'refrigerator' for W < -tol, else 'idle'."""
+    if work > tol:
         return "engine"
-    if w < -tol:
+    if work < -tol:
         return "refrigerator"
     return "idle"
 
@@ -338,7 +300,7 @@ def certified_cutoffs(
     n_levels: int,
     tol: float = CUTOFF_TOL,
     ceiling: int = CUTOFF_CEILING,
-) -> list[FockCutoff]:
+) -> list[int]:
     """For each group of Hamiltonian sides, the largest certified cutoff.
 
     Every RabiParams of a group gets a ``converged_cutoff`` scan of its lowest
@@ -348,14 +310,14 @@ def certified_cutoffs(
     """
     @functools.cache
     def scan(params: RabiParams) -> int:
-        return converged_cutoff(params, n_levels, tol, ceiling=ceiling).n_max
+        return converged_cutoff(params, n_levels, tol, ceiling=ceiling)
 
-    return [FockCutoff(max(scan(side) for side in group)) for group in groups]
+    return [max(scan(side) for side in group) for group in groups]
 
 
 def run_cycle(
     protocol: CycleProtocol,
-    cutoff: FockCutoff | int | None = None,
+    cutoff: int | None = None,
 ) -> tuple[CycleStates, CycleReport]:
     """Solve both Hamiltonians; return the cycle states and the heat/work report.
 
@@ -366,8 +328,6 @@ def run_cycle(
     """
     if cutoff is None:
         cutoff = certified_cutoffs([[protocol.cold, protocol.hot]], protocol.n_levels)[0]
-    elif not isinstance(cutoff, FockCutoff):
-        cutoff = FockCutoff(int(cutoff))
 
     hot = eigendecompose(build_hamiltonian(protocol.hot, cutoff))
     cold = eigendecompose(build_hamiltonian(protocol.cold, cutoff))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import FockCutoff, OperatorMatrix, annihilation, pauli
+from .hilbert import OperatorMatrix, annihilation, check_cutoff, pauli
 
 __all__ = ["RabiParams", "build_hamiltonian", "parity_operator"]
 
@@ -58,11 +58,10 @@ class RabiParams:
         return cls(omega_cav=omega, omega_q=omega, g=g, theta=theta)
 
 
-def build_hamiltonian(params: RabiParams, cutoff: FockCutoff | int) -> OperatorMatrix:
+def build_hamiltonian(params: RabiParams, n_max: int) -> OperatorMatrix:
     """Dense Hamiltonian on the 2*n_max composite space (qubit first)."""
-    cutoff = cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
-    n_max = cutoff.n_max
-    a = annihilation(cutoff).matrix
+    n_max = check_cutoff(n_max)
+    a = annihilation(n_max).matrix
     x = a + a.conj().T  # a^dag + a
     sx = pauli("x").matrix
     sz = pauli("z").matrix
@@ -74,10 +73,8 @@ def build_hamiltonian(params: RabiParams, cutoff: FockCutoff | int) -> OperatorM
     return OperatorMatrix(h, subsystem_dims=(2, n_max))
 
 
-def parity_operator(cutoff: FockCutoff | int) -> OperatorMatrix:
+def parity_operator(n_max: int) -> OperatorMatrix:
     """P = sigma_z (x) (-1)^(a^dag a); commutes with H exactly when theta = 0."""
-    cutoff = cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
-    osc = np.diag((-1.0) ** np.arange(cutoff.n_max))
-    return OperatorMatrix(
-        np.kron(pauli("z").matrix, osc), subsystem_dims=(2, cutoff.n_max)
-    )
+    n_max = check_cutoff(n_max)
+    osc = np.diag((-1.0) ** np.arange(n_max))
+    return OperatorMatrix(np.kron(pauli("z").matrix, osc), subsystem_dims=(2, n_max))

@@ -7,6 +7,11 @@ input (every Rabi Hamiltonian, every cycle state) and complex128 only for
 complex input, such as the measurement projectors of the correlations module's
 reference path.
 
+A Fock cutoff is a plain int n_max, the dimension of the truncated oscillator
+space with basis |0> ... |n_max - 1>. ``check_cutoff`` is its one check, made
+wherever a Fock basis is built: n_max must be an integer >= 2, and a value
+such as 8.7 raises rather than truncating.
+
 All operator values are immutable after construction and safe to share across
 parallel workers.
 """
@@ -18,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "FockCutoff",
     "OperatorMatrix",
     "annihilation",
     "creation",
@@ -34,20 +38,11 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
-class FockCutoff:
-    """Dimension of the truncated oscillator space, basis |0> ... |n_max - 1>."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if int(self.n_max) != self.n_max or self.n_max < 2:
-            raise ValueError(f"n_max must be an integer >= 2, got {self.n_max}")
-        object.__setattr__(self, "n_max", int(self.n_max))
-
-
-def _as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
-    return cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
+def check_cutoff(n_max: int) -> int:
+    """The Fock cutoff as an int; ValueError unless it is an integer >= 2."""
+    if int(n_max) != n_max or n_max < 2:
+        raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
+    return int(n_max)
 
 
 @dataclass(frozen=True)
@@ -102,22 +97,20 @@ def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
 
 
-def annihilation(cutoff: FockCutoff | int) -> OperatorMatrix:
+def annihilation(n_max: int) -> OperatorMatrix:
     """Truncated bosonic annihilation operator, <n-1|a|n> = sqrt(n)."""
-    n_max = _as_cutoff(cutoff).n_max
-    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1)
+    a = np.diag(np.sqrt(np.arange(1, check_cutoff(n_max), dtype=float)), k=1)
     return OperatorMatrix(a)
 
 
-def creation(cutoff: FockCutoff | int) -> OperatorMatrix:
+def creation(n_max: int) -> OperatorMatrix:
     """Truncated bosonic creation operator a^dagger."""
-    return OperatorMatrix(annihilation(cutoff).matrix.conj().T)
+    return OperatorMatrix(annihilation(n_max).matrix.conj().T)
 
 
-def number_operator(cutoff: FockCutoff | int) -> OperatorMatrix:
+def number_operator(n_max: int) -> OperatorMatrix:
     """a^dagger a, diagonal 0 ... n_max-1."""
-    n_max = _as_cutoff(cutoff).n_max
-    return OperatorMatrix(np.diag(np.arange(n_max, dtype=float)))
+    return OperatorMatrix(np.diag(np.arange(check_cutoff(n_max), dtype=float)))
 
 
 def identity(dim: int) -> OperatorMatrix:

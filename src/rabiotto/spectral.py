@@ -5,6 +5,8 @@ decomposition is checked against a residual gate ||H v - E v|| < 1e-9 and
 column orthonormality < 1e-10 before being returned, and ``converged_cutoff``
 certifies that the lowest levels are stable under doubling of the Fock
 cutoff, so cycle observables cannot silently depend on truncation artifacts.
+Its scan starts at ``scan_start(n_levels)``; a ceiling below that start can
+certify nothing and is rejected up front.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
-from .hilbert import FockCutoff, OperatorMatrix, as_matrix
+from .hilbert import OperatorMatrix, as_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -42,7 +44,7 @@ class SpectralDecomposition:
 
     energies: np.ndarray
     states: np.ndarray
-    cutoff_used: FockCutoff | None
+    cutoff_used: int | None
     residual_norm: float
 
     def __post_init__(self):
@@ -107,7 +109,7 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
         raise ConvergenceError(f"eigenvector orthonormality error {ortho_err:.3e}")
     cutoff = None
     if isinstance(h, OperatorMatrix) and h.subsystem_dims is not None:
-        cutoff = FockCutoff(h.subsystem_dims[1])
+        cutoff = h.subsystem_dims[1]
     return SpectralDecomposition(
         energies=w, states=v, cutoff_used=cutoff, residual_norm=residual
     )
@@ -121,11 +123,16 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 
 
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
-    h = build_hamiltonian(params, FockCutoff(n_max)).matrix
+    h = build_hamiltonian(params, n_max).matrix
     w, _ = symmetric_eigh(h, vectors=False)
     rel = w[:n_levels] - w[0]
     rel[0] = 0.0
     return rel
+
+
+def scan_start(n_levels: int) -> int:
+    """The first cutoff ``converged_cutoff`` tests: max(n_levels, 8)."""
+    return max(n_levels, 8)
 
 
 def converged_cutoff(
@@ -133,24 +140,26 @@ def converged_cutoff(
     n_levels: int,
     tol: float = CUTOFF_TOL,
     ceiling: int = CUTOFF_CEILING,
-) -> FockCutoff:
+) -> int:
     """Smallest tested cutoff whose doubling moves the lowest n_levels by < tol.
 
-    The scan doubles the cutoff from max(n_levels, 8) and compares
+    The scan doubles the cutoff from ``scan_start(n_levels)`` and compares
     ground-referenced energies; eigenvalues-only solves keep it cheap.
-    Raises ConvergenceError if the ceiling (default 512) is reached; ``tol``
-    defaults to 1e-8.
+    Raises ConvergenceError if the ceiling (default 512) is reached, and
+    ValueError for a ceiling below the scan start; ``tol`` defaults to 1e-8.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    n = max(n_levels, 8)
+    n = scan_start(n_levels)
+    if ceiling < n:
+        raise ValueError(f"ceiling must be >= the scan start {n}, got {ceiling}")
     current = _relative_levels(params, n, n_levels)
     while n <= ceiling:
         doubled = _relative_levels(params, 2 * n, n_levels)
         if float(np.max(np.abs(doubled - current))) < tol:
-            return FockCutoff(n)
+            return n
         n *= 2
         current = doubled
     raise ConvergenceError(

@@ -38,7 +38,6 @@ import numpy as np
 from .approx import approx_w1, positive_work_bound
 from .correlations import discord_differences
 from .cycle import (
-    VARIANTS,
     CycleProtocol,
     ReservoirSpec,
     certified_cutoffs,
@@ -48,7 +47,7 @@ from .cycle import (
     run_cycle,
 )
 from .hamiltonian import RabiParams, build_hamiltonian
-from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum
+from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum, scan_start
 from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
 
@@ -65,6 +64,7 @@ __all__ = [
 
 ENV_PREFIX = "RABIOTTO_"
 
+VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
 SWEEPABLE = ("g_over_omega_c", "theta", "alpha", "omega_qh")
 FORMATS = ("csv", "json")
 # the variant that varies each variant-specific parameter; a cycle row leaves
@@ -86,7 +86,8 @@ class CutoffPolicy:
     def resolve(self, groups: list[list[RabiParams]], n_levels: int) -> list[int]:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
-        With no groups it scans nothing and only validates the policy.
+        With no groups it scans nothing and only validates the policy. In auto
+        mode the ceiling must reach the scan start, or no cutoff can certify.
         """
         if self.mode not in ("auto", "fixed"):
             raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {self.mode!r}")
@@ -96,7 +97,10 @@ class CutoffPolicy:
             raise ConfigError(f"cutoff.tol: must be > 0, got {self.tol}")
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
-        return [found.n_max for found in certified_cutoffs(groups, n_levels, self.tol, self.ceiling)]
+        start = scan_start(n_levels)
+        if self.ceiling < start:
+            raise ConfigError(f"cutoff.ceiling: must be >= the scan start {start}, got {self.ceiling}")
+        return certified_cutoffs(groups, n_levels, self.tol, self.ceiling)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_criterion_07_correlation_work_correspondence():
     grid = np.round(np.arange(0.0, 3.5 + 1e-9, 0.05), 10)
     cold = converged_cutoff(RabiParams.resonant(1.0, g=3.5), 24, 1e-6)
     hot = converged_cutoff(RabiParams.resonant(2.0, g=3.5), 24, 1e-6)
-    cutoff = max(cold.n_max, hot.n_max)
+    cutoff = max(cold, hot)
     with ProcessPoolExecutor(max_workers=2) as pool:
         data = list(pool.map(_discord_point, [(g, cutoff) for g in grid]))
     work = np.array([d[0] for d in data])
@@ -239,7 +239,7 @@ def test_criterion_08_qubit_protocol_no_refrigeration():
     """
     grid = np.linspace(0.0, 3.0, 61)
     cutoff = max(
-        converged_cutoff(RabiParams(1.0, omega_q, g=3.0), 24, 1e-6).n_max
+        converged_cutoff(RabiParams(1.0, omega_q, g=3.0), 24, 1e-6)
         for omega_q in (0.5, 2.0)
     )
     minima, maxima, unexplained = {}, {}, []
@@ -296,7 +296,7 @@ def test_criterion_09_eigensolver_certification(fig2_sweep):
         params = RabiParams.resonant(1.0, g=g)
         found = converged_cutoff(params, n_levels=10, tol=1e-8)
         d1 = eigendecompose(build_hamiltonian(params, found))
-        d2 = eigendecompose(build_hamiltonian(params, 2 * found.n_max))
+        d2 = eigendecompose(build_hamiltonian(params, 2 * found))
         delta = np.abs(relative_spectrum(d1, 10) - relative_spectrum(d2, 10)).max()
         worst_shift = max(worst_shift, float(delta))
     print(

@@ -104,6 +104,14 @@ class TestSweepCommand:
         assert out == ""
         assert "g must be >= 0" in err
 
+    def test_ceiling_below_scan_start_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RABIOTTO_CUTOFF__CEILING", "4")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["sweep"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "cutoff.ceiling: must be >= the scan start 24, got 4" in err
+
     def test_series_parameter_of_another_variant_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "series.json"
         path.write_text(

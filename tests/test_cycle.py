@@ -59,24 +59,19 @@ class TestReservoirSpec:
 
 
 class TestProtocolValidation:
-    def test_resonator_requires_shared_g(self):
-        with pytest.raises(ValueError, match="keeps g constant"):
+    def test_shared_theta(self):
+        with pytest.raises(ValueError, match="theta must be shared"):
             CycleProtocol(
-                variant="resonator-frequency",
-                cold=RabiParams.resonant(1.0, g=1.0),
-                hot=RabiParams.resonant(2.0, g=1.5),
-                reservoirs=default_reservoirs(),
+                RabiParams.resonant(1.0, g=1.0),
+                RabiParams.resonant(2.0, g=1.0, theta=0.3),
+                default_reservoirs(),
             )
 
-    def test_coupled_requires_scaled_g(self):
-        with pytest.raises(ValueError, match="g_h = alpha"):
-            CycleProtocol(
-                variant="coupled-coupling",
-                cold=RabiParams.resonant(1.0, g=1.0),
-                hot=RabiParams.resonant(2.0, g=1.0),
-                reservoirs=default_reservoirs(),
-                alpha=1.0,
-            )
+    def test_resonant_protocols_ramp_up(self):
+        with pytest.raises(ValueError, match="requires omega_h >= omega_c"):
+            resonator_frequency_protocol(g=1.0, ratio=0.5)
+        with pytest.raises(ValueError, match="requires omega_h >= omega_c"):
+            coupled_coupling_protocol(g_c=1.0, ratio=0.5)
 
     def test_qubit_variant_ordering(self):
         with pytest.raises(ValueError, match="omega_qh >= omega_qc"):
@@ -138,7 +133,7 @@ class TestRunCycle:
     def test_auto_cutoff_path(self):
         protocol = resonator_frequency_protocol(g=0.5, n_levels=6)
         states, report = run_cycle(protocol)
-        assert states.hot.cutoff_used.n_max >= 6
+        assert states.hot.cutoff_used >= 6
         assert abs(report.work - (report.q_hot + report.q_cold)) < 1e-12
 
     def test_proportional_hamiltonian_efficiency(self):
@@ -182,10 +177,6 @@ class TestClassifyRegime:
     @pytest.mark.parametrize("w, regime", [(0.1, "engine"), (-0.1, "refrigerator"), (0.0, "idle")])
     def test_classification(self, w, regime):
         assert classify_regime(w) == regime
-
-    def test_accepts_report(self, small_cycle):
-        _, _, report = small_cycle
-        assert classify_regime(report) == report.regime
 
 
 class TestShiftInvariance:

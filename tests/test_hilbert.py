@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabiotto import (
-    FockCutoff,
     OperatorMatrix,
     annihilation,
     creation,
@@ -14,22 +13,38 @@ from rabiotto import (
     pauli,
     tensor,
 )
-from rabiotto.hamiltonian import RabiParams, build_hamiltonian
-from rabiotto.cycle import thermal_populations
+from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator
+from rabiotto.hilbert import check_cutoff
+from rabiotto.cycle import resonator_frequency_protocol, run_cycle, thermal_populations
 from rabiotto.spectral import eigendecompose
 
 from conftest import random_density
 
 
-class TestFockCutoff:
+class TestCutoffCheck:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
-            FockCutoff(1)
+            check_cutoff(1)
         with pytest.raises(ValueError):
-            FockCutoff(0)
+            check_cutoff(0)
 
     def test_accepts(self):
-        assert FockCutoff(2).n_max == 2
+        assert check_cutoff(2) == 2
+        assert type(check_cutoff(np.int64(3))) is int
+
+    @pytest.mark.parametrize("n_max", [8.7, 16.9])
+    def test_non_integer_cutoff_raises_rather_than_truncating(self, n_max):
+        builders = [
+            annihilation,
+            creation,
+            number_operator,
+            parity_operator,
+            lambda n: build_hamiltonian(RabiParams.resonant(1.0, g=0.5), n),
+            lambda n: run_cycle(resonator_frequency_protocol(g=0.5), cutoff=n),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="n_max must be an integer >= 2"):
+                build(n_max)
 
 
 class TestAnnihilation:

@@ -67,7 +67,7 @@ class TestEigendecompose:
         assert d.residual_norm < 1e-9
         gram = d.states.conj().T @ d.states
         assert np.max(np.abs(gram - np.eye(d.dim))) < 1e-10
-        assert d.cutoff_used.n_max == 60
+        assert d.cutoff_used == 60
 
     def test_eigenvalue_sum_equals_trace(self):
         h = build_hamiltonian(RabiParams.resonant(1.0, g=2.0, theta=0.3), 40)
@@ -114,17 +114,17 @@ class TestRelativeSpectrum:
 class TestConvergedCutoff:
     def test_decoupled_converges_at_start(self):
         found = converged_cutoff(RabiParams.resonant(1.0, g=0.0), n_levels=8, tol=1e-10)
-        assert found.n_max == 8  # scan start: exact at any cutoff >= n_levels
+        assert found == 8  # scan start: exact at any cutoff >= n_levels
 
     def test_strong_coupling_needs_displaced_support(self):
         found = converged_cutoff(RabiParams.resonant(1.0, g=3.0), n_levels=8, tol=1e-8)
-        assert found.n_max >= 2 * 3.0**2
+        assert found >= 2 * 3.0**2
 
     def test_monotone_in_tolerance(self):
         params = RabiParams.resonant(1.0, g=1.5)
         loose = converged_cutoff(params, n_levels=8, tol=1e-4)
         tight = converged_cutoff(params, n_levels=8, tol=1e-10)
-        assert loose.n_max <= tight.n_max
+        assert loose <= tight
 
     def test_certificate_holds(self):
         # doubling the returned cutoff moves the levels by less than tol
@@ -132,13 +132,19 @@ class TestConvergedCutoff:
         tol = 1e-8
         found = converged_cutoff(params, n_levels=10, tol=tol)
         d1 = eigendecompose(build_hamiltonian(params, found))
-        d2 = eigendecompose(build_hamiltonian(params, 2 * found.n_max))
+        d2 = eigendecompose(build_hamiltonian(params, 2 * found))
         delta = np.abs(relative_spectrum(d1, 10) - relative_spectrum(d2, 10)).max()
         assert delta < tol
 
     def test_ceiling_failure(self):
         with pytest.raises(ConvergenceError, match="ceiling"):
             converged_cutoff(RabiParams.resonant(1.0, g=3.0), n_levels=8, tol=1e-8, ceiling=16)
+
+    def test_rejects_ceiling_below_scan_start(self):
+        # the scan starts at max(n_levels, 8), so ceiling 4 can certify nothing
+        with pytest.raises(ValueError, match="ceiling must be >= the scan start 24"):
+            converged_cutoff(RabiParams.resonant(1.0), n_levels=24, ceiling=4)
+        assert converged_cutoff(RabiParams.resonant(1.0), n_levels=8, tol=1e-10, ceiling=8) == 8
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(doc), environ={})
 
+    def test_rejects_ceiling_below_scan_start(self):
+        # auto mode scans from max(n_levels, 8); fixed mode never reads the ceiling
+        with pytest.raises(ConfigError, match="cutoff.ceiling: must be >= the scan start 24, got 4"):
+            parse_config(json.dumps({"cutoff": {"ceiling": 4}}), environ={})
+        with pytest.raises(ConfigError, match="cutoff.ceiling: must be >= the scan start 8, got -1"):
+            parse_config(json.dumps({"n_levels": 4, "cutoff": {"ceiling": -1}}), environ={})
+        parse_config(json.dumps({"cutoff": {"mode": "fixed", "n_max": 12, "ceiling": 4}}), environ={})
+
     def test_rejects_bad_temperatures(self):
         with pytest.raises(ConfigError, match="t_cold"):
             parse_config(json.dumps({"t_cold": 0.1, "t_hot": 0.05}), environ={})
