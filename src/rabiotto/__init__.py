@@ -27,7 +27,6 @@ from .cycle import (
     CycleReport,
     CycleStates,
     ReservoirSpec,
-    certified_cutoffs,
     classify_regime,
     coupled_coupling_protocol,
     qubit_frequency_protocol,

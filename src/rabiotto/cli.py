@@ -28,10 +28,9 @@ from .sweep import (
     ConfigError,
     SweepConfig,
     SweepResult,
-    apply_env_overrides,
     build_protocol,
-    config_from_dict,
     figure_preset,
+    parse_config,
     run_sweep,
     write_output,
 )
@@ -86,44 +85,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overlay(data: dict, overrides: dict) -> None:
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(data.get(key), dict):
-            _overlay(data[key], value)
-        else:
-            data[key] = value
-
-
 def _load_config(args: argparse.Namespace) -> SweepConfig:
     """The config document with env, subcommand and flag overrides, in that order."""
     if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
     if args.preset:
-        data = figure_preset(args.preset).resolved_dict()
+        text = json.dumps(figure_preset(args.preset).resolved_dict())
     elif args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config document is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config document must be a JSON object")
     else:
-        data = {}
-    apply_env_overrides(data)
-    _overlay(data, COMMAND_OVERRIDES.get(args.command, {}))
+        text = "{}"
     flags = {"workers": args.workers, "omega_ref": args.omega_ref,
              "out_format": args.format, "out_path": args.out or None}
-    _overlay(data, {key: value for key, value in flags.items() if value is not None})
-    return config_from_dict(data)
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return parse_config(text, overrides=COMMAND_OVERRIDES.get(args.command, {}) | flags)
 
 
 def _emit(result: SweepResult, path: str | None, fmt: str) -> None:
+    """Write the table to ``path`` or stdout, then its warnings to stderr."""
     text = write_output(result, path, fmt)
     if not path:
         sys.stdout.write(text)
+    for warning in result.warnings:
+        sys.stderr.write(f"rabiotto: warning: {warning}\n")
 
 
 def _run_single_cycle(args: argparse.Namespace) -> int:
@@ -133,17 +121,16 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
     states, report = run_cycle(protocol, cutoff=cutoff)
     config_hash = config.config_hash()
 
-    def table(columns: list[str], rows: list[tuple]) -> SweepResult:
+    def table(columns: list[str], rows: list[tuple], warnings: tuple = ()) -> SweepResult:
         rows = tuple(row + (config_hash,) for row in rows)
-        return SweepResult(tuple(columns), rows, config, config_hash)
+        return SweepResult(tuple(columns), rows, config, config_hash, warnings)
 
     summary = (
         config.g_over_omega_c, config.theta, config.variant,
         report.work, report.q_hot, report.q_cold, report.eta, report.regime,
     )
-    _emit(table(CYCLE_SUMMARY_COLUMNS, [summary]), config.out_path, config.out_format)
-    for warning in report.warnings:
-        sys.stderr.write(f"rabiotto: warning: {warning}\n")
+    summary_table = table(CYCLE_SUMMARY_COLUMNS, [summary], report.warnings)
+    _emit(summary_table, config.out_path, config.out_format)
     if getattr(args, "per_level", None):
         eh = states.hot.ground_referenced()
         ec = states.cold.ground_referenced()

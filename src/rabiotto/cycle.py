@@ -32,21 +32,13 @@ changes).
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
 from .hilbert import OperatorMatrix
-from .spectral import (
-    CUTOFF_CEILING,
-    CUTOFF_TOL,
-    SpectralDecomposition,
-    converged_cutoff,
-    eigendecompose,
-)
+from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 
 __all__ = [
@@ -54,7 +46,6 @@ __all__ = [
     "CycleReport",
     "CycleStates",
     "ReservoirSpec",
-    "certified_cutoffs",
     "classify_regime",
     "coupled_coupling_protocol",
     "qubit_frequency_protocol",
@@ -295,39 +286,21 @@ def _report_from_spectra(
     )
 
 
-def certified_cutoffs(
-    groups: Iterable[Iterable[RabiParams]],
-    n_levels: int,
-    tol: float = CUTOFF_TOL,
-    ceiling: int = CUTOFF_CEILING,
-) -> list[int]:
-    """For each group of Hamiltonian sides, the largest certified cutoff.
-
-    Every RabiParams of a group gets a ``converged_cutoff`` scan of its lowest
-    n_levels, and the group's cutoff is the largest. Callers pass only the
-    sides they solve. Each distinct RabiParams is scanned once per call,
-    however many groups share it; nothing is kept between calls.
-    """
-    @functools.cache
-    def scan(params: RabiParams) -> int:
-        return converged_cutoff(params, n_levels, tol, ceiling=ceiling)
-
-    return [max(scan(side) for side in group) for group in groups]
-
-
 def run_cycle(
     protocol: CycleProtocol,
     cutoff: int | None = None,
 ) -> tuple[CycleStates, CycleReport]:
     """Solve both Hamiltonians; return the cycle states and the heat/work report.
 
-    When ``cutoff`` is omitted, the ``certified_cutoffs`` value of both sides
-    at the default tolerance is used. Populations are normalized over the full
-    truncated spectrum; only the heat/work sums truncate at n_levels. The
-    density matrices are built only when a ``rho`` property is read.
+    When ``cutoff`` is omitted, the larger ``converged_cutoff`` of the two
+    sides at the default tolerance and ceiling is used. Populations are
+    normalized over the full truncated spectrum; only the heat/work sums
+    truncate at n_levels. The density matrices are built only when a ``rho``
+    property is read.
     """
     if cutoff is None:
-        cutoff = certified_cutoffs([[protocol.cold, protocol.hot]], protocol.n_levels)[0]
+        sides = {protocol.cold, protocol.hot}  # identical sides are scanned once
+        cutoff = max(converged_cutoff(side, protocol.n_levels) for side in sides)
 
     hot = eigendecompose(build_hamiltonian(protocol.hot, cutoff))
     cold = eigendecompose(build_hamiltonian(protocol.cold, cutoff))

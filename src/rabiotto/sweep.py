@@ -40,22 +40,21 @@ from .correlations import discord_differences
 from .cycle import (
     CycleProtocol,
     ReservoirSpec,
-    certified_cutoffs,
     coupled_coupling_protocol,
     qubit_frequency_protocol,
     resonator_frequency_protocol,
     run_cycle,
 )
 from .hamiltonian import RabiParams, build_hamiltonian
-from .spectral import CUTOFF_CEILING, CUTOFF_TOL, eigendecompose, relative_spectrum, scan_start
-from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
+from .spectral import (
+    CUTOFF_CEILING, CUTOFF_TOL, converged_cutoff, eigendecompose, relative_spectrum, scan_start,
+)
 from .units import DEFAULT_OMEGA_REF
 
 __all__ = [
     "ConfigError",
     "SweepConfig",
     "SweepResult",
-    "config_from_dict",
     "figure_preset",
     "parse_config",
     "run_sweep",
@@ -86,8 +85,10 @@ class CutoffPolicy:
     def resolve(self, groups: list[list[RabiParams]], n_levels: int) -> list[int]:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
-        With no groups it scans nothing and only validates the policy. In auto
-        mode the ceiling must reach the scan start, or no cutoff can certify.
+        In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
+        sides, and each distinct side is scanned once per call. With no groups
+        it scans nothing and only validates the policy. In auto mode the
+        ceiling must reach the scan start, or no cutoff can certify.
         """
         if self.mode not in ("auto", "fixed"):
             raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {self.mode!r}")
@@ -100,7 +101,8 @@ class CutoffPolicy:
         start = scan_start(n_levels)
         if self.ceiling < start:
             raise ConfigError(f"cutoff.ceiling: must be >= the scan start {start}, got {self.ceiling}")
-        return certified_cutoffs(groups, n_levels, self.tol, self.ceiling)
+        scan = functools.cache(lambda side: converged_cutoff(side, n_levels, self.tol, self.ceiling))
+        return [max(scan(side) for side in group) for group in groups]
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def _check_value(expected, value, where: str):
     return value
 
 
-def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
+def _apply_env_overrides(data: dict, environ: dict | None) -> None:
     """Overlay RABIOTTO_* environment variables onto a raw config dict."""
     environ = os.environ if environ is None else environ
 
@@ -243,17 +245,14 @@ def apply_env_overrides(data: dict, environ: dict | None = None) -> dict:
                 target[key] = raw
 
     visit(SweepConfig, data, "")
-    return data
 
 
-def config_from_dict(data: dict) -> SweepConfig:
-    """Validate a raw config dict (no environment overrides) and fill defaults."""
-    config = _build(SweepConfig, data)
-    if data.get("t_cold") is not None and data.get("t_hot") is None:
-        # preserve the default T_h = 9 T_c ratio when only T_c is given
-        config = replace(config, t_hot=9 * float(config.t_cold))
-    _validate(config)
-    return config
+def _overlay(data: dict, overrides: dict) -> None:
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            _overlay(data[key], value)
+        else:
+            data[key] = value
 
 
 def _series_values(config: SweepConfig) -> list[float | None]:
@@ -313,21 +312,43 @@ def _validate(config: SweepConfig) -> None:
         raise ConfigError(f"workers: must be >= 0, got {config.workers}")
 
 
-def parse_config(text: str, environ: dict | None = None) -> SweepConfig:
-    """Parse a JSON config document, apply env overrides, validate, default."""
-    text = text.strip() or "{}"
+def parse_config(text: str, environ: dict | None = None, overrides: dict | None = None) -> SweepConfig:
+    """Decode a JSON config document, overlay RABIOTTO_* variables of ``environ``
+    (default os.environ), then ``overrides``, validate and fill defaults."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config document is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    return config_from_dict(apply_env_overrides(data, environ))
+    _apply_env_overrides(data, environ)
+    _overlay(data, overrides or {})
+    config = _build(SweepConfig, data)
+    if data.get("t_cold") is not None and data.get("t_hot") is None:
+        # preserve the default T_h = 9 T_c ratio when only T_c is given
+        config = replace(config, t_hot=9 * float(config.t_cold))
+    _validate(config)
+    return config
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
+# work output per mixing angle (fig5); fig4 adds discord
+_THETA_SERIES = {
+    "series": {"parameter": "theta", "values": [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]},
+    "sweep": {"n_points": 71},
+}
+# qubit-frequency work output per hot qubit frequency (fig7); fig8 adds discord
+_QUBIT_FREQUENCY = {
+    "variant": "qubit-frequency",
+    "t_hot": 4 * 0.019,
+    "omega_qc": 0.5,
+    "series": {"parameter": "omega_qh", "values": [1.0, 1.5, 2.0]},
+    "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 3.0, "n_points": 61},
+}
+
+# figure_preset deep-copies, so presets may share these blocks
 _PRESETS: dict[str, dict] = {
     # total work and per-level contributions across the engine/refrigerator
     # transitions; theta = 0, R = 2, T_h = 9 T_c
@@ -335,39 +356,16 @@ _PRESETS: dict[str, dict] = {
     # first-excited energies and populations against the thermal energies
     "fig3": {"kind": "levels", "sweep": {"n_points": 141}},
     # discord differences D(rho4)-D(rho1), D(rho3)-D(rho1) per mixing angle
-    "fig4": {
-        "series": {"parameter": "theta", "values": [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]},
-        "discord": {"enabled": True},
-        "sweep": {"n_points": 71},
-    },
-    # work output per mixing angle
-    "fig5": {
-        "series": {"parameter": "theta", "values": [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8]},
-        "sweep": {"n_points": 71},
-    },
+    "fig4": {**_THETA_SERIES, "discord": {"enabled": True}},
+    "fig5": _THETA_SERIES,
     # efficiency under the coupled-coupling protocol per alpha
     "fig6": {
         "variant": "coupled-coupling",
         "series": {"parameter": "alpha", "values": [0.8, 1.0, 1.2]},
         "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 2.0, "n_points": 50},
     },
-    # qubit-frequency protocol work output per hot qubit frequency
-    "fig7": {
-        "variant": "qubit-frequency",
-        "t_hot": 4 * 0.019,
-        "omega_qc": 0.5,
-        "series": {"parameter": "omega_qh", "values": [1.0, 1.5, 2.0]},
-        "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 3.0, "n_points": 61},
-    },
-    # same protocol with the discord differences
-    "fig8": {
-        "variant": "qubit-frequency",
-        "t_hot": 4 * 0.019,
-        "omega_qc": 0.5,
-        "series": {"parameter": "omega_qh", "values": [1.0, 1.5, 2.0]},
-        "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 3.0, "n_points": 61},
-        "discord": {"enabled": True},
-    },
+    "fig7": _QUBIT_FREQUENCY,
+    "fig8": {**_QUBIT_FREQUENCY, "discord": {"enabled": True}},
     # energy spectrum of the quantum Rabi model relative to the ground state
     "fig9": {"kind": "spectrum", "n_levels": 10, "sweep": {"n_points": 71}},
     # numeric W_1 against the two-level approximation and its sign bound
@@ -379,7 +377,7 @@ def figure_preset(name: str) -> SweepConfig:
     """The sweep configuration reproducing one figure's underlying data."""
     if name not in _PRESETS:
         raise ConfigError(f"preset: unknown preset {name!r}; known: {sorted(_PRESETS)}")
-    return config_from_dict(json.loads(json.dumps(_PRESETS[name])))
+    return parse_config(json.dumps(_PRESETS[name]), environ={})
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +391,13 @@ DISCORD_COLUMNS = [
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The output table; ``warnings`` are "<grid point>: <message>" and stay out of it."""
+
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     config: SweepConfig
     config_hash: str
+    warnings: tuple[str, ...] = ()
 
 
 def _field_values(config: SweepConfig, series_value: float | None, swept_value: float) -> dict:
@@ -429,10 +430,15 @@ def build_protocol(config: SweepConfig, series_value: float | None, swept_value:
             reservoirs=reservoirs, n_levels=config.n_levels,
         )
     except ValueError as exc:
-        point = f"{config.sweep.parameter} = {swept_value}"
-        if series_value is not None:
-            point = f"{config.series.parameter} = {series_value}, {point}"
+        point = _point_name(config, series_value, swept_value)
         raise ConfigError(f"invalid physical parameters at {point}: {exc}") from exc
+
+
+def _point_name(config: SweepConfig, series_value: float | None, swept_value: float) -> str:
+    point = f"{config.sweep.parameter} = {swept_value}"
+    if series_value is not None:
+        point = f"{config.series.parameter} = {series_value}, {point}"
+    return point
 
 
 def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
@@ -451,10 +457,11 @@ def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
     return dict(zip(series_values, config.cutoff.resolve(groups, config.n_levels)))
 
 
-# Point functions return the columns they compute; run_sweep fills the
-# columns that the grid point itself fixes (_point_columns).
+# Point functions return the rows of columns they compute and the warnings of
+# the cycle they ran; run_sweep fills the columns that the grid point itself
+# fixes (_point_columns).
 
-def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
+def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
     states, report = run_cycle(protocol, cutoff=cutoff)
     wn = report.work_per_level
     row = {
@@ -486,17 +493,17 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> li
                 "phi_m_opt": diffs.rho1.optimal_basis.phi_m,
             }
         )
-    return [row]
+    return [row], report.warnings
 
 
-def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
+def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
     decomposition = eigendecompose(build_hamiltonian(protocol.cold, cutoff))
     rel = relative_spectrum(decomposition, config.n_levels)
-    return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))]
+    return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))], ()
 
 
-def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
-    states, _ = run_cycle(protocol, cutoff=cutoff)
+def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
+    states, report = run_cycle(protocol, cutoff=cutoff)
     return [{
         "E1_h": float(states.hot.ground_referenced()[1]),
         "E1_c": float(states.cold.ground_referenced()[1]),
@@ -504,10 +511,10 @@ def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> l
         "kT_c": protocol.reservoirs.kt_cold,
         "P1_h": float(states.populations_hot[1]),
         "P1_c": float(states.populations_cold[1]),
-    }]
+    }], report.warnings
 
 
-def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> list[dict]:
+def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
     _, report = run_cycle(protocol, cutoff=cutoff)
     return [{
         "W1_numeric": float(report.work_per_level[1]),
@@ -515,7 +522,7 @@ def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> l
             config.omega_c, config.ratio, config.t_cold, config.t_hot, protocol.cold.g, config.omega_ref
         ),
         "bound": positive_work_bound(config.ratio, config.t_hot / config.t_cold),
-    }]
+    }], report.warnings
 
 
 # kind -> (columns, point function, protocol sides it solves); the discord
@@ -533,13 +540,13 @@ _KINDS = {
 }
 
 
-def _point_task(args: tuple) -> tuple[int, list[dict], str | None]:
+def _point_task(args: tuple) -> tuple[int, list[dict], tuple, str | None]:
     index, config, series_value, swept_value, cutoff = args
     try:
         protocol = build_protocol(config, series_value, swept_value)
-        return index, _KINDS[config.kind][1](config, protocol, cutoff), None
+        return index, *_KINDS[config.kind][1](config, protocol, cutoff), None
     except Exception as exc:  # per-point failure: recorded, sweep continues
-        return index, [], f"{type(exc).__name__}: {exc}"
+        return index, [], (), f"{type(exc).__name__}: {exc}"
 
 
 def _columns_for(config: SweepConfig) -> list[str]:
@@ -562,7 +569,7 @@ def _point_columns(config: SweepConfig, series_value: float | None, swept_value:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Execute a sweep; rows ordered by (series, swept value), failures recorded."""
+    """Execute a sweep; rows ordered by (series, swept value), failures and warnings recorded."""
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
     cutoffs = _series_cutoffs(config)
     points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
@@ -580,14 +587,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     columns = _columns_for(config)
     config_hash = config.config_hash()
     rows: list[tuple] = []
-    for (_, point_rows, error), (sv, gv) in zip(outcomes, points):
+    warnings: list[str] = []
+    for (_, point_rows, point_warnings, error), (sv, gv) in zip(outcomes, points):
         fixed = _point_columns(config, sv, gv)
         fixed.update(error=error or "", config_hash=config_hash)
         for data in [{}] if error is not None else point_rows:
             rows.append(tuple(fixed[c] if c in fixed else data.get(c) for c in columns))
-    return SweepResult(
-        columns=tuple(columns), rows=tuple(rows), config=config, config_hash=config_hash
-    )
+        warnings += [f"{_point_name(config, sv, gv)}: {w}" for w in point_warnings]
+    return SweepResult(tuple(columns), tuple(rows), config, config_hash, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

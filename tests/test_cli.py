@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from rabiotto.cli import main
+from rabiotto import figure_preset, parse_config
+from rabiotto.cli import _load_config, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -39,6 +41,21 @@ class TestPresetCommand:
         code, _, err = run_cli(["preset", "fig99"], capsys)
         assert code == 2
         assert "unknown preset" in err
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("fig2", "be15c47212d6"), ("fig3", "aee75a3e3a8d"), ("fig4", "bca9f686c67d"),
+            ("fig5", "c531ee95e53d"), ("fig6", "a8e04dbadc9c"), ("fig7", "04fc8e309490"),
+            ("fig8", "bf4f93d8a1c9"), ("fig9", "6ef53eb53c73"), ("fig10", "619087d319b5"),
+        ],
+    )
+    def test_preset_path_keeps_the_config_hash(self, name, expected, monkeypatch):
+        text = json.dumps(figure_preset(name).resolved_dict())
+        assert parse_config(text, environ={}).config_hash() == expected
+        for variable in [v for v in os.environ if v.startswith("RABIOTTO_")]:
+            monkeypatch.delenv(variable)
+        assert _load_config(build_parser().parse_args(["sweep", "--preset", name])).config_hash() == expected
 
     def test_round_trips_through_config_flag(self, tmp_path, capsys):
         cfg = tmp_path / "fig9.json"
@@ -85,6 +102,29 @@ class TestSweepCommand:
         lines = out.splitlines()
         assert lines[0].split(",")[0] == "series_omega_qh"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "1", "1.5", "1.5", "2", "2"]
+
+    @pytest.mark.parametrize("kind", ["cycle", "levels", "approx"])
+    def test_truncation_warnings_name_their_points(self, kind, tmp_path, capsys):
+        path = tmp_path / "two-levels.json"
+        doc = {"kind": kind, "n_levels": 2, "t_hot": 1.0, "cutoff": {"mode": "fixed", "n_max": 16},
+               "sweep": {"n_points": 3, "stop": 1.0}, "workers": 1}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 0
+        warnings = err.splitlines()
+        assert len(warnings) == 3
+        tails = []
+        for g, line in zip(("0.0", "0.5", "1.0"), warnings):
+            prefix = f"rabiotto: warning: g_over_omega_c = {g}: truncated sums: hot-bath tail population "
+            assert line.startswith(prefix) and line.endswith(" beyond 2 levels")
+            tails.append(float(line[len(prefix):].split()[0]))
+        # the table is untouched: a header and one row per point, no warning text
+        lines = out.splitlines()
+        assert len(lines) == 4 and "warning" not in out
+        if kind == "cycle":
+            column = lines[0].split(",").index("tail_mass_hot")
+            rows = [float(line.split(",")[column]) for line in lines[1:]]
+            assert rows == pytest.approx(tails, rel=1e-3)
 
     def test_config_and_preset_conflict(self, fast_config_path, capsys):
         code, _, err = run_cli(

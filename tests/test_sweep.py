@@ -26,7 +26,7 @@ FAST = json.dumps(
 
 class TestParseConfig:
     def test_empty_document_is_fig2_default(self):
-        config = parse_config("", environ={})
+        config = parse_config("{}", environ={})
         assert config.kind == "cycle"
         assert config.variant == "resonator-frequency"
         assert config.theta == 0.0
@@ -37,6 +37,18 @@ class TestParseConfig:
         assert config.sweep.parameter == "g_over_omega_c"
         assert config.sweep.n_points == 100
         assert not config.discord.enabled
+
+    def test_empty_text_is_not_json(self):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config("", environ={})
+
+    def test_overrides_apply_after_the_environment(self):
+        doc = json.dumps({"workers": 1, "discord": {"n_theta": 8}})
+        environ = {"RABIOTTO_WORKERS": "3", "RABIOTTO_DISCORD__ENABLED": "false", "RABIOTTO_DISCORD__N_PHI": "16"}
+        config = parse_config(doc, environ=environ, overrides={"workers": 2, "discord": {"enabled": True}})
+        assert config.workers == 2
+        # the nested override keeps the document's and the environment's sibling keys
+        assert (config.discord.enabled, config.discord.n_theta, config.discord.n_phi) == (True, 8, 16)
 
     def test_qubit_variant_defaults(self):
         config = parse_config(
@@ -212,11 +224,10 @@ class TestRunSweep:
         ],
     )
     def test_each_distinct_side_is_scanned_once(self, preset, scans, cutoffs, monkeypatch):
-        import rabiotto.cycle
         import rabiotto.sweep
 
         scanned, used = [], []
-        converged_cutoff, run_cycle = rabiotto.cycle.converged_cutoff, rabiotto.sweep.run_cycle
+        converged_cutoff, run_cycle = rabiotto.sweep.converged_cutoff, rabiotto.sweep.run_cycle
 
         def counting_scan(params, *args, **kwargs):
             scanned.append(params)
@@ -226,7 +237,7 @@ class TestRunSweep:
             used.append(cutoff)
             return run_cycle(protocol, cutoff=cutoff)
 
-        monkeypatch.setattr(rabiotto.cycle, "converged_cutoff", counting_scan)
+        monkeypatch.setattr(rabiotto.sweep, "converged_cutoff", counting_scan)
         monkeypatch.setattr(rabiotto.sweep, "run_cycle", recording_cycle)
         config = figure_preset(preset)
         config = dataclasses.replace(
@@ -238,16 +249,16 @@ class TestRunSweep:
         assert all(row[result.columns.index("error")] == "" for row in result.rows)
 
     def test_spectrum_scans_only_cold_sides(self, monkeypatch):
-        import rabiotto.cycle
+        import rabiotto.sweep
 
         scanned = []
-        converged_cutoff = rabiotto.cycle.converged_cutoff
+        converged_cutoff = rabiotto.sweep.converged_cutoff
 
         def counting_scan(params, *args, **kwargs):
             scanned.append(params)
             return converged_cutoff(params, *args, **kwargs)
 
-        monkeypatch.setattr(rabiotto.cycle, "converged_cutoff", counting_scan)
+        monkeypatch.setattr(rabiotto.sweep, "converged_cutoff", counting_scan)
         config = figure_preset("fig9")
         config = dataclasses.replace(
             config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
