@@ -95,7 +95,7 @@ def _load_config(args: argparse.Namespace) -> SweepConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     else:
         text = "{}"
@@ -123,7 +123,7 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
 
     def table(columns: list[str], rows: list[tuple], warnings: tuple = ()) -> SweepResult:
         rows = tuple(row + (config_hash,) for row in rows)
-        return SweepResult(tuple(columns), rows, config, config_hash, warnings)
+        return SweepResult(tuple(columns), rows, config, warnings)
 
     summary = (
         config.g_over_omega_c, config.theta, config.variant,

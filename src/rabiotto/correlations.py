@@ -27,9 +27,10 @@ it), which caps the batched eigenproblem size by the number of thermally
 occupied modes.
 
 ``conditional_entropy`` is the independent reference path: it applies full
-projectors (Pi (x) I) rho (Pi (x) I) and partial-traces, with no compression
-or batching, takes complex states too, and is what the vectorized path is
-tested against.
+projectors (Pi (x) I) rho (Pi (x) I) for both outcomes and partial-traces,
+with no compression and no antipode or parity identity, takes complex states
+too, and is what the vectorized path is tested against. It is batched over
+angle arrays only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import CycleStates
-from .hilbert import OperatorMatrix, partial_trace, tensor
+from .hilbert import OperatorMatrix, partial_trace
 from .optimize import nelder_mead
 
 __all__ = [
@@ -82,15 +83,6 @@ class MeasurementBasis:
     def bloch_vector(self) -> np.ndarray:
         return np.array(_bloch(self.theta_m, self.phi_m))
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Pi_plus, Pi_minus) as 2x2 complex matrices; they sum to identity."""
-        c = math.cos(self.theta_m / 2.0)
-        s = math.sin(self.theta_m / 2.0)
-        phase = complex(math.cos(self.phi_m), math.sin(self.phi_m))
-        up = np.array([c, s * phase], dtype=complex)
-        down = np.array([-s * np.conj(phase), c], dtype=complex)
-        return np.outer(up, up.conj()), np.outer(down, down.conj())
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -121,23 +113,31 @@ def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
     return float(_entropy_from_eigenvalues(lam))
 
 
-def conditional_entropy(rho: OperatorMatrix, basis: MeasurementBasis) -> float:
-    """sum_j p_j S(rho_B^j) via explicit full-space projection (reference path)."""
+def conditional_entropy(rho: OperatorMatrix, theta_m, phi_m):
+    """sum_j p_j S(rho_B^j) along (theta_m, phi_m) via full-space projection (reference path).
+
+    The angles broadcast against each other; two scalars give a float. Angles
+    are evaluated in batches of about BLOCK_BYTES of full-space matrices.
+    """
     if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
         raise ValueError("conditional_entropy requires qubit (x) oscillator structure")
-    _, n_osc = rho.subsystem_dims
-    total = 0.0
-    for proj in basis.projectors():
-        full = tensor(proj, np.eye(n_osc, dtype=complex))
-        projected = full.matrix @ rho.matrix @ full.matrix
-        p = float(np.trace(projected).real)
-        if p < OUTCOME_FLOOR:
-            continue
-        rho_b = partial_trace(
-            OperatorMatrix(projected / p, subsystem_dims=rho.subsystem_dims), "oscillator"
-        )
-        total += p * float(_entropy_from_eigenvalues(np.linalg.eigvalsh(rho_b.matrix)))
-    return total
+    thetas, phis = np.broadcast_arrays(np.asarray(theta_m, dtype=float), np.asarray(phi_m, dtype=float))
+    _, n = rho.subsystem_dims
+    t_all, p_all = thetas.ravel(), phis.ravel()
+    out = np.zeros(t_all.shape)
+    step = max(1, BLOCK_BYTES // (16 * rho.dim**2))
+    for i in range(0, t_all.size, step):
+        c, s = np.cos(t_all[i : i + step] / 2.0), np.sin(t_all[i : i + step] / 2.0)
+        phase = np.exp(1j * p_all[i : i + step])
+        for v in (np.stack([c, s * phase], -1), np.stack([-s * phase.conj(), c], -1)):
+            proj = v[:, :, None] * v[:, None, :].conj()  # Pi_j per angle
+            full = np.einsum("bac,xy->baxcy", proj, np.eye(n)).reshape(-1, rho.dim, rho.dim)
+            projected = full @ rho.matrix @ full
+            p = np.einsum("bii->b", projected).real
+            rho_b = np.einsum("baxay->bxy", projected.reshape(-1, 2, n, 2, n))  # unnormalized
+            lam = np.linalg.eigvalsh(rho_b) / np.where(p > OUTCOME_FLOOR, p, 1.0)[:, None]
+            out[i : i + step] += np.where(p > OUTCOME_FLOOR, p * _entropy_from_eigenvalues(lam), 0.0)
+    return float(out[0]) if thetas.ndim == 0 else out.reshape(thetas.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ SweepConfig and its sub-objects (all optional; defaults reproduce the
 resonator-frequency work curve of the engine/refrigerator transition
 analysis). Every config key can be overridden through environment
 variables with the RABIOTTO_ prefix, nested keys joined by double underscores
-(e.g. RABIOTTO_SWEEP__N_POINTS=50).
+(e.g. RABIOTTO_SWEEP__N_POINTS=50); a name that matches no key is an error.
 
-Output is CSV (header row, UTF-8, 12-significant-digit floats) or a JSON
-mirror of the same table. Identical configs produce bit-identical files on
-one machine and numpy/BLAS build; rows are ordered by (series value, swept
-value) regardless of worker count, and every row echoes a hash of the fully
-resolved config.
+Output is CSV (header row, UTF-8, 12-significant-digit floats, cells quoted
+only where needed) or a JSON mirror of the same table. Identical configs
+produce bit-identical files on one machine and numpy/BLAS build; rows are
+ordered by (series value, swept value) regardless of worker count, and every
+row echoes a hash of the fully resolved config.
 
 Sweep kinds:
   cycle    -- Otto-cycle observables per grid point (optionally with discord)
@@ -23,8 +23,10 @@ Only cycle sweeps a parameter other than g_over_omega_c.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -153,15 +155,8 @@ class SweepConfig:
     out_format: str = "csv"
 
     def resolved_dict(self) -> dict:
-        """The config as a JSON-shaped dict that parses back to the same config.
-
-        ``series.values`` is a list here, as the config schema requires, so
-        the dict can go back through the parser (``--preset`` does so).
-        """
-        data = asdict(self)
-        if data["series"] is not None:
-            data["series"]["values"] = list(data["series"]["values"])
-        return data
+        """The config as a dict; ``json.dumps`` of it parses back to the same config."""
+        return asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.resolved_dict(), sort_keys=True, separators=(",", ":"))
@@ -222,29 +217,26 @@ def _check_value(expected, value, where: str):
     return value
 
 
-def _apply_env_overrides(data: dict, environ: dict | None) -> None:
-    """Overlay RABIOTTO_* environment variables onto a raw config dict."""
+def _env_document(environ: dict | None) -> dict:
+    """RABIOTTO_* variables as a nested document: RABIOTTO_A__B=v gives {"a": {"b": v}}.
+
+    A value that is not JSON is the string itself. Every name becomes a key
+    path, so one that matches no config key fails in ``_build``.
+    """
     environ = os.environ if environ is None else environ
-
-    def visit(cls, target: dict, prefix: str) -> None:
-        for key, expected in _field_types(cls).items():
-            if is_dataclass(expected):
-                sub = target.get(key)
-                if not isinstance(sub, dict):
-                    sub = {}
-                visit(expected, sub, prefix + key + "__")
-                if sub:
-                    target[key] = sub
-                continue
-            raw = environ.get(ENV_PREFIX + (prefix + key).upper())
-            if raw is None:
-                continue
-            try:
-                target[key] = json.loads(raw)
-            except json.JSONDecodeError:
-                target[key] = raw
-
-    visit(SweepConfig, data, "")
+    doc: dict = {}
+    for name in sorted(n for n in environ if n.startswith(ENV_PREFIX)):
+        *parents, key = name[len(ENV_PREFIX):].lower().split("__")
+        target = doc
+        for part in parents:
+            if not isinstance(target.get(part), dict):
+                target[part] = {}
+            target = target[part]
+        try:
+            target[key] = json.loads(environ[name])
+        except json.JSONDecodeError:
+            target[key] = environ[name]
+    return doc
 
 
 def _overlay(data: dict, overrides: dict) -> None:
@@ -321,7 +313,7 @@ def parse_config(text: str, environ: dict | None = None, overrides: dict | None 
         raise ConfigError(f"config document is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    _apply_env_overrides(data, environ)
+    _overlay(data, _env_document(environ))
     _overlay(data, overrides or {})
     config = _build(SweepConfig, data)
     if data.get("t_cold") is not None and data.get("t_hot") is None:
@@ -396,7 +388,6 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     config: SweepConfig
-    config_hash: str
     warnings: tuple[str, ...] = ()
 
 
@@ -540,13 +531,13 @@ _KINDS = {
 }
 
 
-def _point_task(args: tuple) -> tuple[int, list[dict], tuple, str | None]:
-    index, config, series_value, swept_value, cutoff = args
+def _point_task(args: tuple) -> tuple[list[dict], tuple, str | None]:
+    config, series_value, swept_value, cutoff = args
     try:
         protocol = build_protocol(config, series_value, swept_value)
-        return index, *_KINDS[config.kind][1](config, protocol, cutoff), None
+        return *_KINDS[config.kind][1](config, protocol, cutoff), None
     except Exception as exc:  # per-point failure: recorded, sweep continues
-        return index, [], (), f"{type(exc).__name__}: {exc}"
+        return [], (), f"{type(exc).__name__}: {exc}"
 
 
 def _columns_for(config: SweepConfig) -> list[str]:
@@ -573,7 +564,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
     cutoffs = _series_cutoffs(config)
     points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
-    tasks = [(index, config, sv, gv, cutoffs[sv]) for index, (sv, gv) in enumerate(points)]
+    tasks = [(config, sv, gv, cutoffs[sv]) for sv, gv in points]
 
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(tasks))
@@ -581,61 +572,52 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_point_task, tasks, chunksize=1))
     else:
-        outcomes = [_point_task(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
+        outcomes = [_point_task(t) for t in tasks]  # both keep task order
 
     columns = _columns_for(config)
     config_hash = config.config_hash()
     rows: list[tuple] = []
     warnings: list[str] = []
-    for (_, point_rows, point_warnings, error), (sv, gv) in zip(outcomes, points):
+    for (point_rows, point_warnings, error), (sv, gv) in zip(outcomes, points):
         fixed = _point_columns(config, sv, gv)
         fixed.update(error=error or "", config_hash=config_hash)
         for data in [{}] if error is not None else point_rows:
             rows.append(tuple(fixed[c] if c in fixed else data.get(c) for c in columns))
         warnings += [f"{_point_name(config, sv, gv)}: {w}" for w in point_warnings]
-    return SweepResult(tuple(columns), tuple(rows), config, config_hash, tuple(warnings))
+    return SweepResult(tuple(columns), tuple(rows), config, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
+def _cell(value):
+    """A table cell: None, a str, an int, or a float rounded to 12 significant digits."""
+    if value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.12g}"
+        return int(value)
+    return float(f"{float(value):.12g}")
 
 
 def render_csv(result: SweepResult) -> str:
-    lines = [",".join(result.columns)]
+    """CSV with 12-significant-digit floats; cells are quoted only where they must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(result.columns)
     for row in result.rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in map(_cell, row)])
+    return buffer.getvalue()
 
 
 def render_json(result: SweepResult) -> str:
-    def jsonify(value):
-        if value is None or isinstance(value, str):
-            return value
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        v = float(value)
-        if math.isnan(v):
-            return None
-        return float(f"{v:.12g}")  # 12 significant digits, like the CSV
-
     doc = {
         "config": result.config.resolved_dict(),
-        "config_hash": result.config_hash,
+        "config_hash": result.config.config_hash(),
         "columns": list(result.columns),
-        "rows": [[jsonify(v) for v in row] for row in result.rows],
+        "rows": [
+            [None if isinstance(v, float) and math.isnan(v) else v for v in map(_cell, row)]
+            for row in result.rows
+        ],
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from rabiotto import (
-    MeasurementBasis,
     OperatorMatrix,
     RabiParams,
     build_hamiltonian,
@@ -179,14 +178,10 @@ def test_criterion_05_first_law(fig2_sweep, coupled_sweep):
 
 
 def _brute_force_grid_min(rho, n_theta=256, n_phi=512):
-    """Independent oracle: scalar conditional entropy on a dense angle grid."""
-    best = math.inf
-    for theta_m in np.linspace(0.0, math.pi, n_theta):
-        for phi_m in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False):
-            value = conditional_entropy(rho, MeasurementBasis(theta_m, phi_m))
-            if value < best:
-                best = value
-    return best
+    """Independent oracle: full-projector conditional entropy on a dense angle grid."""
+    thetas = np.linspace(0.0, math.pi, n_theta)[:, None]
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    return float(conditional_entropy(rho, thetas, phis).min())
 
 
 def test_criterion_06_discord_sanity():

@@ -137,6 +137,14 @@ class TestSweepCommand:
         code, _, err = run_cli(["sweep", "--config", "/nonexistent.json"], capsys)
         assert code == 2
 
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot read config file" in err
+
     def test_invalid_sweep_range_is_config_error(self, fast_config_path, capsys, monkeypatch):
         monkeypatch.setenv("RABIOTTO_SWEEP__START", "-1")
         code, out, err = run_cli(["sweep", "--config", fast_config_path], capsys)
@@ -295,6 +303,13 @@ class TestEnvOverride:
         code, out, _ = run_cli(["sweep", "--config", fast_config_path], capsys)
         assert code == 0
         assert len(out.splitlines()) == 5
+
+    def test_misspelled_variable_is_config_error(self, fast_config_path, capsys, monkeypatch):
+        monkeypatch.setenv("RABIOTTO_SWEEP__NPOINTS", "2")
+        code, out, err = run_cli(["sweep", "--config", fast_config_path], capsys)
+        assert code == 2
+        assert out == ""
+        assert "sweep.npoints: unknown configuration key" in err
 
 
 class TestConsoleScript:

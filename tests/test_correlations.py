@@ -67,20 +67,6 @@ class TestVonNeumannEntropy:
 
 
 class TestMeasurementBasis:
-    def test_projector_algebra(self, rng):
-        for _ in range(25):
-            basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            p_up, p_down = basis.projectors()
-            np.testing.assert_allclose(p_up + p_down, np.eye(2), atol=1e-12)
-            np.testing.assert_allclose(p_up @ p_up, p_up, atol=1e-12)
-            np.testing.assert_allclose(p_down @ p_down, p_down, atol=1e-12)
-            np.testing.assert_allclose(p_up @ p_down, np.zeros((2, 2)), atol=1e-12)
-
-    def test_z_basis(self):
-        p_up, p_down = MeasurementBasis(0.0, 0.0).projectors()
-        np.testing.assert_allclose(p_up, [[1, 0], [0, 0]], atol=1e-15)
-        np.testing.assert_allclose(p_down, [[0, 0], [0, 1]], atol=1e-15)
-
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
             MeasurementBasis(4.0, 0.0)
@@ -91,16 +77,16 @@ class TestConditionalEntropy:
         rho, _, rho_b = product_thermalish(rng)
         s_b = von_neumann_entropy(OperatorMatrix(rho_b))
         for theta_m, phi_m in ((0.0, 0.0), (1.1, 0.7), (math.pi / 2, math.pi)):
-            value = conditional_entropy(rho, MeasurementBasis(theta_m, phi_m))
+            value = conditional_entropy(rho, theta_m, phi_m)
             assert abs(value - s_b) < 1e-10
 
     def test_bell_state_z_basis_outcomes_are_pure(self):
-        assert conditional_entropy(bell_state(), MeasurementBasis(0.0, 0.0)) < 1e-12
+        assert conditional_entropy(bell_state(), 0.0, 0.0) < 1e-12
 
     def test_requires_structure(self):
         rho = OperatorMatrix(np.eye(4) / 4.0)
         with pytest.raises(ValueError):
-            conditional_entropy(rho, MeasurementBasis(0.0, 0.0))
+            conditional_entropy(rho, 0.0, 0.0)
 
     def test_scalar_vs_vectorized_paths_agree(self, small_cycle):
         # dual route: full-projector reference vs compressed block evaluator
@@ -109,11 +95,10 @@ class TestConditionalEntropy:
         _, states, _ = small_cycle
         evaluator = _BlockEvaluator(states.rho1)
         rng = np.random.default_rng(5)
-        for _ in range(12):
-            t = rng.uniform(0.0, math.pi)
-            p = rng.uniform(0.0, 2.0 * math.pi)
-            scalar = conditional_entropy(states.rho1, MeasurementBasis(t, p))
-            assert abs(scalar - both_outcomes(evaluator, t, p)) < 1e-10
+        angles = [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
+        ts, ps = np.array(angles).T
+        for t, p, reference in zip(ts, ps, conditional_entropy(states.rho1, ts, ps)):
+            assert abs(reference - both_outcomes(evaluator, t, p)) < 1e-10
 
     def test_bounded_below_by_entropy_difference(self, rng):
         # nonnegativity of discord restated per evaluation:
@@ -124,19 +109,28 @@ class TestConditionalEntropy:
             from rabiotto import partial_trace
 
             s_a = von_neumann_entropy(partial_trace(rho, "qubit"))
-            basis = MeasurementBasis(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert conditional_entropy(rho, basis) >= s_ab - s_a - 1e-9
+            theta_m, phi_m = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            assert conditional_entropy(rho, theta_m, phi_m) >= s_ab - s_a - 1e-9
 
     def test_scalar_vs_vectorized_on_complex_state(self, rng):
         rho = OperatorMatrix(random_density(rng, 8), subsystem_dims=(2, 4))
         from rabiotto.correlations import _BlockEvaluator
 
         evaluator = _BlockEvaluator(rho)
-        for _ in range(8):
-            t = rng.uniform(0.0, math.pi)
-            p = rng.uniform(0.0, 2.0 * math.pi)
-            scalar = conditional_entropy(rho, MeasurementBasis(t, p))
-            assert abs(scalar - both_outcomes(evaluator, t, p)) < 1e-10
+        angles = [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(8)]
+        ts, ps = np.array(angles).T
+        for t, p, reference in zip(ts, ps, conditional_entropy(rho, ts, ps)):
+            assert abs(reference - both_outcomes(evaluator, t, p)) < 1e-10
+
+    def test_angle_arrays_broadcast_like_scalar_calls(self, rng):
+        rho = OperatorMatrix(random_density(rng, 8), subsystem_dims=(2, 4))
+        ts = np.linspace(0.0, math.pi, 5)[:, None]
+        ps = np.linspace(0.0, 2.0 * math.pi, 3, endpoint=False)
+        grid = conditional_entropy(rho, ts, ps)
+        assert grid.shape == (5, 3)
+        assert isinstance(conditional_entropy(rho, 0.3, 1.1), float)
+        scalars = [[conditional_entropy(rho, t, p) for p in ps] for t in ts[:, 0]]
+        np.testing.assert_allclose(grid, scalars, rtol=0.0, atol=1e-14)
 
 
 class TestQuantumDiscord:

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -156,6 +158,15 @@ class TestParseConfig:
         assert config.sweep.n_points == 7
         assert config.discord.enabled
         assert config.variant == "coupled-coupling"
+
+    def test_misspelled_env_variable_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^sweep\.npoints: unknown configuration key$"):
+            parse_config(FAST, environ={"RABIOTTO_SWEEP__NPOINTS": "2"})
+
+    def test_env_path_through_a_null_object_starts_it_empty(self):
+        doc = json.dumps({"series": None})
+        config = parse_config(doc, environ={"RABIOTTO_SERIES__VALUES": "[0.1, 0.2]"})
+        assert (config.series.parameter, config.series.values) == ("theta", (0.1, 0.2))
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -477,6 +488,19 @@ class TestSerialization:
         for row_json, row_csv in zip(doc["rows"], csv_lines):
             w_idx = result.columns.index("W")
             assert f"{row_json[w_idx]:.12g}" == row_csv.split(",")[w_idx]
+
+    def test_error_cell_with_a_comma_keeps_the_columns(self, monkeypatch):
+        def fail(protocol, cutoff):
+            raise ValueError("density matrix must have unit trace, got 0.97")
+
+        monkeypatch.setattr("rabiotto.sweep.run_cycle", fail)
+        config = parse_config(FAST, environ={})
+        rows = list(csv.DictReader(io.StringIO(render_csv(run_sweep(config)))))
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 16 and None not in row  # DictReader files surplus cells under None
+            assert row["error"] == "ValueError: density matrix must have unit trace, got 0.97"
+            assert row["config_hash"] == config.config_hash()
 
     def test_twelve_significant_digits(self):
         config = parse_config(FAST, environ={})
