@@ -8,8 +8,8 @@ where the minimum runs over rank-1 projective measurements Pi_j on the qubit,
 parametrized by Bloch angles (theta_m, phi_m). Entropies use the natural log.
 
 The minimization is deterministic: a coarse grid over the Bloch sphere
-(default 64 x 128) followed by local Nelder-Mead refinement, which by
-construction never returns a value above the best grid point.
+(default 64 x 128) followed by a local two-angle Nelder-Mead refinement,
+which by construction never returns a value above the best grid point.
 
 Only the "+" outcome is ever evaluated, f(n) = p_+ S(rho_B | +n): the "-"
 outcome along n is the "+" outcome along -n, so the sum over outcomes is
@@ -36,13 +36,13 @@ angle arrays only.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycle import CycleStates
-from .hilbert import OperatorMatrix, partial_trace
-from .optimize import nelder_mead
+from .hilbert import OperatorMatrix, is_hermitian_matrix, partial_trace
 
 __all__ = [
     "DiscordDifferences",
@@ -62,6 +62,8 @@ FLAT_TOL = 1e-12  # grid span of S below which no measurement axis is preferred
 DEFAULT_GRID = (64, 128)
 REAL_TOL = 1e-14
 BLOCK_BYTES = 2**19  # one batch of (angles, k, k) complex blocks
+REFINE_FTOL = 1e-13  # refinement stops when the simplex spans no more than this in S
+REFINE_MAX_ITER = 300
 
 
 def _bloch(theta: float, phi: float) -> tuple[float, float, float]:
@@ -103,7 +105,7 @@ def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
     """S(rho) = -tr(rho ln rho); rejects inputs that are not density matrices."""
     m = rho.matrix if isinstance(rho, OperatorMatrix) else np.asarray(rho, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
+    if not is_hermitian_matrix(m):
         raise ValueError("entropy requires a Hermitian density matrix")
     lam = np.linalg.eigvalsh(m)
     if abs(lam.sum() - 1.0) > 1e-10:
@@ -189,6 +191,47 @@ class _BlockEvaluator:
         return np.where(p > OUTCOME_FLOOR, p * _entropy_from_eigenvalues(norm), 0.0)
 
 
+def nelder_mead(
+    func: Callable[[np.ndarray], float], x0: tuple[float, float], step: tuple[float, float]
+) -> tuple[np.ndarray, float]:
+    """Nelder-Mead over the two measurement angles from x0; returns (x_best, f_best).
+
+    The objective is smooth, periodic and defined for all real angles, so no
+    bounds are needed. The search stops when the simplex spans no more than
+    REFINE_FTOL in f, or after REFINE_MAX_ITER iterations.
+    """
+    x0 = np.array(x0, dtype=float)
+    simplex = [x0, x0 + (step[0], 0.0), x0 + (0.0, step[1])]
+    values = [func(v) for v in simplex]
+    for _ in range(REFINE_MAX_ITER):
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if abs(values[-1] - values[0]) <= REFINE_FTOL:
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_r = func(reflected)
+        if values[0] <= f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+            continue
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_e = func(expanded)
+            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+            continue
+        contracted = centroid + 0.5 * (simplex[-1] - centroid)
+        f_c = func(contracted)
+        if f_c < values[-1]:
+            simplex[-1], values[-1] = contracted, f_c
+            continue
+        for i in (1, 2):  # shrink toward the best vertex
+            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+            values[i] = func(simplex[i])
+    i_best = int(np.argmin(values))
+    return simplex[i_best], values[i_best]
+
+
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     """The reported measurement axis: one representative of n and -n.
 
@@ -248,7 +291,7 @@ def quantum_discord(
             t, p = float(x[0]), float(x[1])
             return float(evaluator(np.array([t, math.pi - t]), np.array([p, math.pi - p])).sum())
 
-        x_opt, f_opt = nelder_mead(objective, best_angles, step=step, ftol=1e-13, max_iter=300)
+        x_opt, f_opt = nelder_mead(objective, best_angles, step)
         if f_opt < best_val:  # refinement is monotone against the grid
             best_val = float(f_opt)
             best_angles = (float(x_opt[0]), float(x_opt[1]))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
-from .hilbert import OperatorMatrix
+from .hilbert import OperatorMatrix, frozen_copy
 from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 
@@ -191,9 +191,7 @@ class CycleStates:
 
     def __post_init__(self):
         for name in ("populations_hot", "populations_cold"):
-            p = np.asarray(getattr(self, name), dtype=float)
-            p.flags.writeable = False
-            object.__setattr__(self, name, p)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=float))
 
     rho1 = property(lambda self: _density_from(self.hot, self.populations_hot))  # hot thermal
     rho2 = property(lambda self: _density_from(self.cold, self.populations_hot))  # after expansion
@@ -221,9 +219,7 @@ class CycleReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        w = np.asarray(self.work_per_level, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "work_per_level", w)
+        object.__setattr__(self, "work_per_level", frozen_copy(self.work_per_level, dtype=float))
 
 
 def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:

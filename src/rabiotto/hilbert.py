@@ -13,7 +13,7 @@ wherever a Fock basis is built: n_max must be an integer >= 2, and a value
 such as 8.7 raises rather than truncating.
 
 All operator values are immutable after construction and safe to share across
-parallel workers.
+parallel workers; every record that holds arrays keeps a ``frozen_copy``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "tensor",
 ]
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # relative to max(1, max|M|)
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
@@ -43,6 +43,18 @@ def check_cutoff(n_max: int) -> int:
     if int(n_max) != n_max or n_max < 2:
         raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
     return int(n_max)
+
+
+def frozen_copy(a, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``; the caller's array is left as it was."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def is_hermitian_matrix(m: np.ndarray) -> bool:
+    """The one Hermiticity rule; a NaN skew is left to the eigensolver's certificates."""
+    return not np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m))))
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ class OperatorMatrix:
     subsystem_dims: tuple[int, int] | None = field(default=None)
 
     def __post_init__(self):
-        m = np.array(as_matrix(self.matrix), order="C")  # own copy: frozen below
+        m = frozen_copy(as_matrix(self.matrix))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if self.subsystem_dims is not None:
@@ -68,21 +80,20 @@ class OperatorMatrix:
                     f"subsystem dims {self.subsystem_dims} inconsistent with dim {m.shape[0]}"
                 )
             object.__setattr__(self, "subsystem_dims", (int(dq), int(dn)))
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return is_hermitian_matrix(self.matrix)
 
-    def is_density_matrix(self, tol_trace: float = TRACE_TOL) -> bool:
+    def is_density_matrix(self) -> bool:
         """Hermitian, unit trace and positive semidefinite (up to tolerances)."""
         if not self.is_hermitian():
             return False
-        if abs(np.trace(self.matrix).real - 1.0) > tol_trace:
+        if abs(np.trace(self.matrix).real - 1.0) > TRACE_TOL:
             return False
         return bool(np.linalg.eigvalsh(self.matrix).min() >= EIGENVALUE_FLOOR)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
-from .hilbert import OperatorMatrix, as_matrix
+from .hilbert import OperatorMatrix, as_matrix, frozen_copy, is_hermitian_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -48,12 +48,8 @@ class SpectralDecomposition:
     residual_norm: float
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        e.flags.writeable = False
-        s = np.asarray(self.states)
-        s.flags.writeable = False
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "states", s)
+        object.__setattr__(self, "energies", frozen_copy(self.energies, dtype=float))
+        object.__setattr__(self, "states", frozen_copy(self.states))
 
     @property
     def dim(self) -> int:
@@ -92,8 +88,7 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
     real = not (np.iscomplexobj(m) and np.any(m.imag))
     if real:
         m = np.ascontiguousarray(m.real)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+    if not is_hermitian_matrix(m):
         raise ValueError("eigendecompose requires a Hermitian matrix")
     w, v = symmetric_eigh(m) if real else hermitian_eigh(m)
     residuals = np.linalg.norm(m @ v - v * w, axis=0)

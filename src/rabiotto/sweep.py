@@ -590,13 +590,19 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _cell(value):
-    """A table cell: None, a str, an int, or a float rounded to 12 significant digits."""
+def _cell(value, text: bool = False):
+    """A table cell: None, a str, an int, or a float formatted once to 12 significant digits.
+
+    CSV takes the digits as ``text``; JSON takes the float they read back to, NaN as None.
+    """
     if value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
-    return float(f"{float(value):.12g}")
+    digits = f"{float(value):.12g}"
+    if text:
+        return digits
+    return None if digits == "nan" else float(digits)
 
 
 def render_csv(result: SweepResult) -> str:
@@ -605,7 +611,7 @@ def render_csv(result: SweepResult) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(result.columns)
     for row in result.rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in map(_cell, row)])
+        writer.writerow([_cell(v, text=True) for v in row])
     return buffer.getvalue()
 
 
@@ -614,10 +620,7 @@ def render_json(result: SweepResult) -> str:
         "config": result.config.resolved_dict(),
         "config_hash": result.config.config_hash(),
         "columns": list(result.columns),
-        "rows": [
-            [None if isinstance(v, float) and math.isnan(v) else v for v in map(_cell, row)]
-            for row in result.rows
-        ],
+        "rows": [list(map(_cell, row)) for row in result.rows],
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

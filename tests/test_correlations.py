@@ -15,7 +15,7 @@ from rabiotto import (
     tensor,
     von_neumann_entropy,
 )
-from rabiotto.correlations import AXIS_TOL, _canonical_angles
+from rabiotto.correlations import AXIS_TOL, REFINE_MAX_ITER, _canonical_angles, nelder_mead
 from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
 from conftest import random_density
@@ -131,6 +131,43 @@ class TestConditionalEntropy:
         assert isinstance(conditional_entropy(rho, 0.3, 1.1), float)
         scalars = [[conditional_entropy(rho, t, p) for p in ps] for t in ts[:, 0]]
         np.testing.assert_allclose(grid, scalars, rtol=0.0, atol=1e-14)
+
+
+def bumpy(x):
+    """Smooth, periodic and with many local minima, like the discord objective."""
+    return math.sin(3.0 * x[0]) * math.cos(2.0 * x[1]) + 0.3 * math.cos(5.0 * x[0] + x[1])
+
+
+class TestNelderMead:
+    def test_converges_on_a_quadratic_bowl(self):
+        x, f = nelder_mead(lambda x: (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2, (1.0, 1.0), (0.1, 0.2))
+        assert f < 1e-12
+        np.testing.assert_allclose(x, [0.3, -0.7], atol=1e-5)
+
+    def test_never_returns_above_its_start(self, rng):
+        for x0 in rng.uniform(-math.pi, math.pi, size=(20, 2)):
+            x, f = nelder_mead(bumpy, x0, (0.05, 0.1))
+            assert f <= bumpy(x0)
+            assert f == bumpy(x)
+
+    def test_identical_calls_return_identical_bits(self):
+        x_a, f_a = nelder_mead(bumpy, (0.4, 1.1), (math.pi / 7, math.pi / 8))
+        x_b, f_b = nelder_mead(bumpy, (0.4, 1.1), (math.pi / 7, math.pi / 8))
+        assert x_a.tobytes() == x_b.tobytes()
+        assert np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
+
+    def test_iteration_cap_ends_an_unbounded_search(self):
+        calls = []
+
+        def downhill(x):
+            calls.append(x)
+            return -x[0]
+
+        x, f = nelder_mead(downhill, (0.0, 0.0), (1.0, 1.0))
+        # it runs to the cap: at most a reflection, a contraction and two
+        # shrink points per iteration
+        assert REFINE_MAX_ITER < len(calls) <= 3 + 4 * REFINE_MAX_ITER
+        assert f == -x[0] < 0.0
 
 
 class TestQuantumDiscord:

@@ -14,7 +14,8 @@ from rabiotto import (
     run_cycle,
     thermal_populations,
 )
-from rabiotto.cycle import CycleProtocol, _report_from_spectra
+from rabiotto.cycle import CycleProtocol, CycleReport, CycleStates, _report_from_spectra
+from rabiotto.spectral import SpectralDecomposition
 
 from conftest import default_reservoirs
 
@@ -171,6 +172,25 @@ class TestWorkPerLevel:
         assert wn[1] < 0.0
         assert wn[2] >= 0.0
         assert wn[3] >= 0.0
+
+
+class TestRecordsCopyTheirInputs:
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        energies, states = np.array([0.0, 1.0]), np.eye(2)
+        p_hot, p_cold, work = np.array([0.6, 0.4]), np.array([0.9, 0.1]), np.array([0.1, -0.2])
+        spectrum = SpectralDecomposition(energies=energies, states=states, cutoff_used=None, residual_norm=0.0)
+        cycle = CycleStates(hot=spectrum, cold=spectrum, populations_hot=p_hot, populations_cold=p_cold)
+        report = CycleReport(
+            q_hot=1.0, q_cold=-0.9, work=0.1, work_per_level=work, eta=0.1, regime="engine", tail_mass_hot=0.0
+        )
+        held = [spectrum.energies, spectrum.states, cycle.populations_hot, cycle.populations_cold,
+                report.work_per_level]
+        for mine, theirs in zip([energies, states, p_hot, p_cold, work], held):
+            assert mine.flags.writeable
+            assert not theirs.flags.writeable
+            before = theirs.copy()
+            mine += 1.0
+            np.testing.assert_array_equal(theirs, before)
 
 
 class TestClassifyRegime:

@@ -11,6 +11,7 @@ from rabiotto import (
     parity_operator,
     relative_spectrum,
 )
+from rabiotto.sweep import build_protocol, figure_preset
 
 
 def charpoly_roots(m):
@@ -80,6 +81,23 @@ class TestEigendecompose:
         p = parity_operator(30).matrix
         expect = np.einsum("ij,ji->i", d.states.conj().T, p @ d.states).real
         np.testing.assert_allclose(np.abs(expect), 1.0, atol=1e-8)
+
+
+class TestHermiticityRule:
+    @pytest.mark.parametrize("skew, accepted", [(5e-11, True), (1e-6, False)])
+    def test_operator_and_eigensolver_agree(self, skew, accepted):
+        # fig2's cold Hamiltonian at its cutoff, 96, has max|H| = 95.5, so the
+        # relative rule accepts a skew below 9.55e-11
+        cold = build_protocol(figure_preset("fig2"), None, 1.0).cold
+        h = build_hamiltonian(cold, 96).matrix.copy()
+        h[3, 100] += skew
+        op = OperatorMatrix(h, subsystem_dims=(2, 96))
+        assert op.is_hermitian() is accepted
+        if accepted:
+            eigendecompose(op)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                eigendecompose(op)
 
 
 class TestRelativeSpectrum:

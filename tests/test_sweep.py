@@ -336,16 +336,17 @@ class TestRunSweep:
         assert text_a == text_b
 
     def test_worker_count_does_not_change_output(self):
-        base = json.loads(FAST)
-        base["workers"] = 1
-        serial = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
-        base["workers"] = 2
-        parallel_cfg = parse_config(json.dumps(base), environ={})
-        parallel = render_csv(run_sweep(parallel_cfg))
-        # worker count is part of the config (hence the hash); compare data columns
-        serial_rows = [r.rsplit(",", 1)[0] for r in serial.splitlines()]
-        parallel_rows = [r.rsplit(",", 1)[0] for r in parallel.splitlines()]
-        assert serial_rows == parallel_rows
+        # the second input runs the discord grid and its Nelder-Mead refinement
+        for extra in ({}, {"discord": {"enabled": True, "n_theta": 8, "n_phi": 16}}):
+            base = {**json.loads(FAST), **extra, "workers": 1}
+            serial = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
+            base["workers"] = 2
+            parallel = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
+            # worker count is part of the config (hence the hash); compare data columns
+            serial_rows = [r.rsplit(",", 1)[0] for r in serial.splitlines()]
+            parallel_rows = [r.rsplit(",", 1)[0] for r in parallel.splitlines()]
+            assert serial_rows == parallel_rows
+            assert ("D_rho1" in serial_rows[0]) == bool(extra)
 
     def test_per_point_failure_recorded(self):
         # a cutoff too small for n_levels makes relative_spectrum/report fail
