@@ -13,27 +13,20 @@ import numpy as np
 
 from rabiotto import (
     RabiParams,
-    annihilation,
     build_hamiltonian,
     converged_cutoff,
     eigendecompose,
-    number_operator,
-    pauli,
     relative_spectrum,
-    tensor,
 )
 
-# --- the ingredients -------------------------------------------------------
+# --- the matrix --------------------------------------------------------------
 
-a = annihilation(6)
-print("annihilation operator (cutoff 6), superdiagonal sqrt(n):")
-print(np.round(a.matrix.real, 3))
-
-n_op = number_operator(6)
-print("\nnumber operator diagonal:", np.diag(n_op.matrix).real)
-
-sz_full = tensor(pauli("z"), np.eye(6))
-print("\nqubit sigma_z lifted to the composite space has dims", sz_full.subsystem_dims)
+h = build_hamiltonian(RabiParams.resonant(1.0, g=0.5, theta=np.pi / 8), 3)
+print("H at cutoff 3 (omega = 1, g = 0.5, theta = pi/8), qubit first:")
+print("upper-left block   omega a^dag a + omega_q/2 + g sin(theta) (a + a^dag)")
+print("upper-right block  g cos(theta) (a + a^dag), and its mirror lower-left")
+print("lower-right block  omega a^dag a - omega_q/2 - g sin(theta) (a + a^dag)")
+print(np.round(h.matrix, 3))
 
 # --- the Hamiltonian across coupling regimes --------------------------------
 

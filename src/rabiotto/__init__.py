@@ -1,7 +1,7 @@
 """Quantum Otto heat engine with a generalized-Rabi working substance.
 
 Library layout:
-  hilbert       operators on the truncated qubit (x) oscillator space
+  hilbert       dense operators on the qubit (x) oscillator space, partial trace
   hamiltonian   the generalized quantum Rabi Hamiltonian
   spectral      LAPACK eigendecomposition behind a residual/orthonormality
                 certificate, and cutoff convergence
@@ -35,16 +35,7 @@ from .cycle import (
     thermal_populations,
 )
 from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
-from .hilbert import (
-    OperatorMatrix,
-    annihilation,
-    creation,
-    identity,
-    number_operator,
-    partial_trace,
-    pauli,
-    tensor,
-)
+from .hilbert import OperatorMatrix, partial_trace
 from .spectral import (
     ConvergenceError,
     SpectralDecomposition,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian
 from .hilbert import OperatorMatrix, frozen_copy
-from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose
+from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose, ground_referenced
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 
 __all__ = [
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_N_LEVELS = 24
+DEFAULT_T_COLD = 0.019  # kelvin
+DEFAULT_T_RATIO = 9  # T_h / T_c, except in the qubit-frequency protocol
 TAIL_MASS_TOL = 1e-8
 WORK_REGIME_TOL = 1e-12
 
@@ -130,7 +132,7 @@ def resonator_frequency_protocol(
     n_levels: int = DEFAULT_N_LEVELS,
 ) -> CycleProtocol:
     """Resonator-frequency protocol: omega_cav = omega_q swept, g and theta fixed."""
-    reservoirs = reservoirs or ReservoirSpec(0.019, 9 * 0.019)
+    reservoirs = reservoirs or ReservoirSpec(DEFAULT_T_COLD, DEFAULT_T_RATIO * DEFAULT_T_COLD)
     cold, hot = _resonant_sides(omega_c, ratio, g, g, theta)
     return CycleProtocol(cold, hot, reservoirs, n_levels)
 
@@ -145,7 +147,7 @@ def coupled_coupling_protocol(
     n_levels: int = DEFAULT_N_LEVELS,
 ) -> CycleProtocol:
     """Coupled-coupling protocol: g_h = alpha (omega_h/omega_c) g_c."""
-    reservoirs = reservoirs or ReservoirSpec(0.019, 9 * 0.019)
+    reservoirs = reservoirs or ReservoirSpec(DEFAULT_T_COLD, DEFAULT_T_RATIO * DEFAULT_T_COLD)
     cold, hot = _resonant_sides(omega_c, ratio, g_c, alpha * ratio * g_c, theta)
     return CycleProtocol(cold, hot, reservoirs, n_levels)
 
@@ -160,7 +162,7 @@ def qubit_frequency_protocol(
     n_levels: int = DEFAULT_N_LEVELS,
 ) -> CycleProtocol:
     """Qubit-frequency protocol: only omega_q changes during the adiabats."""
-    reservoirs = reservoirs or ReservoirSpec(0.019, 4 * 0.019)
+    reservoirs = reservoirs or ReservoirSpec(DEFAULT_T_COLD, 4 * DEFAULT_T_COLD)
     cold = RabiParams(omega_cav, omega_qc, g=g, theta=theta)
     hot = RabiParams(omega_cav, omega_qh, g=g, theta=theta)
     if hot.omega_q < cold.omega_q:
@@ -254,8 +256,8 @@ def _report_from_spectra(
     populations_cold: np.ndarray,
     n_levels: int,
 ) -> CycleReport:
-    eh = energies_hot - energies_hot[0]
-    ec = energies_cold - energies_cold[0]
+    eh = ground_referenced(energies_hot)
+    ec = ground_referenced(energies_cold)
     k = min(n_levels, len(eh), len(ec))
     dp = populations_hot[:k] - populations_cold[:k]
     wn = (eh[:k] - ec[:k]) * dp

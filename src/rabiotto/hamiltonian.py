@@ -4,10 +4,12 @@
         + g (cos(theta) sigma_x + sin(theta) sigma_z)(a^dag + a)
 
 with hbar = 1 and every frequency in units of the reference omega_ref (the
-cold resonator frequency, by default). theta = 0 is the standard quantum Rabi
-model; theta = pi/2 couples purely through sigma_z and the Hamiltonian splits
-into two displaced-oscillator blocks. With the qubit-first tensor ordering all
-matrix entries are real, and the matrix is stored as float64.
+cold resonator frequency, by default). With the qubit first and x = a^dag + a,
+H is written as its two qubit blocks omega_cav a^dag a +/- (omega_q/2 +
+g sin(theta) x), joined by the sigma_x coupling blocks g cos(theta) x; every
+entry is real (float64). theta = 0 is the standard quantum Rabi model, where
+the parity sigma_z (x) (-1)^(a^dag a) commutes with H; theta = pi/2 leaves two
+uncoupled displaced-oscillator blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, annihilation, check_cutoff, pauli
+from .hilbert import OperatorMatrix, check_cutoff
 
 __all__ = ["RabiParams", "build_hamiltonian", "parity_operator"]
 
@@ -59,22 +61,20 @@ class RabiParams:
 
 
 def build_hamiltonian(params: RabiParams, n_max: int) -> OperatorMatrix:
-    """Dense Hamiltonian on the 2*n_max composite space (qubit first)."""
+    """Dense Hamiltonian on the 2*n_max composite space, from its qubit blocks."""
     n_max = check_cutoff(n_max)
-    a = annihilation(n_max).matrix
-    x = a + a.conj().T  # a^dag + a
-    sx = pauli("x").matrix
-    sz = pauli("z").matrix
-    h = (
-        params.omega_cav * np.kron(np.eye(2), a.conj().T @ a)
-        + 0.5 * params.omega_q * np.kron(sz, np.eye(n_max))
-        + params.g * np.kron(math.cos(params.theta) * sx + math.sin(params.theta) * sz, x)
-    )
-    return OperatorMatrix(h, subsystem_dims=(2, n_max))
+    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1)
+    x = a + a.T  # a^dag + a
+    number = params.omega_cav * (a.T @ a)  # its diagonal is sqrt(n)**2, not exactly n
+    half_q = 0.5 * params.omega_q * np.eye(n_max)
+    g, c, s = params.g, math.cos(params.theta), math.sin(params.theta)
+    up, down = number + half_q + g * (s * x), number - half_q + g * (-s * x)
+    coupling = g * (c * x)
+    return OperatorMatrix(np.block([[up, coupling], [coupling, down]]), subsystem_dims=(2, n_max))
 
 
 def parity_operator(n_max: int) -> OperatorMatrix:
     """P = sigma_z (x) (-1)^(a^dag a); commutes with H exactly when theta = 0."""
     n_max = check_cutoff(n_max)
-    osc = np.diag((-1.0) ** np.arange(n_max))
-    return OperatorMatrix(np.kron(pauli("z").matrix, osc), subsystem_dims=(2, n_max))
+    sign = (-1.0) ** np.arange(n_max)
+    return OperatorMatrix(np.diag(np.concatenate([sign, -sign])), subsystem_dims=(2, n_max))

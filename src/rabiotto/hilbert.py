@@ -1,11 +1,11 @@
-"""Operators on the truncated qubit (x) oscillator Hilbert space.
+"""Dense operators on the truncated qubit (x) oscillator Hilbert space.
 
 Tensor-product convention, fixed package-wide: the qubit is the FIRST factor
-and the oscillator the second, so a composite basis index is q * n_max + n.
-Operators are dense and keep the dtype of their entries: float64 for real
-input (every Rabi Hamiltonian, every cycle state) and complex128 only for
-complex input, such as the measurement projectors of the correlations module's
-reference path.
+and the oscillator the second, so a composite basis index is q * n_max + n and
+an operator is a 2x2 grid of n_max x n_max qubit blocks. ``OperatorMatrix``
+keeps the dtype of its entries: float64 for real input (every Rabi
+Hamiltonian, every cycle state) and complex128 only for complex input, such as
+the correlations module's reference projectors. ``partial_trace`` reduces it.
 
 A Fock cutoff is a plain int n_max, the dimension of the truncated oscillator
 space with basis |0> ... |n_max - 1>. ``check_cutoff`` is its one check, made
@@ -22,16 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "OperatorMatrix",
-    "annihilation",
-    "creation",
-    "identity",
-    "number_operator",
-    "pauli",
-    "partial_trace",
-    "tensor",
-]
+__all__ = ["OperatorMatrix", "partial_trace"]
 
 HERMITICITY_TOL = 1e-12  # relative to max(1, max|M|)
 TRACE_TOL = 1e-10
@@ -106,41 +97,6 @@ def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
     if isinstance(op, OperatorMatrix):
         return op.matrix
     return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
-
-
-def annihilation(n_max: int) -> OperatorMatrix:
-    """Truncated bosonic annihilation operator, <n-1|a|n> = sqrt(n)."""
-    a = np.diag(np.sqrt(np.arange(1, check_cutoff(n_max), dtype=float)), k=1)
-    return OperatorMatrix(a)
-
-
-def creation(n_max: int) -> OperatorMatrix:
-    """Truncated bosonic creation operator a^dagger."""
-    return OperatorMatrix(annihilation(n_max).matrix.conj().T)
-
-
-def number_operator(n_max: int) -> OperatorMatrix:
-    """a^dagger a, diagonal 0 ... n_max-1."""
-    return OperatorMatrix(np.diag(np.arange(check_cutoff(n_max), dtype=float)))
-
-
-def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim))
-
-
-def pauli(axis: str) -> OperatorMatrix:
-    """Standard 2x2 Pauli matrix, axis 'x' or 'z' (sigma_z = diag(+1, -1))."""
-    if axis == "x":
-        return OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    if axis == "z":
-        return OperatorMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-
-
-def tensor(a: OperatorMatrix | np.ndarray, b: OperatorMatrix | np.ndarray) -> OperatorMatrix:
-    """Kronecker product with subsystem dimensions recorded (a acts first)."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    return OperatorMatrix(np.kron(ma, mb), subsystem_dims=(ma.shape[0], mb.shape[0]))
 
 
 def partial_trace(rho: OperatorMatrix, keep: str) -> OperatorMatrix:

@@ -56,10 +56,14 @@ class SpectralDecomposition:
         return self.energies.shape[0]
 
     def ground_referenced(self) -> np.ndarray:
-        """Energies relative to the ground state, element 0 exactly 0."""
-        rel = self.energies - self.energies[0]
-        rel[0] = 0.0
-        return rel
+        return ground_referenced(self.energies)
+
+
+def ground_referenced(energies: np.ndarray) -> np.ndarray:
+    """Ascending energies relative to the ground state, element 0 exactly 0."""
+    rel = energies - energies[0]
+    rel[0] = 0.0
+    return rel
 
 
 def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -119,9 +123,7 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
     h = build_hamiltonian(params, n_max).matrix
     w, _ = symmetric_eigh(h, vectors=False)
-    rel = w[:n_levels] - w[0]
-    rel[0] = 0.0
-    return rel
+    return ground_referenced(w[:n_levels])
 
 
 def scan_start(n_levels: int) -> int:

@@ -38,8 +38,11 @@ from types import UnionType
 import numpy as np
 
 from .approx import approx_w1, positive_work_bound
-from .correlations import discord_differences
+from .correlations import DEFAULT_GRID, discord_differences
 from .cycle import (
+    DEFAULT_N_LEVELS,
+    DEFAULT_T_COLD,
+    DEFAULT_T_RATIO,
     CycleProtocol,
     ReservoirSpec,
     coupled_coupling_protocol,
@@ -124,8 +127,8 @@ class SeriesSpec:
 @dataclass(frozen=True)
 class DiscordOptions:
     enabled: bool = False
-    n_theta: int = 64
-    n_phi: int = 128
+    n_theta: int = DEFAULT_GRID[0]
+    n_phi: int = DEFAULT_GRID[1]
     refine: bool = True
 
 
@@ -142,10 +145,10 @@ class SweepConfig:
     alpha: float = 1.0
     omega_qc: float = 0.5
     omega_qh: float = 1.0
-    t_cold: float = 0.019
-    t_hot: float = 9 * 0.019
+    t_cold: float = DEFAULT_T_COLD
+    t_hot: float = DEFAULT_T_RATIO * DEFAULT_T_COLD
     omega_ref: float = DEFAULT_OMEGA_REF
-    n_levels: int = 24
+    n_levels: int = DEFAULT_N_LEVELS
     cutoff: CutoffPolicy = field(default_factory=CutoffPolicy)
     sweep: SweepAxis = field(default_factory=SweepAxis)
     series: SeriesSpec | None = None
@@ -298,8 +301,12 @@ def _validate(config: SweepConfig) -> None:
             raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
         if config.theta != 0.0 or config.series is not None:
             raise ConfigError("theta: approx is the theta = 0 closed form; set no theta or series")
-        if config.t_hot / config.t_cold <= config.ratio:
-            raise ConfigError("t_hot: approx bound requires T_h/T_c > ratio")
+        if config.n_levels < 2:
+            raise ConfigError(f"n_levels: approx reports W_1, so must be >= 2, got {config.n_levels}")
+        try:
+            positive_work_bound(config.ratio, config.t_hot / config.t_cold)
+        except ValueError as exc:
+            raise ConfigError(f"ratio, t_hot: no positive-work bound: {exc}") from exc
     if config.workers < 0:
         raise ConfigError(f"workers: must be >= 0, got {config.workers}")
 
@@ -317,8 +324,8 @@ def parse_config(text: str, environ: dict | None = None, overrides: dict | None 
     _overlay(data, overrides or {})
     config = _build(SweepConfig, data)
     if data.get("t_cold") is not None and data.get("t_hot") is None:
-        # preserve the default T_h = 9 T_c ratio when only T_c is given
-        config = replace(config, t_hot=9 * float(config.t_cold))
+        # preserve the default T_h / T_c when only T_c is given
+        config = replace(config, t_hot=DEFAULT_T_RATIO * float(config.t_cold))
     _validate(config)
     return config
 
@@ -334,8 +341,7 @@ _THETA_SERIES = {
 # qubit-frequency work output per hot qubit frequency (fig7); fig8 adds discord
 _QUBIT_FREQUENCY = {
     "variant": "qubit-frequency",
-    "t_hot": 4 * 0.019,
-    "omega_qc": 0.5,
+    "t_hot": 4 * DEFAULT_T_COLD,
     "series": {"parameter": "omega_qh", "values": [1.0, 1.5, 2.0]},
     "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 3.0, "n_points": 61},
 }
@@ -461,9 +467,8 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tu
         "Q_c": report.q_cold,
         "eta": report.eta,
         "regime": report.regime,
-        "W_1": float(wn[1]) if len(wn) > 1 else 0.0,
-        "W_2": float(wn[2]) if len(wn) > 2 else 0.0,
-        "W_3": float(wn[3]) if len(wn) > 3 else 0.0,
+        # a level outside the n_levels sums was never evaluated, so its cell stays blank
+        **{f"W_{n}": float(wn[n]) if n < len(wn) else None for n in (1, 2, 3)},
         "tail_mass_hot": report.tail_mass_hot,
     }
     if config.discord.enabled:

@@ -296,6 +296,24 @@ class TestApproxCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("g_over_omega,W1_numeric,W1_approx,bound")
 
+    def test_ratio_without_a_bound_is_config_error(self, capsys, monkeypatch):
+        # R = 1 has no positive-work bound; the sweep must not start
+        monkeypatch.setenv("RABIOTTO_RATIO", "1")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["approx"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: ratio" in err
+
+    def test_single_level_is_config_error(self, capsys, monkeypatch):
+        # the approx rows report W_1, which one level cannot give
+        monkeypatch.setenv("RABIOTTO_N_LEVELS", "1")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["approx"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: n_levels" in err
+
 
 class TestEnvOverride:
     def test_env_prefix(self, fast_config_path, capsys, monkeypatch):

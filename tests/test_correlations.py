@@ -12,7 +12,6 @@ from rabiotto import (
     quantum_discord,
     resonator_frequency_protocol,
     run_cycle,
-    tensor,
     von_neumann_entropy,
 )
 from rabiotto.correlations import AXIS_TOL, REFINE_MAX_ITER, _canonical_angles, nelder_mead
@@ -31,7 +30,7 @@ def bell_state(dim_b=2):
 def product_thermalish(rng, dim_b=5):
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, dim_b)
-    return tensor(rho_a, rho_b), rho_a, rho_b
+    return OperatorMatrix(np.kron(rho_a, rho_b), subsystem_dims=(2, dim_b)), rho_a, rho_b
 
 
 def both_outcomes(evaluator, t, p):
@@ -173,13 +172,15 @@ class TestNelderMead:
 class TestQuantumDiscord:
     def test_product_state_has_zero_discord(self, rng):
         _, rho_a, rho_b = product_thermalish(rng)
-        result = quantum_discord(tensor(rho_a.real, rho_b.real), grid=(24, 48))
+        rho = OperatorMatrix(np.kron(rho_a.real, rho_b.real), subsystem_dims=(2, 5))
+        result = quantum_discord(rho, grid=(24, 48))
         assert result.discord < 1e-9
 
     def test_product_state_reports_the_z_axis(self, rng):
         # the conditional entropy is flat in the angle; round-off must not pick the axis
         _, rho_a, rho_b = product_thermalish(rng)
-        basis = quantum_discord(tensor(rho_a.real, rho_b.real), grid=(24, 48)).optimal_basis
+        rho = OperatorMatrix(np.kron(rho_a.real, rho_b.real), subsystem_dims=(2, 5))
+        basis = quantum_discord(rho, grid=(24, 48)).optimal_basis
         assert (basis.theta_m, basis.phi_m) == (0.0, 0.0)
 
     def test_rejects_complex_state(self, rng):

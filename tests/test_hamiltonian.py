@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -61,12 +64,27 @@ class TestBuildHamiltonian:
         assert np.max(np.abs(h[:n, n:])) < 1e-12
         assert np.max(np.abs(h[n:, :n])) < 1e-12
         # each block is a displaced oscillator: omega a^dag a +/- (omega_q/2 + g(a+a^dag))
-        from rabiotto import annihilation
-
-        a = annihilation(n).matrix
+        a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
         x = a + a.conj().T
         up = 1.0 * a.conj().T @ a + 0.5 * np.eye(n) + 0.8 * x
         np.testing.assert_allclose(h[:n, :n], up, atol=1e-14)
+
+    def test_equals_operator_algebra_bit_for_bit(self):
+        # the qubit blocks against the Kronecker-product formula, to the last bit
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        grid = itertools.product(
+            (0.0, np.pi / 8, np.pi / 2), (0.0, 0.7, 3.5), ((1.0, 1.0), (2.0, 2.0), (1.0, 0.5)), (2, 24)
+        )
+        for theta, g, (omega_cav, omega_q), n in grid:
+            a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
+            expected = (
+                omega_cav * np.kron(np.eye(2), a.T @ a)
+                + 0.5 * omega_q * np.kron(sz, np.eye(n))
+                + g * np.kron(math.cos(theta) * sx + math.sin(theta) * sz, a + a.T)
+            )
+            h = build_hamiltonian(RabiParams(omega_cav, omega_q, g=g, theta=theta), n).matrix
+            assert h.tobytes() == expected.tobytes(), (theta, g, omega_cav, omega_q, n)
 
     def test_qubit_frequency_shift_is_exact(self):
         # adding delta to omega_q shifts the <e|H|e> - <g|H|g> block by delta

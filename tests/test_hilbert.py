@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabiotto import (
-    OperatorMatrix,
-    annihilation,
-    creation,
-    identity,
-    number_operator,
-    partial_trace,
-    pauli,
-    tensor,
-)
+from rabiotto import OperatorMatrix, partial_trace
 from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator
 from rabiotto.hilbert import check_cutoff
 from rabiotto.cycle import resonator_frequency_protocol, run_cycle, thermal_populations
@@ -35,9 +26,6 @@ class TestCutoffCheck:
     @pytest.mark.parametrize("n_max", [8.7, 16.9])
     def test_non_integer_cutoff_raises_rather_than_truncating(self, n_max):
         builders = [
-            annihilation,
-            creation,
-            number_operator,
             parity_operator,
             lambda n: build_hamiltonian(RabiParams.resonant(1.0, g=0.5), n),
             lambda n: run_cycle(resonator_frequency_protocol(g=0.5), cutoff=n),
@@ -45,82 +33,6 @@ class TestCutoffCheck:
         for build in builders:
             with pytest.raises(ValueError, match="n_max must be an integer >= 2"):
                 build(n_max)
-
-
-class TestAnnihilation:
-    def test_matrix_elements_n3(self):
-        a = annihilation(3).matrix
-        expected = np.zeros((3, 3))
-        expected[0, 1] = 1.0
-        expected[1, 2] = np.sqrt(2.0)
-        np.testing.assert_allclose(a, expected)
-
-    def test_truncated_nilpotency(self):
-        a = annihilation(2).matrix
-        np.testing.assert_array_equal(a @ a, np.zeros((2, 2)))
-
-    def test_number_operator_diagonal(self):
-        a = annihilation(8).matrix
-        n = a.conj().T @ a
-        np.testing.assert_allclose(np.diag(n).real, np.arange(8), atol=1e-14)
-        assert np.max(np.abs(n - np.diag(np.diag(n)))) == 0.0
-
-    def test_number_operator_spectrum(self):
-        # a^dag a is Hermitian with nonnegative integer spectrum 0..n_max-1
-        n = number_operator(6)
-        assert n.is_hermitian()
-        w = eigendecompose(n).energies
-        np.testing.assert_allclose(w, np.arange(6), atol=1e-12)
-
-    def test_rejects_cutoff_below_two(self):
-        with pytest.raises(ValueError):
-            annihilation(1)
-
-
-class TestPauli:
-    def test_x(self):
-        np.testing.assert_array_equal(pauli("x").matrix, [[0, 1], [1, 0]])
-
-    def test_z(self):
-        np.testing.assert_array_equal(pauli("z").matrix, [[1, 0], [0, -1]])
-
-    def test_x_squares_to_identity(self):
-        sx = pauli("x").matrix
-        np.testing.assert_array_equal(sx @ sx, np.eye(2))
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            pauli("y")
-
-
-class TestTensor:
-    def test_identities(self):
-        result = tensor(identity(2), identity(3))
-        np.testing.assert_array_equal(result.matrix, np.eye(6))
-        assert result.subsystem_dims == (2, 3)
-
-    def test_diag_with_identity(self):
-        result = tensor(pauli("z"), identity(2))
-        np.testing.assert_array_equal(np.diag(result.matrix).real, [1, 1, -1, -1])
-
-    def test_against_index_formula(self):
-        # direct double-loop oracle: (A (x) B)[i*dB + k, j*dB + l] = A[i,j] B[k,l]
-        a = pauli("x").matrix
-        b = annihilation(3).matrix
-        result = tensor(a, b).matrix
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        assert result[i * 3 + k, j * 3 + l] == a[i, j] * b[k, l]
-
-    def test_associativity(self, rng):
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3))
-        c = rng.normal(size=(2, 2))
-        left = tensor(tensor(a, b).matrix, c).matrix
-        right = tensor(a, tensor(b, c).matrix).matrix
-        np.testing.assert_allclose(left, right, atol=1e-14)
 
 
 class TestPartialTrace:
@@ -139,7 +51,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(seed)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 4)
-        rho = tensor(rho_a, rho_b)
+        rho = OperatorMatrix(np.kron(rho_a, rho_b), subsystem_dims=(2, 4))
         np.testing.assert_allclose(partial_trace(rho, "qubit").matrix, rho_a, atol=1e-10)
         np.testing.assert_allclose(partial_trace(rho, "oscillator").matrix, rho_b, atol=1e-10)
 
@@ -162,7 +74,7 @@ class TestPartialTrace:
 
 class TestOperatorMatrix:
     def test_immutable(self):
-        op = identity(3)
+        op = OperatorMatrix(np.eye(3))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 

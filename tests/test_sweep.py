@@ -225,6 +225,18 @@ class TestRunSweep:
         for row in result.rows:
             assert abs(row[w_idx] - (row[qh_idx] + row[qc_idx])) < 1e-10
 
+    def test_levels_outside_the_sums_are_blank(self):
+        # n_levels = 2 sums levels 0 and 1 only: W_2 and W_3 were never evaluated
+        result = run_sweep(parse_config(FAST, environ={}, overrides={"n_levels": 2}))
+        cols = result.columns
+        for row in result.rows:
+            assert isinstance(row[cols.index("W_1")], float)
+            assert row[cols.index("W_2")] is None and row[cols.index("W_3")] is None
+        csv_rows = list(csv.DictReader(io.StringIO(render_csv(result))))
+        assert all(r["W_1"] != "" and r["W_2"] == r["W_3"] == "" for r in csv_rows)
+        json_rows = json.loads(render_json(result))["rows"]
+        assert all(r[cols.index("W_2")] is None for r in json_rows)
+
     @pytest.mark.parametrize(
         "preset, scans, cutoffs",
         [
