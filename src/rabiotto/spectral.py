@@ -7,6 +7,11 @@ certifies that the lowest levels are stable under doubling of the Fock
 cutoff, so cycle observables cannot silently depend on truncation artifacts.
 Its scan starts at ``scan_start(n_levels)``; a ceiling below that start can
 certify nothing and is rejected up front.
+
+A real qubit (x) oscillator matrix whose entries between the +1 and -1
+eigenspaces of ``parity_operator`` are all exactly zero, as at theta = 0, is
+solved as those two sectors, each half the dimension; every other matrix is
+solved whole. Both the decomposition and the cutoff scan take this split.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import RabiParams, build_hamiltonian
+from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
 from .hilbert import OperatorMatrix, as_matrix, frozen_copy, is_hermitian_matrix
 
 __all__ = [
@@ -40,12 +45,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
+    """Ascending eigenvalues and orthonormal eigenvectors (as columns).
+
+    ``residual_norm`` and ``orthonormality_error`` are the certificates'
+    values, max ||H v - E v|| and max |V^dag V - I|, each the largest over
+    the solved blocks.
+    """
 
     energies: np.ndarray
     states: np.ndarray
     cutoff_used: int | None
     residual_norm: float
+    orthonormality_error: float
 
     def __post_init__(self):
         object.__setattr__(self, "energies", frozen_copy(self.energies, dtype=float))
@@ -75,15 +86,39 @@ def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
 hermitian_eigh = symmetric_eigh
 
 
+def _blocks(m: np.ndarray, dims: tuple[int, int] | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, block) pairs that hold every entry of the real symmetric matrix m.
+
+    With dims (2, n) and every entry between the +1 and -1 eigenspaces of
+    ``parity_operator(n)`` exactly zero, the pairs are those two sectors, the
+    +1 one first. At theta = 0 a Rabi Hamiltonian passes this test bit for
+    bit (sin 0 = 0); at any theta > 0 it fails. Otherwise the one pair is all
+    indices and the whole matrix.
+    """
+    if dims is not None and dims[0] == 2 and dims[1] >= 2:
+        parity = np.diag(parity_operator(dims[1]).matrix)
+        even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+        rows_even, rows_odd = m[even], m[odd]
+        if not (np.any(rows_even[:, odd]) or np.any(rows_odd[:, even])):
+            return [(even, rows_even[:, even]), (odd, rows_odd[:, odd])]
+    return [(np.arange(m.shape[0]), m)]
+
+
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
     """Full decomposition of a Hermitian matrix with certified residuals.
 
     Real input, and complex input whose imaginary part is exactly zero, is
     solved and certified in real arithmetic and gets float64 ``states``;
-    other complex input gets complex128 ``states``. Inside an exactly degenerate eigenvalue cluster the basis is the one
-    LAPACK returns. Non-Hermitian input raises ValueError; a LAPACK failure
-    raises numpy.linalg.LinAlgError; a failed or NaN residual or
-    orthonormality gate raises ConvergenceError. The gates are fixed at
+    other complex input gets complex128 ``states`` and is solved whole. A
+    real OperatorMatrix with subsystem_dims (2, n) and no entry between the
+    parity sectors is solved one sector at a time (``_blocks``); each
+    sector's vectors are embedded in the full basis with zeros off the
+    sector, and the energies are merged by a stable sort, so a tie between
+    sectors lists the +1 sector's level first. Inside an exactly degenerate
+    eigenvalue cluster of one block the basis is the one LAPACK returns.
+    Non-Hermitian input raises ValueError; a LAPACK failure raises
+    numpy.linalg.LinAlgError; a failed or NaN residual or orthonormality
+    gate on any block raises ConvergenceError. The gates are fixed at
     RESIDUAL_TOL (1e-9) and ORTHONORMALITY_TOL (1e-10).
     """
     m = as_matrix(h)
@@ -94,22 +129,33 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
         m = np.ascontiguousarray(m.real)
     if not is_hermitian_matrix(m):
         raise ValueError("eigendecompose requires a Hermitian matrix")
-    w, v = symmetric_eigh(m) if real else hermitian_eigh(m)
-    residuals = np.linalg.norm(m @ v - v * w, axis=0)
-    residual = float(residuals.max())
-    if not residual <= RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
-    gram = v.conj().T @ v
-    ortho_err = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-    if not ortho_err <= ORTHONORMALITY_TOL:
-        raise ConvergenceError(f"eigenvector orthonormality error {ortho_err:.3e}")
-    cutoff = None
-    if isinstance(h, OperatorMatrix) and h.subsystem_dims is not None:
-        cutoff = h.subsystem_dims[1]
+    dims = h.subsystem_dims if isinstance(h, OperatorMatrix) else None
+    energies = []
+    states = np.zeros_like(m)
+    residual = ortho_err = 0.0
+    column = 0
+    for indices, block in _blocks(m, dims if real else None):
+        w, v = symmetric_eigh(block) if real else hermitian_eigh(block)
+        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
+        if not block_residual <= RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
+        block_ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+        if not block_ortho <= ORTHONORMALITY_TOL:
+            raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
+        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
+        states[indices, column:column + len(w)] = v
+        column += len(w)
+        energies.append(w)
+    w = np.concatenate(energies)
+    order = np.argsort(w, kind="stable")
     return SpectralDecomposition(
-        energies=w, states=v, cutoff_used=cutoff, residual_norm=residual
+        energies=w[order],
+        states=states[:, order],
+        cutoff_used=dims[1] if dims is not None else None,
+        residual_norm=residual,
+        orthonormality_error=ortho_err,
     )
 
 
@@ -121,9 +167,9 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 
 
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
-    h = build_hamiltonian(params, n_max).matrix
-    w, _ = symmetric_eigh(h, vectors=False)
-    return ground_referenced(w[:n_levels])
+    h = build_hamiltonian(params, n_max)
+    w = [symmetric_eigh(block, vectors=False)[0] for _, block in _blocks(h.matrix, h.subsystem_dims)]
+    return ground_referenced(np.sort(np.concatenate(w))[:n_levels])
 
 
 def scan_start(n_levels: int) -> int:

@@ -296,6 +296,9 @@ def _validate(config: SweepConfig) -> None:
     if config.discord.n_phi < 2 or config.discord.n_phi % 2:
         raise ConfigError(f"discord.n_phi: must be even and >= 2, got {config.discord.n_phi}")
     config.cutoff.resolve([], config.n_levels)  # checks the policy, scans nothing
+    if config.kind == "cycle" and config.n_levels < 2:
+        # heat and work over the ground level alone are zero by construction
+        raise ConfigError(f"n_levels: a cycle sums over levels, so must be >= 2, got {config.n_levels}")
     if config.kind == "approx":
         if config.variant != "resonator-frequency":
             raise ConfigError("kind: approx comparison requires the resonator-frequency variant")

@@ -160,6 +160,15 @@ class TestSweepCommand:
         assert out == ""
         assert "cutoff.ceiling: must be >= the scan start 24, got 4" in err
 
+    def test_single_level_cycle_is_config_error(self, capsys, monkeypatch):
+        # W and Q over the ground level alone are zero at every point
+        monkeypatch.setenv("RABIOTTO_N_LEVELS", "1")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["sweep"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: n_levels" in err
+
     def test_series_parameter_of_another_variant_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "series.json"
         path.write_text(

@@ -178,7 +178,9 @@ class TestRecordsCopyTheirInputs:
     def test_caller_arrays_stay_writeable_and_apart(self):
         energies, states = np.array([0.0, 1.0]), np.eye(2)
         p_hot, p_cold, work = np.array([0.6, 0.4]), np.array([0.9, 0.1]), np.array([0.1, -0.2])
-        spectrum = SpectralDecomposition(energies=energies, states=states, cutoff_used=None, residual_norm=0.0)
+        spectrum = SpectralDecomposition(
+            energies=energies, states=states, cutoff_used=None, residual_norm=0.0, orthonormality_error=0.0
+        )
         cycle = CycleStates(hot=spectrum, cold=spectrum, populations_hot=p_hot, populations_cold=p_cold)
         report = CycleReport(
             q_hot=1.0, q_cold=-0.9, work=0.1, work_per_level=work, eta=0.1, regime="engine", tail_mass_hot=0.0

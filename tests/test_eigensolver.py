@@ -49,7 +49,9 @@ class TestSymmetricEigh:
             residual = np.linalg.norm(m @ v - v * w, axis=0).max()
             assert residual < 1e-12 * max(1, n)
             assert d.residual_norm == pytest.approx(residual, rel=1e-6, abs=1e-15)
-            assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-13 * max(1, n)
+            ortho_err = np.max(np.abs(v.conj().T @ v - np.eye(n)))
+            assert ortho_err < 1e-13 * max(1, n)
+            assert d.orthonormality_error == pytest.approx(ortho_err, rel=1e-6, abs=1e-15)
 
     def test_matches_lapack(self, rng):
         # the real-arithmetic path agrees with LAPACK's complex Hermitian routine

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from rabiotto import spectral
 from rabiotto import (
     ConvergenceError,
     OperatorMatrix,
@@ -11,6 +14,7 @@ from rabiotto import (
     parity_operator,
     relative_spectrum,
 )
+from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL
 from rabiotto.sweep import build_protocol, figure_preset
 
 
@@ -167,3 +171,113 @@ class TestConvergedCutoff:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             converged_cutoff(RabiParams.resonant(1.0), n_levels=4, tol=0.0)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Calls of the two solver names and of build_hamiltonian in rabiotto.spectral."""
+    calls = {"eigh": 0, "hermitian": 0, "build": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "symmetric_eigh", counted("eigh", spectral.symmetric_eigh))
+    monkeypatch.setattr(spectral, "hermitian_eigh", counted("hermitian", spectral.hermitian_eigh))
+    monkeypatch.setattr(spectral, "build_hamiltonian", counted("build", spectral.build_hamiltonian))
+    return calls
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("omega_cav, omega_q", [(1.0, 1.0), (2.0, 2.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("n", [8, 96])
+    @pytest.mark.parametrize("g", [0.0, 0.7, 3.5])
+    def test_sectors_match_the_whole_matrix(self, g, n, omega_cav, omega_q):
+        h = build_hamiltonian(RabiParams(omega_cav=omega_cav, omega_q=omega_q, g=g), n)
+        d = eigendecompose(h)
+        dense = np.linalg.eigvalsh(h.matrix)
+        assert np.all(np.abs(d.energies - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+        # each vector lies in one sector, so P v = +v or -v bit for bit
+        p = np.diag(parity_operator(n).matrix)[:, None]
+        signs = np.sign(np.sum(p * d.states**2, axis=0))
+        assert np.array_equal(p * d.states, signs * d.states)
+        np.testing.assert_allclose(np.einsum("ij,ij->j", d.states, p * d.states), signs, atol=1e-13)
+        assert d.residual_norm < RESIDUAL_TOL
+        assert d.orthonormality_error < ORTHONORMALITY_TOL
+        # the coupling block is zero, so the blocks' residual is the full-space one
+        full = np.linalg.norm(h.matrix @ d.states - d.states * d.energies, axis=0).max()
+        assert abs(full - d.residual_norm) < 1e-12
+
+    @pytest.mark.parametrize("theta, solves", [(0.0, 2), (math.pi / 8, 1), (math.pi / 2, 1)])
+    def test_one_solve_per_sector(self, theta, solves, solver_calls):
+        # cos(pi/2) = 6.1e-17 is not zero, so theta = pi/2 is solved whole
+        eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.7, theta=theta), 24))
+        assert solver_calls["eigh"] == solves
+
+    @pytest.mark.parametrize("theta, per_scan", [(0.0, 2), (math.pi / 8, 1)])
+    def test_cutoff_scan_solves_per_sector(self, theta, per_scan, solver_calls):
+        converged_cutoff(RabiParams.resonant(1.0, g=0.7, theta=theta), n_levels=8)
+        assert solver_calls["build"] >= 2
+        assert solver_calls["eigh"] == per_scan * solver_calls["build"]
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_tiny_cross_sector_entry_is_solved_whole(self, entry, solver_calls):
+        # |up,0> has parity +1 and |up,1> parity -1; 1e-300 is within the Hermiticity rule
+        m = build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12).matrix.copy()
+        m[entry] = 1e-300
+        d = eigendecompose(OperatorMatrix(m, subsystem_dims=(2, 12)))
+        assert solver_calls["eigh"] == 1
+        assert d.residual_norm < RESIDUAL_TOL
+
+    def test_one_fock_state_is_solved_whole(self, solver_calls):
+        # (2, 1) is a valid OperatorMatrix structure but no Fock cutoff
+        d = eigendecompose(OperatorMatrix(np.diag([1.0, -1.0]), subsystem_dims=(2, 1)))
+        np.testing.assert_array_equal(d.energies, [-1.0, 1.0])
+        assert (solver_calls["eigh"], d.cutoff_used) == (1, 1)
+
+    def test_complex_input_is_solved_whole(self, solver_calls):
+        h = build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12).matrix.astype(complex)
+        h[0, 2] += 1e-3j
+        h[2, 0] -= 1e-3j
+        d = eigendecompose(OperatorMatrix(h, subsystem_dims=(2, 12)))
+        assert (solver_calls["eigh"], solver_calls["hermitian"]) == (0, 1)
+        assert d.states.dtype == complex
+
+    def test_cross_sector_ties_are_ordered_the_same_every_time(self):
+        # g = 0 and omega_q = 2 omega_cav: |up,n> and |down,n+2> have opposite
+        # parity and the same energy n + 1, bit for bit at some n
+        h = build_hamiltonian(RabiParams(omega_cav=1.0, omega_q=2.0, g=0.0), 16)
+        first, second = eigendecompose(h), eigendecompose(h)
+        assert np.all(np.diff(first.energies) >= 0.0)
+        assert first.energies.tobytes() == second.energies.tobytes()
+        assert first.states.tobytes() == second.states.tobytes()
+        ties = np.flatnonzero(np.diff(first.energies) == 0.0)
+        assert len(ties) > 0
+        p = np.diag(parity_operator(16).matrix)
+        for k in ties:  # the +1 sector's level comes first
+            assert p @ first.states[:, k] ** 2 > 0.0 > p @ first.states[:, k + 1] ** 2
+
+    # converged_cutoff of each solved side at the sweep endpoints, as certified
+    # by whole-matrix solves; the sector scans must find the same cutoffs
+    @pytest.mark.parametrize(
+        "preset, series_value, endpoint, expected",
+        [
+            ("fig2", None, 0.0, {"cold": 24, "hot": 24}),
+            ("fig2", None, 3.5, {"cold": 96, "hot": 48}),
+            ("fig6", 0.8, 2.0, {"cold": 48, "hot": 48}),
+            ("fig6", 1.0, 2.0, {"cold": 48, "hot": 48}),
+            ("fig6", 1.2, 2.0, {"cold": 48, "hot": 96}),
+            ("fig9", None, 0.0, {"cold": 10}),
+            ("fig9", None, 3.5, {"cold": 80}),
+        ],
+    )
+    def test_preset_endpoint_cutoffs_are_unchanged(self, preset, series_value, endpoint, expected):
+        config = figure_preset(preset)
+        protocol = build_protocol(config, series_value, endpoint)
+        found = {
+            side: converged_cutoff(getattr(protocol, side), config.n_levels, config.cutoff.tol, config.cutoff.ceiling)
+            for side in expected
+        }
+        assert found == expected
