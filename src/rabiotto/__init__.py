@@ -2,7 +2,7 @@
 
 Library layout:
   hilbert       dense operators on the qubit (x) oscillator space, partial trace
-  hamiltonian   the generalized quantum Rabi Hamiltonian
+  hamiltonian   the generalized quantum Rabi Hamiltonian and its parity sectors
   spectral      LAPACK eigendecomposition behind a residual/orthonormality
                 certificate, and cutoff convergence
   cycle         Otto-cycle states, heat, work, per-level work, efficiency
@@ -34,7 +34,7 @@ from .cycle import (
     run_cycle,
     thermal_populations,
 )
-from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
+from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_operator, parity_sectors
 from .hilbert import OperatorMatrix, partial_trace
 from .spectral import (
     ConvergenceError,
@@ -43,6 +43,7 @@ from .spectral import (
     eigendecompose,
     hermitian_eigh,
     relative_spectrum,
+    solve_hamiltonian,
     symmetric_eigh,
 )
 from .sweep import ConfigError, SweepConfig, figure_preset, parse_config, run_sweep, write_output

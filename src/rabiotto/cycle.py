@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import RabiParams, build_hamiltonian
+from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .hilbert import OperatorMatrix, frozen_copy
-from .spectral import SpectralDecomposition, converged_cutoff, eigendecompose, ground_referenced
+from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonian
+from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 
 __all__ = [
@@ -300,8 +301,8 @@ def run_cycle(
         sides = {protocol.cold, protocol.hot}  # identical sides are scanned once
         cutoff = max(converged_cutoff(side, protocol.n_levels) for side in sides)
 
-    hot = eigendecompose(build_hamiltonian(protocol.hot, cutoff))
-    cold = eigendecompose(build_hamiltonian(protocol.cold, cutoff))
+    hot = solve_hamiltonian(protocol.hot, cutoff)
+    cold = solve_hamiltonian(protocol.cold, cutoff)
     p_hot = thermal_populations(hot.energies, protocol.reservoirs.kt_hot)
     p_cold = thermal_populations(cold.energies, protocol.reservoirs.kt_cold)
 

@@ -10,6 +10,12 @@ g sin(theta) x), joined by the sigma_x coupling blocks g cos(theta) x; every
 entry is real (float64). theta = 0 is the standard quantum Rabi model, where
 the parity sigma_z (x) (-1)^(a^dag a) commutes with H; theta = pi/2 leaves two
 uncoupled displaced-oscillator blocks.
+
+Wherever g sin(theta) = 0 (every theta = 0 point, and g = 0 at any theta),
+``parity_sectors`` builds H straight into its two parity sectors, each a real
+tridiagonal n_max x n_max matrix in the interleaved Fock order |up,0>,
+|down,1>, |up,2>, ... (Braak, PRL 107, 100401, 2011), with entries
+bit-identical to those of ``build_hamiltonian``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import numpy as np
 
 from .hilbert import OperatorMatrix, check_cutoff
 
-__all__ = ["RabiParams", "build_hamiltonian", "parity_operator"]
+__all__ = [
+    "RabiParams",
+    "build_hamiltonian",
+    "conserves_parity",
+    "parity_operator",
+    "parity_sectors",
+]
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,46 @@ def build_hamiltonian(params: RabiParams, n_max: int) -> OperatorMatrix:
     return OperatorMatrix(np.block([[up, coupling], [coupling, down]]), subsystem_dims=(2, n_max))
 
 
+def conserves_parity(params: RabiParams) -> bool:
+    """True where g sin(theta) == 0: no sigma_z coupling, so H commutes with the parity."""
+    return params.g * math.sin(params.theta) == 0.0
+
+
+def parity_sectors(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The +1 and -1 parity sectors of H, in that order, as (indices, block) pairs.
+
+    Sector s holds |q_k, k> for k = 0 .. n_max - 1, with the qubit up (q = 0)
+    where s (-1)^k = +1 and down (q = 1) otherwise; ``indices`` are their
+    composite-basis indices q_k n_max + k. In that order ``block`` is the real
+    tridiagonal matrix with diagonal omega_cav k + s (-1)^k omega_q / 2 and
+    off-diagonal g cos(theta) sqrt(k + 1). Each entry is computed in the same
+    order of operations as in ``build_hamiltonian``, so ``block`` equals
+    ``build_hamiltonian(params, n_max).matrix[np.ix_(indices, indices)]`` bit
+    for bit. ValueError unless ``conserves_parity(params)``, since the
+    entries between the sectors are then not zero.
+    """
+    n_max = check_cutoff(n_max)
+    if not conserves_parity(params):
+        raise ValueError(
+            f"parity sectors need g sin(theta) == 0, got g={params.g}, theta={params.theta}"
+        )
+    k = np.arange(n_max)
+    root = np.sqrt(k.astype(float))
+    number = params.omega_cav * (root * root)  # as a^dag a: sqrt(k)**2, not exactly k
+    half_q = 0.5 * params.omega_q
+    coupling = params.g * (math.cos(params.theta) * root[1:])
+    sectors = []
+    for up in (k % 2 == 0, k % 2 == 1):
+        block = np.zeros((n_max, n_max))
+        block.flat[:: n_max + 1] = np.where(up, number + half_q, number - half_q)
+        block.flat[1 :: n_max + 1] = coupling
+        block.flat[n_max :: n_max + 1] = coupling
+        sectors.append((np.where(up, 0, n_max) + k, block))
+    return sectors
+
+
 def parity_operator(n_max: int) -> OperatorMatrix:
-    """P = sigma_z (x) (-1)^(a^dag a); commutes with H exactly when theta = 0."""
+    """P = sigma_z (x) (-1)^(a^dag a); commutes with H exactly where g sin(theta) == 0."""
     n_max = check_cutoff(n_max)
     sign = (-1.0) ** np.arange(n_max)
     return OperatorMatrix(np.diag(np.concatenate([sign, -sign])), subsystem_dims=(2, n_max))

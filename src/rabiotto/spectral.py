@@ -8,10 +8,13 @@ cutoff, so cycle observables cannot silently depend on truncation artifacts.
 Its scan starts at ``scan_start(n_levels)``; a ceiling below that start can
 certify nothing and is rejected up front.
 
-A real qubit (x) oscillator matrix whose entries between the +1 and -1
-eigenspaces of ``parity_operator`` are all exactly zero, as at theta = 0, is
-solved as those two sectors, each half the dimension; every other matrix is
-solved whole. Both the decomposition and the cutoff scan take this split.
+``solve_hamiltonian`` is the solve of a Rabi Hamiltonian given by its
+parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
+Where H conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0)
+it builds and solves the two tridiagonal parity sectors of
+``hamiltonian.parity_sectors``, each half the dimension; otherwise it builds
+and solves the whole matrix. ``eigendecompose`` solves any Hermitian matrix
+whole, with the same certificates.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import RabiParams, build_hamiltonian, parity_operator
-from .hilbert import OperatorMatrix, as_matrix, frozen_copy, is_hermitian_matrix
+from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_sectors
+from .hilbert import OperatorMatrix, as_matrix, check_cutoff, frozen_copy, is_hermitian_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -30,6 +33,7 @@ __all__ = [
     "eigendecompose",
     "hermitian_eigh",
     "relative_spectrum",
+    "solve_hamiltonian",
     "symmetric_eigh",
 ]
 
@@ -86,39 +90,59 @@ def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
 hermitian_eigh = symmetric_eigh
 
 
-def _blocks(m: np.ndarray, dims: tuple[int, int] | None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, block) pairs that hold every entry of the real symmetric matrix m.
+def _certified(
+    pairs: list[tuple[np.ndarray, np.ndarray]], solver, cutoff_used: int | None
+) -> SpectralDecomposition:
+    """Decomposition of the matrix whose every entry lies in one of the (indices, block) pairs.
 
-    With dims (2, n) and every entry between the +1 and -1 eigenspaces of
-    ``parity_operator(n)`` exactly zero, the pairs are those two sectors, the
-    +1 one first. At theta = 0 a Rabi Hamiltonian passes this test bit for
-    bit (sin 0 = 0); at any theta > 0 it fails. Otherwise the one pair is all
-    indices and the whole matrix.
+    Each block is solved by one ``solver`` call and must pass both gates; its
+    vectors are scattered once into their energy-sorted columns of the full
+    basis, zero off the block. Energies merge by a stable sort, so a tie
+    between blocks lists the earlier block's level first.
     """
-    if dims is not None and dims[0] == 2 and dims[1] >= 2:
-        parity = np.diag(parity_operator(dims[1]).matrix)
-        even, odd = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
-        rows_even, rows_odd = m[even], m[odd]
-        if not (np.any(rows_even[:, odd]) or np.any(rows_odd[:, even])):
-            return [(even, rows_even[:, even]), (odd, rows_odd[:, odd])]
-    return [(np.arange(m.shape[0]), m)]
+    solved = []
+    residual = ortho_err = 0.0
+    for indices, block in pairs:
+        w, v = solver(block)
+        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
+        if not block_residual <= RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
+        block_ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+        if not block_ortho <= ORTHONORMALITY_TOL:
+            raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
+        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
+        solved.append((indices, w, v))
+    energies = np.concatenate([w for _, w, _ in solved])
+    order = np.argsort(energies, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    states = np.zeros((len(energies), len(energies)), dtype=solved[0][2].dtype)
+    start = 0
+    for indices, w, v in solved:
+        states[np.ix_(indices, column[start:start + len(w)])] = v
+        start += len(w)
+    return SpectralDecomposition(
+        energies=energies[order],
+        states=states,
+        cutoff_used=cutoff_used,
+        residual_norm=residual,
+        orthonormality_error=ortho_err,
+    )
 
 
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
-    """Full decomposition of a Hermitian matrix with certified residuals.
+    """Full decomposition of a Hermitian matrix, solved whole, with certified residuals.
 
     Real input, and complex input whose imaginary part is exactly zero, is
     solved and certified in real arithmetic and gets float64 ``states``;
-    other complex input gets complex128 ``states`` and is solved whole. A
-    real OperatorMatrix with subsystem_dims (2, n) and no entry between the
-    parity sectors is solved one sector at a time (``_blocks``); each
-    sector's vectors are embedded in the full basis with zeros off the
-    sector, and the energies are merged by a stable sort, so a tie between
-    sectors lists the +1 sector's level first. Inside an exactly degenerate
-    eigenvalue cluster of one block the basis is the one LAPACK returns.
-    Non-Hermitian input raises ValueError; a LAPACK failure raises
-    numpy.linalg.LinAlgError; a failed or NaN residual or orthonormality
-    gate on any block raises ConvergenceError. The gates are fixed at
+    other complex input gets complex128 ``states``. Inside an exactly
+    degenerate eigenvalue cluster the basis is the one LAPACK returns.
+    ``cutoff_used`` is n_max for an OperatorMatrix with subsystem_dims
+    (2, n_max), else None. Non-Hermitian input raises ValueError; a LAPACK
+    failure raises numpy.linalg.LinAlgError; a failed or NaN residual or
+    orthonormality gate raises ConvergenceError. The gates are fixed at
     RESIDUAL_TOL (1e-9) and ORTHONORMALITY_TOL (1e-10).
     """
     m = as_matrix(h)
@@ -130,33 +154,35 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
     if not is_hermitian_matrix(m):
         raise ValueError("eigendecompose requires a Hermitian matrix")
     dims = h.subsystem_dims if isinstance(h, OperatorMatrix) else None
-    energies = []
-    states = np.zeros_like(m)
-    residual = ortho_err = 0.0
-    column = 0
-    for indices, block in _blocks(m, dims if real else None):
-        w, v = symmetric_eigh(block) if real else hermitian_eigh(block)
-        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
-        if not block_residual <= RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-            )
-        block_ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
-        if not block_ortho <= ORTHONORMALITY_TOL:
-            raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
-        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
-        states[indices, column:column + len(w)] = v
-        column += len(w)
-        energies.append(w)
-    w = np.concatenate(energies)
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(
-        energies=w[order],
-        states=states[:, order],
-        cutoff_used=dims[1] if dims is not None else None,
-        residual_norm=residual,
-        orthonormality_error=ortho_err,
+    return _certified(
+        [(np.arange(m.shape[0]), m)],
+        symmetric_eigh if real else hermitian_eigh,
+        dims[1] if dims is not None else None,
     )
+
+
+def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, block) pairs holding every entry of H(params) at cutoff n_max.
+
+    The two parity sectors, +1 first, where H conserves parity; otherwise one
+    pair, all indices and the whole matrix.
+    """
+    if conserves_parity(params):
+        return parity_sectors(params, n_max)
+    h = build_hamiltonian(params, n_max).matrix
+    return [(np.arange(h.shape[0]), h)]
+
+
+def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
+    """Certified decomposition of H(params) at Fock cutoff n_max, float64 states.
+
+    Where g sin(theta) == 0 the two parity sectors are solved apart: each
+    vector lies in one sector, exactly zero off it, and a tie between sectors
+    lists the +1 sector's level first. Gates and errors as ``eigendecompose``;
+    a cutoff that is not an integer >= 2 raises ValueError.
+    """
+    n_max = check_cutoff(n_max)
+    return _certified(_hamiltonian_blocks(params, n_max), symmetric_eigh, n_max)
 
 
 def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np.ndarray:
@@ -167,8 +193,7 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 
 
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
-    h = build_hamiltonian(params, n_max)
-    w = [symmetric_eigh(block, vectors=False)[0] for _, block in _blocks(h.matrix, h.subsystem_dims)]
+    w = [symmetric_eigh(block, vectors=False)[0] for _, block in _hamiltonian_blocks(params, n_max)]
     return ground_referenced(np.sort(np.concatenate(w))[:n_levels])
 
 

@@ -50,10 +50,11 @@ from .cycle import (
     resonator_frequency_protocol,
     run_cycle,
 )
-from .hamiltonian import RabiParams, build_hamiltonian
+from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .spectral import (
-    CUTOFF_CEILING, CUTOFF_TOL, converged_cutoff, eigendecompose, relative_spectrum, scan_start,
+    CUTOFF_CEILING, CUTOFF_TOL, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonian,
 )
+from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
 
 __all__ = [
@@ -296,16 +297,17 @@ def _validate(config: SweepConfig) -> None:
     if config.discord.n_phi < 2 or config.discord.n_phi % 2:
         raise ConfigError(f"discord.n_phi: must be even and >= 2, got {config.discord.n_phi}")
     config.cutoff.resolve([], config.n_levels)  # checks the policy, scans nothing
-    if config.kind == "cycle" and config.n_levels < 2:
-        # heat and work over the ground level alone are zero by construction
-        raise ConfigError(f"n_levels: a cycle sums over levels, so must be >= 2, got {config.n_levels}")
+    if config.kind != "spectrum" and config.n_levels < 2:
+        # every other kind runs the cycle, whose heat and work over the ground
+        # level alone are zero; levels and approx rows report level 1
+        raise ConfigError(
+            f"n_levels: kind {config.kind} runs the cycle, so must be >= 2, got {config.n_levels}"
+        )
     if config.kind == "approx":
         if config.variant != "resonator-frequency":
             raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
         if config.theta != 0.0 or config.series is not None:
             raise ConfigError("theta: approx is the theta = 0 closed form; set no theta or series")
-        if config.n_levels < 2:
-            raise ConfigError(f"n_levels: approx reports W_1, so must be >= 2, got {config.n_levels}")
         try:
             positive_work_bound(config.ratio, config.t_hot / config.t_cold)
         except ValueError as exc:
@@ -496,7 +498,7 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tu
 
 
 def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
-    decomposition = eigendecompose(build_hamiltonian(protocol.cold, cutoff))
+    decomposition = solve_hamiltonian(protocol.cold, cutoff)
     rel = relative_spectrum(decomposition, config.n_levels)
     return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))], ()
 

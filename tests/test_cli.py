@@ -169,6 +169,15 @@ class TestSweepCommand:
         assert out == ""
         assert "config error: n_levels" in err
 
+    def test_single_level_levels_sweep_is_config_error(self, capsys, monkeypatch):
+        # a levels row reports E_1 and P_1, which one level cannot give
+        monkeypatch.setenv("RABIOTTO_N_LEVELS", "1")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["sweep", "--preset", "fig3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error: n_levels: kind levels" in err
+
     def test_series_parameter_of_another_variant_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "series.json"
         path.write_text(

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabiotto import RabiParams, build_hamiltonian, parity_operator
+from rabiotto import RabiParams, build_hamiltonian, parity_operator, parity_sectors
 from rabiotto.spectral import eigendecompose
 
 
@@ -105,3 +107,45 @@ class TestBuildHamiltonian:
                 theta=rng.uniform(0.0, np.pi / 2),
             )
             assert build_hamiltonian(params, 10).is_hermitian()
+
+
+# (g, theta) pairs where g sin(theta) == 0: theta = 0 at any g, g = 0 at any theta
+_PARITY_COUPLINGS = st.one_of(
+    st.tuples(st.floats(0.0, 4.0), st.just(0.0)),
+    st.tuples(st.just(0.0), st.floats(1e-3, math.pi / 2)),
+)
+
+
+class TestParitySectors:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        omega_cav=st.floats(0.05, 5.0),
+        omega_q=st.floats(0.0, 5.0),
+        coupling=_PARITY_COUPLINGS,
+        n=st.integers(2, 48),
+    )
+    def test_sectors_are_the_dense_blocks_bit_for_bit(self, omega_cav, omega_q, coupling, n):
+        g, theta = coupling
+        params = RabiParams(omega_cav, omega_q, g=g, theta=theta)
+        h = build_hamiltonian(params, n).matrix
+        (plus, even), (minus, odd) = parity_sectors(params, n)
+        for indices, block in ((plus, even), (minus, odd)):
+            assert block.tobytes() == h[np.ix_(indices, indices)].tobytes()
+            assert not np.any(block - np.triu(np.tril(block, 1), -1))  # tridiagonal
+        # nothing couples the sectors, so the two blocks hold every entry of H
+        assert not np.any(h[np.ix_(plus, minus)])
+
+    @pytest.mark.parametrize("n", [2, 3, 24])
+    def test_indices_are_the_parity_eigenspaces(self, n):
+        p = np.diag(parity_operator(n).matrix)
+        (plus, _), (minus, _) = parity_sectors(RabiParams.resonant(1.0, g=0.7), n)
+        assert np.array_equal(np.sort(plus), np.flatnonzero(p == 1.0))
+        assert np.array_equal(np.sort(minus), np.flatnonzero(p == -1.0))
+        # interleaved Fock order: the k-th state of each sector has k photons
+        assert np.array_equal(plus % n, np.arange(n))
+        assert np.array_equal(minus % n, np.arange(n))
+
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 2])
+    def test_refuses_a_parity_breaking_coupling(self, theta):
+        with pytest.raises(ValueError, match="g sin"):
+            parity_sectors(RabiParams.resonant(1.0, g=0.7, theta=theta), 8)

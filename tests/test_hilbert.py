@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabiotto import OperatorMatrix, partial_trace
-from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator
+from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator, parity_sectors
 from rabiotto.hilbert import check_cutoff
 from rabiotto.cycle import resonator_frequency_protocol, run_cycle, thermal_populations
 from rabiotto.spectral import eigendecompose
@@ -28,6 +28,7 @@ class TestCutoffCheck:
         builders = [
             parity_operator,
             lambda n: build_hamiltonian(RabiParams.resonant(1.0, g=0.5), n),
+            lambda n: parity_sectors(RabiParams.resonant(1.0, g=0.5), n),
             lambda n: run_cycle(resonator_frequency_protocol(g=0.5), cutoff=n),
         ]
         for build in builders:

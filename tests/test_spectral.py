@@ -13,7 +13,9 @@ from rabiotto import (
     eigendecompose,
     parity_operator,
     relative_spectrum,
+    solve_hamiltonian,
 )
+from rabiotto.hamiltonian import conserves_parity
 from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL
 from rabiotto.sweep import build_protocol, figure_preset
 
@@ -175,8 +177,8 @@ class TestConvergedCutoff:
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Calls of the two solver names and of build_hamiltonian in rabiotto.spectral."""
-    calls = {"eigh": 0, "hermitian": 0, "build": 0}
+    """Calls of the two solver names and of the two Hamiltonian builders in rabiotto.spectral."""
+    calls = {"eigh": 0, "hermitian": 0, "build": 0, "sectors": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -187,6 +189,7 @@ def solver_calls(monkeypatch):
     monkeypatch.setattr(spectral, "symmetric_eigh", counted("eigh", spectral.symmetric_eigh))
     monkeypatch.setattr(spectral, "hermitian_eigh", counted("hermitian", spectral.hermitian_eigh))
     monkeypatch.setattr(spectral, "build_hamiltonian", counted("build", spectral.build_hamiltonian))
+    monkeypatch.setattr(spectral, "parity_sectors", counted("sectors", spectral.parity_sectors))
     return calls
 
 
@@ -195,8 +198,9 @@ class TestParitySectors:
     @pytest.mark.parametrize("n", [8, 96])
     @pytest.mark.parametrize("g", [0.0, 0.7, 3.5])
     def test_sectors_match_the_whole_matrix(self, g, n, omega_cav, omega_q):
-        h = build_hamiltonian(RabiParams(omega_cav=omega_cav, omega_q=omega_q, g=g), n)
-        d = eigendecompose(h)
+        params = RabiParams(omega_cav=omega_cav, omega_q=omega_q, g=g)
+        h = build_hamiltonian(params, n)
+        d = solve_hamiltonian(params, n)
         dense = np.linalg.eigvalsh(h.matrix)
         assert np.all(np.abs(d.energies - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
         # each vector lies in one sector, so P v = +v or -v bit for bit
@@ -206,36 +210,42 @@ class TestParitySectors:
         np.testing.assert_allclose(np.einsum("ij,ij->j", d.states, p * d.states), signs, atol=1e-13)
         assert d.residual_norm < RESIDUAL_TOL
         assert d.orthonormality_error < ORTHONORMALITY_TOL
+        assert d.cutoff_used == n
         # the coupling block is zero, so the blocks' residual is the full-space one
         full = np.linalg.norm(h.matrix @ d.states - d.states * d.energies, axis=0).max()
         assert abs(full - d.residual_norm) < 1e-12
 
+    # the split rule is g sin(theta) == 0; cos(pi/2) = 6.1e-17 does not enter
+    # it, and theta > 0 with g > 0 is solved whole
     @pytest.mark.parametrize("theta, solves", [(0.0, 2), (math.pi / 8, 1), (math.pi / 2, 1)])
     def test_one_solve_per_sector(self, theta, solves, solver_calls):
-        # cos(pi/2) = 6.1e-17 is not zero, so theta = pi/2 is solved whole
-        eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.7, theta=theta), 24))
+        params = RabiParams.resonant(1.0, g=0.7, theta=theta)
+        assert conserves_parity(params) is (solves == 2)
+        d = solve_hamiltonian(params, 24)
         assert solver_calls["eigh"] == solves
+        assert (solver_calls["sectors"], solver_calls["build"]) == ((1, 0) if solves == 2 else (0, 1))
+        assert d.residual_norm < RESIDUAL_TOL
+
+    @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2])
+    def test_zero_coupling_is_split_at_any_theta(self, theta, solver_calls):
+        params = RabiParams.resonant(1.0, g=0.0, theta=theta)
+        assert conserves_parity(params)
+        d = solve_hamiltonian(params, 24)
+        assert (solver_calls["eigh"], solver_calls["sectors"], solver_calls["build"]) == (2, 1, 0)
+        np.testing.assert_array_equal(relative_spectrum(d, 4), [0.0, 1.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("theta, per_scan", [(0.0, 2), (math.pi / 8, 1)])
     def test_cutoff_scan_solves_per_sector(self, theta, per_scan, solver_calls):
         converged_cutoff(RabiParams.resonant(1.0, g=0.7, theta=theta), n_levels=8)
-        assert solver_calls["build"] >= 2
-        assert solver_calls["eigh"] == per_scan * solver_calls["build"]
+        steps = solver_calls["sectors"] + solver_calls["build"]
+        assert steps >= 2
+        assert solver_calls["sectors" if per_scan == 2 else "build"] == steps
+        assert solver_calls["eigh"] == per_scan * steps
 
-    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
-    def test_tiny_cross_sector_entry_is_solved_whole(self, entry, solver_calls):
-        # |up,0> has parity +1 and |up,1> parity -1; 1e-300 is within the Hermiticity rule
-        m = build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12).matrix.copy()
-        m[entry] = 1e-300
-        d = eigendecompose(OperatorMatrix(m, subsystem_dims=(2, 12)))
-        assert solver_calls["eigh"] == 1
-        assert d.residual_norm < RESIDUAL_TOL
-
-    def test_one_fock_state_is_solved_whole(self, solver_calls):
-        # (2, 1) is a valid OperatorMatrix structure but no Fock cutoff
-        d = eigendecompose(OperatorMatrix(np.diag([1.0, -1.0]), subsystem_dims=(2, 1)))
-        np.testing.assert_array_equal(d.energies, [-1.0, 1.0])
-        assert (solver_calls["eigh"], d.cutoff_used) == (1, 1)
+    def test_a_matrix_is_solved_whole(self, solver_calls):
+        # eigendecompose takes no split from subsystem_dims, even where H conserves parity
+        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12))
+        assert (solver_calls["eigh"], solver_calls["sectors"], d.cutoff_used) == (1, 0, 12)
 
     def test_complex_input_is_solved_whole(self, solver_calls):
         h = build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12).matrix.astype(complex)
@@ -248,8 +258,8 @@ class TestParitySectors:
     def test_cross_sector_ties_are_ordered_the_same_every_time(self):
         # g = 0 and omega_q = 2 omega_cav: |up,n> and |down,n+2> have opposite
         # parity and the same energy n + 1, bit for bit at some n
-        h = build_hamiltonian(RabiParams(omega_cav=1.0, omega_q=2.0, g=0.0), 16)
-        first, second = eigendecompose(h), eigendecompose(h)
+        params = RabiParams(omega_cav=1.0, omega_q=2.0, g=0.0)
+        first, second = solve_hamiltonian(params, 16), solve_hamiltonian(params, 16)
         assert np.all(np.diff(first.energies) >= 0.0)
         assert first.energies.tobytes() == second.energies.tobytes()
         assert first.states.tobytes() == second.states.tobytes()
