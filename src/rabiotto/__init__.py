@@ -1,7 +1,7 @@
 """Quantum Otto heat engine with a generalized-Rabi working substance.
 
 Library layout:
-  hilbert       dense operators on the qubit (x) oscillator space, partial trace
+  hilbert       dense operators on the qubit (x) oscillator space, the cutoff check
   hamiltonian   the generalized quantum Rabi Hamiltonian and its parity sectors
   spectral      LAPACK eigendecomposition behind a residual/orthonormality
                 certificate, and cutoff convergence
@@ -35,7 +35,7 @@ from .cycle import (
     thermal_populations,
 )
 from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_operator, parity_sectors
-from .hilbert import OperatorMatrix, partial_trace
+from .hilbert import OperatorMatrix
 from .spectral import (
     ConvergenceError,
     SpectralDecomposition,

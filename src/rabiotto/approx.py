@@ -13,10 +13,8 @@ and the positive-work bound
 
     g/omega < sqrt( (1/2) R^2/(R^2 - 1) ln( (1/R) T_h/T_c ) ).
 
-Note the printed -omega*n oscillator term in E_{+/-,n} orders levels downward
-for n > 0; only n = 0 feeds the work formulas, so it is kept verbatim by
-default and ``verbatim=False`` flips that term's sign for a bound-from-below
-ordering.
+The -omega*n oscillator term in E_{+/-,n} is kept as printed, although it
+orders levels downward for n > 0; only n = 0 feeds the work formulas.
 """
 
 from __future__ import annotations
@@ -40,23 +38,19 @@ def laguerre(n: int, x: float) -> float:
     return cur
 
 
-def approx_levels(
-    omega: float, big_omega: float, g: float, n: int, verbatim: bool = True
-) -> tuple[float, float]:
+def approx_levels(omega: float, big_omega: float, g: float, n: int) -> tuple[float, float]:
     """Displaced-oscillator branch energies (E_plus, E_minus) for level pair n.
 
     For n = 0 these are the approximate ground and first-excited energies
     E_G = -g^2/omega - (Omega/2) e^{-2g^2/omega^2} and E_1 with the opposite
-    sign on the exponential term. ``verbatim`` keeps the -omega*n oscillator
-    term exactly as printed; False uses +omega*n.
+    sign on the exponential term. The oscillator term is -omega*n, as printed.
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     ratio2 = (g / omega) ** 2
-    osc = -omega * n if verbatim else omega * n
-    base = osc - g**2 / omega
+    base = -omega * n - g**2 / omega
     gap_term = 0.5 * big_omega * math.exp(-2.0 * ratio2) * laguerre(n, 4.0 * ratio2)
     return base - gap_term, base + gap_term
 

@@ -18,19 +18,23 @@ in phi_m, so f(-n) = f(pi - theta_m, pi - phi_m), and with an even number of
 phi_m steps the half grid phi_m = 0 ... pi holds every antipode: S is f plus
 f with both grid axes reversed.
 
-Evaluation avoids building full-space projectors: the post-measurement
-oscillator state for outcome |v> is the block combination
-sum_ab conj(v_a) v_b rho_ab, and all angles are batched through numpy's
-eigvalsh. The oscillator blocks are first compressed onto the support of the
-unconditional oscillator state (every post-measurement state lives inside
-it), which caps the batched eigenproblem size by the number of thermally
-occupied modes.
+``quantum_discord`` takes a state in its spectral form, the eigenpairs of a
+``SpectralDecomposition`` and a population vector p: rho = sum_n p_n
+|v_n><v_n|, as every Otto-cycle state is. No dense 2n x 2n matrix is built.
+With X = V[:, p > SUPPORT_FLOOR] sqrt(p) (k kept levels) and X_q the rows
+of qubit state q, rho = X X^dag, S(rho_AB) = -sum p ln p and the reduced
+qubit state is rho_A = [[tr b00, tr b01], [tr b10, tr b11]] for the k x k
+Gram blocks b_ab = X_b^dag X_a. The unnormalized post-measurement oscillator
+state for outcome |v> is Y Y^dag with Y = sum_a conj(v_a) X_a, which shares
+its nonzero eigenvalues with Y^dag Y = sum_ab conj(v_a) v_b b_ab. So all
+angles are batched through numpy's eigvalsh on k x k blocks, k being the
+number of thermally occupied levels.
 
 ``conditional_entropy`` is the independent reference path: it applies full
-projectors (Pi (x) I) rho (Pi (x) I) for both outcomes and partial-traces,
-with no compression and no antipode or parity identity, takes complex states
-too, and is what the vectorized path is tested against. It is batched over
-angle arrays only.
+projectors (Pi (x) I) rho (Pi (x) I) to a dense structured matrix for both
+outcomes and partial-traces, with no spectral form and no antipode or parity
+identity, takes complex states too, and is what the vectorized path is
+tested against. It is batched over angle arrays only.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import CycleStates
-from .hilbert import OperatorMatrix, is_hermitian_matrix, partial_trace
+from .hilbert import OperatorMatrix, is_hermitian_matrix
+from .spectral import SpectralDecomposition
 
 __all__ = [
     "DiscordDifferences",
@@ -61,6 +66,7 @@ AXIS_TOL = 1e-6
 FLAT_TOL = 1e-12  # grid span of S below which no measurement axis is preferred
 DEFAULT_GRID = (64, 128)
 REAL_TOL = 1e-14
+SUPPORT_FLOOR = 1e-15  # populations at or below this are left out of the Gram blocks
 BLOCK_BYTES = 2**19  # one batch of (angles, k, k) complex blocks
 REFINE_FTOL = 1e-13  # refinement stops when the simplex spans no more than this in S
 REFINE_MAX_ITER = 300
@@ -82,9 +88,6 @@ class MeasurementBasis:
         if not 0.0 <= self.theta_m <= math.pi + 1e-12:
             raise ValueError(f"theta_m must lie in [0, pi], got {self.theta_m}")
 
-    def bloch_vector(self) -> np.ndarray:
-        return np.array(_bloch(self.theta_m, self.phi_m))
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -102,16 +105,21 @@ def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
     return -np.sum(np.where(lam > EIG_FLOOR, lam * np.log(safe), 0.0), axis=-1)
 
 
+def _check_spectrum(lam: np.ndarray) -> None:
+    """Reject a state's eigenvalues or populations unless they sum to 1 with none below -1e-10."""
+    if abs(lam.sum() - 1.0) > 1e-10:
+        raise ValueError(f"density matrix must have unit trace, got {lam.sum()}")
+    if lam.min() < -1e-10:
+        raise ValueError(f"density matrix has negative eigenvalue {lam.min():.3e}")
+
+
 def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
     """S(rho) = -tr(rho ln rho); rejects inputs that are not density matrices."""
     m = rho.matrix if isinstance(rho, OperatorMatrix) else np.asarray(rho, dtype=complex)
     if not is_hermitian_matrix(m):
         raise ValueError("entropy requires a Hermitian density matrix")
     lam = np.linalg.eigvalsh(m)
-    if abs(lam.sum() - 1.0) > 1e-10:
-        raise ValueError(f"density matrix must have unit trace, got {lam.sum()}")
-    if lam.min() < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {lam.min():.3e}")
+    _check_spectrum(lam)
     return float(_entropy_from_eigenvalues(lam))
 
 
@@ -149,24 +157,24 @@ def conditional_entropy(rho: OperatorMatrix, theta_m, phi_m):
 class _BlockEvaluator:
     """The "+" outcome term f = p_+ S(rho_B | +n) of one state, batched over angles.
 
-    The weights depend only on the Bloch vector of (theta, phi), so any real
-    angles are valid, and the state may be complex.
+    The state is sum_n p_n |v_n><v_n| over the decomposition's eigenvectors;
+    ``rho_a`` is its reduced qubit state. The weights depend only on the
+    Bloch vector of (theta, phi), so any real angles are valid, and the
+    vectors may be complex.
     """
 
-    def __init__(self, rho: OperatorMatrix):
-        m = rho.matrix
-        _, n = rho.subsystem_dims
-        r00, r01 = m[:n, :n], m[:n, n:]
-        r10, r11 = m[n:, :n], m[n:, n:]
-        # every post-measurement oscillator state is supported on the range of
-        # the unconditional state r00 + r11; compress onto it
-        support_w, support_v = np.linalg.eigh(r00 + r11)
-        keep = support_w > 1e-15
-        u = support_v[:, keep]
-        self.b00 = u.conj().T @ r00 @ u
-        self.b01 = u.conj().T @ r01 @ u
-        self.b10 = u.conj().T @ r10 @ u
-        self.b11 = u.conj().T @ r11 @ u
+    def __init__(self, decomposition: SpectralDecomposition, populations: np.ndarray):
+        n = decomposition.cutoff_used
+        keep = populations > SUPPORT_FLOOR
+        x = decomposition.states[:, keep] * np.sqrt(populations[keep])
+        x0, x1 = x[:n], x[n:]
+        # b_ab = X_b^dag X_a, so that sum_ab conj(v_a) v_b b_ab = Y^dag Y
+        self.b00 = x0.conj().T @ x0
+        self.b01 = x1.conj().T @ x0
+        self.b10 = x0.conj().T @ x1
+        self.b11 = x1.conj().T @ x1
+        self.rho_a = np.array([[np.trace(self.b00), np.trace(self.b01)],
+                               [np.trace(self.b10), np.trace(self.b11)]])
 
     def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         out = np.empty(thetas.shape[0])
@@ -238,8 +246,12 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     Measuring along n and along -n is the same measurement (the outcomes
     swap), so the reported axis is the one whose first Bloch component, in
     the order x, z, y, that exceeds AXIS_TOL in magnitude is positive.
-    AXIS_TOL lies above the refinement's ~1e-7 angle scatter. Returns theta
-    in [0, pi] and phi in (-pi, pi].
+    The refinement fixes the angles less tightly than AXIS_TOL: two
+    mathematically equal evaluations of the same states gave angles up to
+    4.2e-6 apart on fig8 at 5 points per series and 8.8e-5 apart on the
+    full fig8 preset, where S is flat near theta_m = pi/2 at small g, and
+    solver rewrites have moved the worst rows by 1.1e-4 (ROADMAP item 10).
+    Returns theta in [0, pi] and phi in (-pi, pi].
     """
     n = np.array(_bloch(theta, phi))
     if next((c for c in n[[0, 2, 1]] if abs(c) > AXIS_TOL), 0.0) < 0.0:
@@ -250,30 +262,37 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
 
 
 def quantum_discord(
-    rho: OperatorMatrix,
+    decomposition: SpectralDecomposition,
+    populations: np.ndarray,
     grid: tuple[int, int] = DEFAULT_GRID,
     refine: bool = True,
 ) -> DiscordResult:
-    """Quantum discord D_A of a real, structured density matrix.
+    """Quantum discord D_A of sum_n p_n |v_n><v_n| over real, structured eigenvectors.
 
-    ``grid = (n_theta, n_phi)`` sets the coarse search over theta_m in
-    [0, pi] and phi_m in [0, 2 pi); it needs n_theta >= 2 and an even
-    n_phi >= 2. ``refine`` runs Nelder-Mead from the best grid point. The
+    ``decomposition`` must carry a Fock cutoff, its vectors must be real to
+    REAL_TOL, and ``populations`` (one per level) must sum to 1 with no
+    entry below -1e-10. ``grid = (n_theta, n_phi)`` sets the coarse search
+    over theta_m in [0, pi] and phi_m in [0, 2 pi); it needs n_theta >= 2
+    and an even n_phi >= 2. ``refine`` runs Nelder-Mead from the best grid point. The
     reported ``optimal_basis`` is one representative of the axis pair n, -n,
     or (0, 0) when the grid values of S span no more than FLAT_TOL (a
     product state), where round-off alone would pick the axis.
     """
-    if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
+    if decomposition.cutoff_used is None:
         raise ValueError("quantum_discord requires qubit (x) oscillator structure")
     n_theta, n_phi = grid
     if n_theta < 2 or n_phi < 2 or n_phi % 2:
         raise ValueError(f"grid needs n_theta >= 2 and an even n_phi >= 2, got {grid}")
-    if np.max(np.abs(rho.matrix.imag)) > REAL_TOL:
+    if np.max(np.abs(decomposition.states.imag)) > REAL_TOL:
         raise ValueError("quantum_discord requires a real density matrix")
-    entropy_ab = von_neumann_entropy(rho)  # rejects non-density matrices
-    entropy_a = von_neumann_entropy(partial_trace(rho, "qubit"))
+    populations = np.asarray(populations, dtype=float)
+    if populations.shape != decomposition.energies.shape:
+        raise ValueError(f"expected {decomposition.dim} populations, got shape {populations.shape}")
+    _check_spectrum(populations)
+    entropy_ab = float(_entropy_from_eigenvalues(populations))
 
-    evaluator = _BlockEvaluator(rho)
+    evaluator = _BlockEvaluator(decomposition, populations)
+    entropy_a = von_neumann_entropy(evaluator.rho_a)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[: n_phi // 2 + 1]
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -343,9 +362,13 @@ def discord_differences(
     grid: tuple[int, int] = DEFAULT_GRID,
     refine: bool = True,
 ) -> DiscordDifferences:
-    """Discords of rho1, rho3, rho4 and their pairwise differences."""
+    """Discords of rho1, rho3, rho4 and their pairwise differences.
+
+    rho1 is the hot populations on the hot eigenvectors, rho3 the cold ones
+    on the cold eigenvectors and rho4 the cold ones on the hot eigenvectors.
+    """
     return DiscordDifferences(
-        rho1=quantum_discord(states.rho1, grid=grid, refine=refine),
-        rho3=quantum_discord(states.rho3, grid=grid, refine=refine),
-        rho4=quantum_discord(states.rho4, grid=grid, refine=refine),
+        rho1=quantum_discord(states.hot, states.populations_hot, grid=grid, refine=refine),
+        rho3=quantum_discord(states.cold, states.populations_cold, grid=grid, refine=refine),
+        rho4=quantum_discord(states.hot, states.populations_cold, grid=grid, refine=refine),
     )

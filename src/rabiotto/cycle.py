@@ -10,7 +10,9 @@ quantum adiabatic theorem):
     rho4 = sum_n P_n(T_c) |E_n^h><E_n^h|     after compression
 
 No time evolution is simulated: adiabatic strokes carry the population vector
-onto the other eigenbasis directly. Heat and work follow from
+onto the other eigenbasis directly. ``CycleStates`` keeps the four states in
+this spectral form: the two eigendecompositions and the two population
+vectors. Heat and work follow from
 
     Q_h = sum_n E_n^h (P_n(T_h) - P_n(T_c))
     Q_c = sum_n E_n^c (P_n(T_c) - P_n(T_h))
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
-from .hilbert import OperatorMatrix, frozen_copy
+from .hilbert import frozen_copy
 from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonian
 from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF, thermal_energy
@@ -64,11 +66,7 @@ WORK_REGIME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Cold/hot reservoir temperatures (kelvin) plus the energy conversion.
-
-    ``energy_scale`` is k_B * 1 K / (hbar * omega_ref): multiplying a kelvin
-    temperature by it gives the thermal energy in units of hbar * omega_ref.
-    """
+    """Cold/hot reservoir temperatures (kelvin) and the reference frequency of the energy unit."""
 
     t_cold: float
     t_hot: float
@@ -81,10 +79,6 @@ class ReservoirSpec:
             )
         if self.omega_ref <= 0.0:
             raise ValueError(f"omega_ref must be > 0, got {self.omega_ref}")
-
-    @property
-    def energy_scale(self) -> float:
-        return thermal_energy(1.0, self.omega_ref)
 
     @property
     def kt_cold(self) -> float:
@@ -171,20 +165,12 @@ def qubit_frequency_protocol(
     return CycleProtocol(cold, hot, reservoirs, n_levels)
 
 
-def _density_from(decomposition: SpectralDecomposition, populations: np.ndarray) -> OperatorMatrix:
-    v = decomposition.states
-    rho = (v * populations) @ v.conj().T
-    dims = None if decomposition.cutoff_used is None else (2, decomposition.cutoff_used)
-    return OperatorMatrix(rho, subsystem_dims=dims)
-
-
 @dataclass(frozen=True)
 class CycleStates:
-    """Both spectra and both population vectors; the four states on demand.
+    """Both spectra and both population vectors: the four states in spectral form.
 
-    Each ``rho`` property builds its dense density matrix at every access,
-    in the dtype of the eigenvectors (float64 for every Rabi Hamiltonian), so
-    callers that read no state, such as the work sweeps, pay for none.
+    rho1 is (hot, populations_hot), rho2 (cold, populations_hot), rho3
+    (cold, populations_cold) and rho4 (hot, populations_cold).
     """
 
     hot: SpectralDecomposition
@@ -195,11 +181,6 @@ class CycleStates:
     def __post_init__(self):
         for name in ("populations_hot", "populations_cold"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=float))
-
-    rho1 = property(lambda self: _density_from(self.hot, self.populations_hot))  # hot thermal
-    rho2 = property(lambda self: _density_from(self.cold, self.populations_hot))  # after expansion
-    rho3 = property(lambda self: _density_from(self.cold, self.populations_cold))  # cold thermal
-    rho4 = property(lambda self: _density_from(self.hot, self.populations_cold))  # after compression
 
 
 @dataclass(frozen=True)
@@ -294,8 +275,7 @@ def run_cycle(
     When ``cutoff`` is omitted, the larger ``converged_cutoff`` of the two
     sides at the default tolerance and ceiling is used. Populations are
     normalized over the full truncated spectrum; only the heat/work sums
-    truncate at n_levels. The density matrices are built only when a ``rho``
-    property is read.
+    truncate at n_levels.
     """
     if cutoff is None:
         sides = {protocol.cold, protocol.hot}  # identical sides are scanned once

@@ -4,8 +4,8 @@ Tensor-product convention, fixed package-wide: the qubit is the FIRST factor
 and the oscillator the second, so a composite basis index is q * n_max + n and
 an operator is a 2x2 grid of n_max x n_max qubit blocks. ``OperatorMatrix``
 keeps the dtype of its entries: float64 for real input (every Rabi
-Hamiltonian, every cycle state) and complex128 only for complex input, such as
-the correlations module's reference projectors. ``partial_trace`` reduces it.
+Hamiltonian) and complex128 only for complex input, such as the correlations
+module's reference projectors.
 
 A Fock cutoff is a plain int n_max, the dimension of the truncated oscillator
 space with basis |0> ... |n_max - 1>. ``check_cutoff`` is its one check, made
@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OperatorMatrix", "partial_trace"]
+__all__ = ["OperatorMatrix"]
 
 HERMITICITY_TOL = 1e-12  # relative to max(1, max|M|)
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 
 
 def check_cutoff(n_max: int) -> int:
@@ -80,14 +78,6 @@ class OperatorMatrix:
     def is_hermitian(self) -> bool:
         return is_hermitian_matrix(self.matrix)
 
-    def is_density_matrix(self) -> bool:
-        """Hermitian, unit trace and positive semidefinite (up to tolerances)."""
-        if not self.is_hermitian():
-            return False
-        if abs(np.trace(self.matrix).real - 1.0) > TRACE_TOL:
-            return False
-        return bool(np.linalg.eigvalsh(self.matrix).min() >= EIGENVALUE_FLOOR)
-
     def __array__(self, dtype=None):
         return np.asarray(self.matrix, dtype=dtype)
 
@@ -98,19 +88,3 @@ def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
         return op.matrix
     return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
 
-
-def partial_trace(rho: OperatorMatrix, keep: str) -> OperatorMatrix:
-    """Reduced density matrix on the kept subsystem ('qubit' or 'oscillator').
-
-    The input must carry subsystem_dims; the trace is preserved exactly
-    (einsum contraction of the traced index pair).
-    """
-    if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
-        raise ValueError("partial_trace requires an OperatorMatrix with subsystem_dims set")
-    dq, dn = rho.subsystem_dims
-    t = rho.matrix.reshape(dq, dn, dq, dn)
-    if keep == "qubit":
-        return OperatorMatrix(np.einsum("anbn->ab", t))
-    if keep == "oscillator":
-        return OperatorMatrix(np.einsum("anam->nm", t))
-    raise ValueError(f"keep must be 'qubit' or 'oscillator', got {keep!r}")

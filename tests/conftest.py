@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from rabiotto import ReservoirSpec, resonator_frequency_protocol, run_cycle
+from rabiotto import OperatorMatrix, ReservoirSpec, eigendecompose, resonator_frequency_protocol, run_cycle
 
 
 @pytest.fixture
@@ -29,6 +29,18 @@ def random_density(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def dense_state(decomposition, populations):
+    """sum_n p_n |v_n><v_n| as a structured dense matrix, for the reference paths."""
+    v = decomposition.states
+    return OperatorMatrix((v * populations) @ v.conj().T, subsystem_dims=(2, decomposition.cutoff_used))
+
+
+def spectral_form(rho):
+    """A structured dense state as the (decomposition, populations) pair quantum_discord takes."""
+    decomposition = eigendecompose(rho)
+    return decomposition, decomposition.energies
 
 
 def default_reservoirs(ratio=9.0):

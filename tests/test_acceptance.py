@@ -42,6 +42,8 @@ from rabiotto.approx import approx_w1
 from rabiotto.cycle import WORK_REGIME_TOL, _report_from_spectra
 from rabiotto.sweep import _series_cutoffs, figure_preset
 
+from conftest import dense_state, spectral_form
+
 FIG2_GRID = np.linspace(0.0, 3.5, 100)
 COUPLED_GRID = np.linspace(0.0, 2.0, 50)
 
@@ -76,8 +78,8 @@ def _discord_point(args):
     g, cutoff = args
     protocol = resonator_frequency_protocol(g=float(g))
     states, report = run_cycle(protocol, cutoff=cutoff)
-    d1 = quantum_discord(states.rho1)
-    d4 = quantum_discord(states.rho4)
+    d1 = quantum_discord(states.hot, states.populations_hot)
+    d4 = quantum_discord(states.hot, states.populations_cold)
     return report.work, d4.discord - d1.discord
 
 
@@ -188,17 +190,17 @@ def test_criterion_06_discord_sanity():
     """Zero for g=0 thermal, ln 2 for the Bell pair, optimizer beats the grid."""
     protocol = resonator_frequency_protocol(g=0.0)
     states, _ = run_cycle(protocol, cutoff=8)
-    product_result = quantum_discord(states.rho1)
+    product_result = quantum_discord(states.hot, states.populations_hot)
     assert product_result.discord < 1e-9
 
-    v = np.zeros(4, dtype=complex)
+    v = np.zeros(4)
     v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    bell = OperatorMatrix(np.outer(v, v.conj()), subsystem_dims=(2, 2))
-    bell_result = quantum_discord(bell)
+    bell = OperatorMatrix(np.outer(v, v), subsystem_dims=(2, 2))
+    bell_result = quantum_discord(*spectral_form(bell))
     assert abs(bell_result.discord - math.log(2.0)) < 1e-6
 
     bell_oracle = _brute_force_grid_min(bell)
-    product_oracle = _brute_force_grid_min(states.rho1)
+    product_oracle = _brute_force_grid_min(dense_state(states.hot, states.populations_hot))
     print(
         f"CRITERION 6: D(g=0)={product_result.discord:.2e}, "
         f"D(Bell)={bell_result.discord:.9f}, oracle mins "

@@ -71,12 +71,6 @@ class TestApproxLevels:
         e_plus, e_minus = approx_levels(1.0, 1.0, 1.0, 0)
         assert abs((e_minus - e_plus) - 0.1353352832366127) < 1e-12
 
-    def test_verbatim_flag_only_affects_excited_manifolds(self):
-        assert approx_levels(1.0, 1.0, 0.5, 0) == approx_levels(1.0, 1.0, 0.5, 0, verbatim=False)
-        verb = approx_levels(1.0, 1.0, 0.5, 2)
-        flipped = approx_levels(1.0, 1.0, 0.5, 2, verbatim=False)
-        assert verb[0] + 2.0 * 2.0 == pytest.approx(flipped[0])
-
     def test_matches_exact_gap_in_asymptotic_regime(self):
         # approximate n=0 gap within 15% of the exact theta=0 gap for g >= 1.5
         for g in (1.5, 2.0, 2.5, 3.0):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rabiotto import (
     MeasurementBasis,
     OperatorMatrix,
+    SpectralDecomposition,
     conditional_entropy,
     coupled_coupling_protocol,
     discord_differences,
@@ -14,17 +18,47 @@ from rabiotto import (
     run_cycle,
     von_neumann_entropy,
 )
-from rabiotto.correlations import AXIS_TOL, REFINE_MAX_ITER, _canonical_angles, nelder_mead
+from rabiotto.correlations import (
+    AXIS_TOL,
+    REFINE_MAX_ITER,
+    _BlockEvaluator,
+    _bloch,
+    _canonical_angles,
+    nelder_mead,
+)
 from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
-from conftest import random_density
+from conftest import dense_state, random_density, spectral_form
 
 
 def bell_state(dim_b=2):
     """Maximally entangled qubit-oscillator state on a cutoff-2 oscillator."""
-    v = np.zeros(2 * dim_b, dtype=complex)
+    v = np.zeros(2 * dim_b)
     v[0] = v[dim_b + 1] = 1.0 / math.sqrt(2.0)
-    return OperatorMatrix(np.outer(v, v.conj()), subsystem_dims=(2, dim_b))
+    return OperatorMatrix(np.outer(v, v), subsystem_dims=(2, dim_b))
+
+
+def reduced_qubit(rho):
+    """Partial trace over the oscillator of a structured dense state."""
+    _, n = rho.subsystem_dims
+    return np.einsum("anbn->ab", rho.matrix.reshape(2, n, 2, n))
+
+
+@pytest.fixture(scope="module")
+def cycles(small_cycle):
+    """The g/omega_c = 1 cycle at cutoff 32, at theta = 0 and at theta = pi/4 (no parity)."""
+    _, states, _ = small_cycle
+    tilted, _ = run_cycle(resonator_frequency_protocol(g=1.0, theta=math.pi / 4), cutoff=32)
+    return {0.0: states, math.pi / 4: tilted}
+
+
+def cycle_state(states, name):
+    """rho1, rho3 or rho4 of a cycle as its (decomposition, populations) pair."""
+    return {
+        "rho1": (states.hot, states.populations_hot),
+        "rho3": (states.cold, states.populations_cold),
+        "rho4": (states.hot, states.populations_cold),
+    }[name]
 
 
 def product_thermalish(rng, dim_b=5):
@@ -87,17 +121,21 @@ class TestConditionalEntropy:
         with pytest.raises(ValueError):
             conditional_entropy(rho, 0.0, 0.0)
 
-    def test_scalar_vs_vectorized_paths_agree(self, small_cycle):
-        # dual route: full-projector reference vs compressed block evaluator
-        from rabiotto.correlations import _BlockEvaluator
-
-        _, states, _ = small_cycle
-        evaluator = _BlockEvaluator(states.rho1)
+    def test_scalar_vs_vectorized_paths_agree(self, cycles):
+        # dual route: full-projector reference on the dense state vs the
+        # evaluator's Gram blocks of the kept levels, for rho1, rho3 and rho4
+        # at theta = 0 and pi/4. rho4 puts cold populations on the hot basis;
+        # theta = pi/4 has no parity.
         rng = np.random.default_rng(5)
         angles = [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
         ts, ps = np.array(angles).T
-        for t, p, reference in zip(ts, ps, conditional_entropy(states.rho1, ts, ps)):
-            assert abs(reference - both_outcomes(evaluator, t, p)) < 1e-10
+        for states in cycles.values():
+            for name in ("rho1", "rho3", "rho4"):
+                decomposition, populations = cycle_state(states, name)
+                evaluator = _BlockEvaluator(decomposition, populations)
+                reference = conditional_entropy(dense_state(decomposition, populations), ts, ps)
+                for t, p, value in zip(ts, ps, reference):
+                    assert abs(value - both_outcomes(evaluator, t, p)) < 1e-10, (name, t, p)
 
     def test_bounded_below_by_entropy_difference(self, rng):
         # nonnegativity of discord restated per evaluation:
@@ -105,17 +143,15 @@ class TestConditionalEntropy:
         for _ in range(10):
             rho = OperatorMatrix(random_density(rng, 12), subsystem_dims=(2, 6))
             s_ab = von_neumann_entropy(rho)
-            from rabiotto import partial_trace
-
-            s_a = von_neumann_entropy(partial_trace(rho, "qubit"))
+            s_a = von_neumann_entropy(reduced_qubit(rho))
             theta_m, phi_m = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
             assert conditional_entropy(rho, theta_m, phi_m) >= s_ab - s_a - 1e-9
 
     def test_scalar_vs_vectorized_on_complex_state(self, rng):
+        # complex vectors pin the pairing b_ab = X_b^dag X_a, which real
+        # states cannot tell from its transpose
         rho = OperatorMatrix(random_density(rng, 8), subsystem_dims=(2, 4))
-        from rabiotto.correlations import _BlockEvaluator
-
-        evaluator = _BlockEvaluator(rho)
+        evaluator = _BlockEvaluator(*spectral_form(rho))
         angles = [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(8)]
         ts, ps = np.array(angles).T
         for t, p, reference in zip(ts, ps, conditional_entropy(rho, ts, ps)):
@@ -169,27 +205,75 @@ class TestNelderMead:
         assert f == -x[0] < 0.0
 
 
+class TestReducedQubitState:
+    """The evaluator's rho_A = [[tr b00, tr b01], [tr b10, tr b11]] is the partial trace."""
+
+    def test_maximally_mixed(self):
+        rho = OperatorMatrix(np.eye(4) / 4.0, subsystem_dims=(2, 2))
+        np.testing.assert_allclose(_BlockEvaluator(*spectral_form(rho)).rho_a, np.eye(2) / 2.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31))
+    def test_product_state_recovery(self, seed):
+        rng = np.random.default_rng(seed)
+        rho, rho_a, _ = product_thermalish(rng, dim_b=4)
+        np.testing.assert_allclose(_BlockEvaluator(*spectral_form(rho)).rho_a, rho_a, atol=1e-10)
+
+    def test_trace_preserved(self, rng):
+        rho = OperatorMatrix(random_density(rng, 12), subsystem_dims=(2, 6))
+        reduced = _BlockEvaluator(*spectral_form(rho)).rho_a
+        np.testing.assert_allclose(reduced, reduced_qubit(rho), atol=1e-12)
+        assert abs(np.trace(reduced) - 1.0) < 1e-12
+
+    def test_thermal_rabi_reduced_qubit_trace(self, cycles):
+        # a physical state at g/omega = 1, with and without parity, against
+        # the partial trace of the dense state
+        for states in cycles.values():
+            decomposition, populations = cycle_state(states, "rho1")
+            reduced = _BlockEvaluator(decomposition, populations).rho_a
+            np.testing.assert_allclose(reduced, reduced_qubit(dense_state(decomposition, populations)), atol=1e-13)
+            assert abs(np.trace(reduced) - 1.0) < 1e-12
+
+
 class TestQuantumDiscord:
     def test_product_state_has_zero_discord(self, rng):
         _, rho_a, rho_b = product_thermalish(rng)
         rho = OperatorMatrix(np.kron(rho_a.real, rho_b.real), subsystem_dims=(2, 5))
-        result = quantum_discord(rho, grid=(24, 48))
+        result = quantum_discord(*spectral_form(rho), grid=(24, 48))
         assert result.discord < 1e-9
 
     def test_product_state_reports_the_z_axis(self, rng):
         # the conditional entropy is flat in the angle; round-off must not pick the axis
         _, rho_a, rho_b = product_thermalish(rng)
         rho = OperatorMatrix(np.kron(rho_a.real, rho_b.real), subsystem_dims=(2, 5))
-        basis = quantum_discord(rho, grid=(24, 48)).optimal_basis
+        basis = quantum_discord(*spectral_form(rho), grid=(24, 48)).optimal_basis
         assert (basis.theta_m, basis.phi_m) == (0.0, 0.0)
 
     def test_rejects_complex_state(self, rng):
         rho, _, _ = product_thermalish(rng)
         with pytest.raises(ValueError, match="real density matrix"):
-            quantum_discord(rho, grid=(24, 48))
+            quantum_discord(*spectral_form(rho), grid=(24, 48))
+
+    def test_rejects_populations_without_unit_sum(self, small_cycle):
+        _, states, _ = small_cycle
+        for scale in (1.0 + 1e-9, 1.0 - 1e-9, 0.5):
+            with pytest.raises(ValueError, match="unit trace"):
+                quantum_discord(states.hot, scale * states.populations_hot, grid=(8, 16))
+
+    def test_rejects_a_negative_population(self, small_cycle):
+        _, states, _ = small_cycle
+        populations = np.array(states.populations_hot)
+        populations[-2:] += (1e-9, -1e-9)  # still sums to 1
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            quantum_discord(states.hot, populations, grid=(8, 16))
+
+    def test_rejects_populations_of_the_wrong_length(self, small_cycle):
+        _, states, _ = small_cycle
+        with pytest.raises(ValueError, match="populations"):
+            quantum_discord(states.hot, states.populations_hot[:-1], grid=(8, 16))
 
     def test_bell_state_ln2(self):
-        result = quantum_discord(bell_state(), grid=(24, 48))
+        result = quantum_discord(*spectral_form(bell_state()), grid=(24, 48))
         assert abs(result.discord - math.log(2.0)) < 1e-6
         assert abs(result.entropy_ab) < 1e-12
         assert abs(result.entropy_a - math.log(2.0)) < 1e-12
@@ -197,24 +281,22 @@ class TestQuantumDiscord:
 
     def test_decomposition_identity(self, small_cycle):
         _, states, _ = small_cycle
-        result = quantum_discord(states.rho1, grid=(20, 40))
+        result = quantum_discord(states.hot, states.populations_hot, grid=(20, 40))
         recomposed = result.entropy_a - result.entropy_ab + result.conditional_entropy_min
         assert abs(result.discord - recomposed) < 1e-12 or result.discord == 0.0
         assert result.discord >= 0.0
 
     def test_refinement_never_worse_than_grid(self, small_cycle):
         _, states, _ = small_cycle
-        coarse = quantum_discord(states.rho1, grid=(12, 24), refine=False)
-        refined = quantum_discord(states.rho1, grid=(12, 24), refine=True)
+        coarse = quantum_discord(states.hot, states.populations_hot, grid=(12, 24), refine=False)
+        refined = quantum_discord(states.hot, states.populations_hot, grid=(12, 24), refine=True)
         assert refined.conditional_entropy_min <= coarse.conditional_entropy_min + 1e-15
 
     def test_refinement_against_brute_force_grid(self, small_cycle):
         # optimizer must never land above the best point of a denser grid
         _, states, _ = small_cycle
-        result = quantum_discord(states.rho1, grid=(32, 64))
-        from rabiotto.correlations import _BlockEvaluator
-
-        evaluator = _BlockEvaluator(states.rho1)
+        result = quantum_discord(states.hot, states.populations_hot, grid=(32, 64))
+        evaluator = _BlockEvaluator(states.hot, states.populations_hot)
         ts = np.linspace(0.0, math.pi, 96)
         ps = np.linspace(0.0, 2.0 * math.pi, 192, endpoint=False)
         tt, pp = np.meshgrid(ts, ps, indexing="ij")
@@ -226,7 +308,7 @@ class TestQuantumDiscord:
     def test_discord_vanishes_as_coupling_vanishes(self):
         protocol = resonator_frequency_protocol(g=0.0)
         states, _ = run_cycle(protocol, cutoff=16)
-        result = quantum_discord(states.rho1, grid=(16, 32))
+        result = quantum_discord(states.hot, states.populations_hot, grid=(16, 32))
         assert result.discord < 1e-9
 
     @pytest.mark.parametrize("theta", figure_preset("fig4").series.values)
@@ -243,14 +325,12 @@ class TestQuantumDiscord:
 
     def test_thermal_discord_positive_at_strong_coupling(self, small_cycle):
         _, states, _ = small_cycle
-        assert quantum_discord(states.rho1, grid=(24, 48)).discord > 1e-3
+        assert quantum_discord(states.hot, states.populations_hot, grid=(24, 48)).discord > 1e-3
 
     def test_phi_mirror_symmetry_for_real_states(self, small_cycle):
         # the half grid for real states relies on f(t, phi) = f(t, 2pi - phi)
-        from rabiotto.correlations import _BlockEvaluator
-
         _, states, _ = small_cycle
-        evaluator = _BlockEvaluator(states.rho1)
+        evaluator = _BlockEvaluator(states.hot, states.populations_hot)
         for t in (0.4, 1.1, 2.0):
             for p in (0.3, 1.9, 3.0):
                 a = float(evaluator(np.array([t]), np.array([p]))[0])
@@ -260,16 +340,19 @@ class TestQuantumDiscord:
     def test_even_and_odd_phi_grids_agree(self, small_cycle):
         # two even grids agree; an odd n_phi or a single theta row has no antipodes
         _, states, _ = small_cycle
-        a = quantum_discord(states.rho1, grid=(16, 32))
-        b = quantum_discord(states.rho1, grid=(15, 30))
+        a = quantum_discord(states.hot, states.populations_hot, grid=(16, 32))
+        b = quantum_discord(states.hot, states.populations_hot, grid=(15, 30))
         assert abs(a.discord - b.discord) < 1e-7
         for grid in ((16, 31), (1, 32), (0, 32)):
             with pytest.raises(ValueError, match="even n_phi"):
-                quantum_discord(states.rho1, grid=grid)
+                quantum_discord(states.hot, states.populations_hot, grid=grid)
 
-    def test_rejects_unstructured(self, rng):
-        with pytest.raises(ValueError):
-            quantum_discord(OperatorMatrix(random_density(rng, 4)))
+    def test_rejects_unstructured(self, small_cycle):
+        _, states, _ = small_cycle
+        h = states.hot
+        unstructured = SpectralDecomposition(h.energies, h.states, None, h.residual_norm, h.orthonormality_error)
+        with pytest.raises(ValueError, match="structure"):
+            quantum_discord(unstructured, states.populations_hot)
 
 
 class TestReportedAxis:
@@ -292,8 +375,8 @@ class TestReportedAxis:
         assert reported == pytest.approx(_canonical_angles(math.pi - theta, phi + math.pi), abs=1e-12)
         t, p = reported
         assert 0.0 <= t <= math.pi and -math.pi < p <= math.pi
-        n = MeasurementBasis(t, p).bloch_vector()
-        m = MeasurementBasis(theta, phi).bloch_vector()
+        n = np.array(_bloch(t, p))
+        m = np.array(_bloch(theta, phi))
         assert min(np.abs(n - m).max(), np.abs(n + m).max()) < 1e-12
 
     def test_no_jump_across_phi_zero(self):
@@ -304,21 +387,21 @@ class TestReportedAxis:
     def test_discord_reports_the_positive_x_representative(self, small_cycle):
         # theta = 0: the optimal axis lies in the x-z plane, phi in {0, pi}
         _, states, _ = small_cycle
-        basis = quantum_discord(states.rho1, grid=(16, 32)).optimal_basis
+        basis = quantum_discord(states.hot, states.populations_hot, grid=(16, 32)).optimal_basis
         assert -math.pi < basis.phi_m <= math.pi
-        assert basis.bloch_vector()[0] > -AXIS_TOL
+        assert _bloch(basis.theta_m, basis.phi_m)[0] > -AXIS_TOL
 
 
 class TestDiscordDifferences:
     def test_identical_hamiltonians_leave_adiabats_trivial(self):
-        # R = 1: both adiabats are no-ops, so rho2 = rho1 and rho4 = rho3
-        # exactly and the compression-stage difference vanishes. The hot-stage
-        # difference D(rho4) - D(rho1) stays nonzero: it compares thermal
-        # states at the two reservoir temperatures.
+        # R = 1: both adiabats are no-ops, so the hot and cold eigenvectors
+        # agree, rho2 = rho1 and rho4 = rho3 exactly and the compression-stage
+        # difference vanishes. The hot-stage difference D(rho4) - D(rho1)
+        # stays nonzero: it compares thermal states at the two reservoir
+        # temperatures.
         protocol = resonator_frequency_protocol(g=0.7, ratio=1.0)
         states, _ = run_cycle(protocol, cutoff=20)
-        assert np.max(np.abs(states.rho2.matrix - states.rho1.matrix)) < 1e-13
-        assert np.max(np.abs(states.rho4.matrix - states.rho3.matrix)) < 1e-13
+        assert np.max(np.abs(states.hot.states - states.cold.states)) < 1e-13
         diffs = discord_differences(states, grid=(16, 32))
         assert abs(diffs.d34) < 2e-9
         assert abs(diffs.d41 - diffs.d31) < 2e-9
@@ -327,7 +410,7 @@ class TestDiscordDifferences:
         # alpha = 1: H_h = R H_c share eigenvectors, so rho3 = rho4 exactly
         protocol = coupled_coupling_protocol(g_c=0.9, alpha=1.0)
         states, _ = run_cycle(protocol, cutoff=32)
-        assert np.max(np.abs(states.rho3.matrix - states.rho4.matrix)) < 1e-12
+        assert np.max(np.abs(states.hot.states - states.cold.states)) < 1e-12
         diffs = discord_differences(states, grid=(16, 32))
         assert abs(diffs.d34) < 2e-9
 

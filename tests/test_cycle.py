@@ -12,12 +12,23 @@ from rabiotto import (
     qubit_frequency_protocol,
     resonator_frequency_protocol,
     run_cycle,
+    thermal_energy,
     thermal_populations,
 )
 from rabiotto.cycle import CycleProtocol, CycleReport, CycleStates, _report_from_spectra
 from rabiotto.spectral import SpectralDecomposition
 
-from conftest import default_reservoirs
+from conftest import default_reservoirs, dense_state
+
+
+def all_states(states):
+    """The dense rho1, rho2, rho3 and rho4 of a cycle."""
+    return (
+        dense_state(states.hot, states.populations_hot),
+        dense_state(states.cold, states.populations_hot),
+        dense_state(states.cold, states.populations_cold),
+        dense_state(states.hot, states.populations_cold),
+    )
 
 
 class TestThermalPopulations:
@@ -56,7 +67,7 @@ class TestReservoirSpec:
         # k_B * 19 mK at omega_ref = 2*pi*10 GHz is about 0.0396 quanta
         assert abs(r.kt_cold - 0.0395896) < 1e-6
         assert abs(r.kt_hot / r.kt_cold - 9.0) < 1e-12
-        assert abs(r.kt_cold - 0.019 * r.energy_scale) < 1e-15
+        assert abs(r.kt_cold - 0.019 * thermal_energy(1.0)) < 1e-15
 
 
 class TestProtocolValidation:
@@ -110,26 +121,30 @@ class TestRunCycle:
         _, states, _ = small_cycle
         # rho2 = sum_n P_n(T_h) |E_n^c><E_n^c|: projecting onto the cold basis
         # must recover the hot population vector (and likewise rho4/rho3)
+        rho1, rho2, _, rho4 = all_states(states)
         vc, vh = states.cold.states, states.hot.states
-        p2 = np.einsum("in,ij,jn->n", vc.conj(), states.rho2.matrix, vc).real
-        p4 = np.einsum("in,ij,jn->n", vh.conj(), states.rho4.matrix, vh).real
+        p2 = np.einsum("in,ij,jn->n", vc.conj(), rho2.matrix, vc).real
+        p4 = np.einsum("in,ij,jn->n", vh.conj(), rho4.matrix, vh).real
         np.testing.assert_allclose(p2, states.populations_hot, atol=1e-13)
         np.testing.assert_allclose(p4, states.populations_cold, atol=1e-13)
-        d1 = np.linalg.eigvalsh(states.rho1.matrix)
-        d2 = np.linalg.eigvalsh(states.rho2.matrix)
+        d1 = np.linalg.eigvalsh(rho1.matrix)
+        d2 = np.linalg.eigvalsh(rho2.matrix)
         np.testing.assert_allclose(np.sort(d1), np.sort(d2), atol=1e-12)
 
     def test_states_are_density_matrices(self, small_cycle):
         _, states, _ = small_cycle
-        for rho in (states.rho1, states.rho2, states.rho3, states.rho4):
-            assert rho.is_density_matrix()
+        for rho in all_states(states):
+            assert rho.is_hermitian()
+            assert abs(np.trace(rho.matrix) - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
     def test_thermal_states_commute_with_hamiltonian(self, small_cycle):
         protocol, states, _ = small_cycle
         from rabiotto import build_hamiltonian
 
         h_h = build_hamiltonian(protocol.hot, 32).matrix
-        assert np.max(np.abs(h_h @ states.rho1.matrix - states.rho1.matrix @ h_h)) < 1e-10
+        rho1 = all_states(states)[0].matrix
+        assert np.max(np.abs(h_h @ rho1 - rho1 @ h_h)) < 1e-10
 
     def test_auto_cutoff_path(self):
         protocol = resonator_frequency_protocol(g=0.5, n_levels=6)

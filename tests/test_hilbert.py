@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rabiotto import OperatorMatrix, partial_trace
+from rabiotto import OperatorMatrix
 from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator, parity_sectors
 from rabiotto.hilbert import check_cutoff
-from rabiotto.cycle import resonator_frequency_protocol, run_cycle, thermal_populations
-from rabiotto.spectral import eigendecompose
-
-from conftest import random_density
+from rabiotto.cycle import resonator_frequency_protocol, run_cycle
 
 
 class TestCutoffCheck:
@@ -36,43 +31,6 @@ class TestCutoffCheck:
                 build(n_max)
 
 
-class TestPartialTrace:
-    def test_maximally_mixed(self):
-        rho = OperatorMatrix(np.eye(4) / 4.0, subsystem_dims=(2, 2))
-        np.testing.assert_allclose(partial_trace(rho, "qubit").matrix, np.eye(2) / 2.0)
-
-    def test_rejects_unstructured(self):
-        rho = OperatorMatrix(np.eye(4) / 4.0)
-        with pytest.raises(ValueError):
-            partial_trace(rho, "qubit")
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31))
-    def test_product_state_recovery(self, seed):
-        rng = np.random.default_rng(seed)
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 4)
-        rho = OperatorMatrix(np.kron(rho_a, rho_b), subsystem_dims=(2, 4))
-        np.testing.assert_allclose(partial_trace(rho, "qubit").matrix, rho_a, atol=1e-10)
-        np.testing.assert_allclose(partial_trace(rho, "oscillator").matrix, rho_b, atol=1e-10)
-
-    def test_trace_preserved_both_subsystems(self, rng):
-        rho_m = random_density(rng, 12)
-        rho = OperatorMatrix(rho_m, subsystem_dims=(2, 6))
-        for keep in ("qubit", "oscillator"):
-            reduced = partial_trace(rho, keep)
-            assert abs(np.trace(reduced.matrix) - np.trace(rho_m)) < 1e-12
-
-    def test_thermal_rabi_reduced_qubit_trace(self):
-        # trace identity on a physical state: thermal Rabi state at g/omega = 1
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=1.0), 24)
-        dec = eigendecompose(h)
-        p = thermal_populations(dec.energies, 0.5)
-        rho = OperatorMatrix((dec.states * p) @ dec.states.conj().T, subsystem_dims=(2, 24))
-        reduced = partial_trace(rho, "qubit")
-        assert abs(np.trace(reduced.matrix).real - 1.0) < 1e-12
-
-
 class TestOperatorMatrix:
     def test_immutable(self):
         op = OperatorMatrix(np.eye(3))
@@ -83,10 +41,6 @@ class TestOperatorMatrix:
         m = rng.normal(size=(4, 4))
         assert OperatorMatrix(m + m.T).is_hermitian()
         assert not OperatorMatrix(m + m.T + 1e-6 * np.eye(4) * 1j).is_hermitian()
-
-    def test_density_check(self, rng):
-        assert OperatorMatrix(random_density(rng, 5)).is_density_matrix()
-        assert not OperatorMatrix(np.eye(5)).is_density_matrix()  # trace 5
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
