@@ -105,9 +105,9 @@ def _load_config(args: argparse.Namespace) -> SweepConfig:
     return parse_config(text, overrides=COMMAND_OVERRIDES.get(args.command, {}) | flags)
 
 
-def _emit(result: SweepResult, path: str | None, fmt: str) -> None:
+def _emit(result: SweepResult, path: str | None) -> None:
     """Write the table to ``path`` or stdout, then its warnings to stderr."""
-    text = write_output(result, path, fmt)
+    text = write_output(result, path)
     if not path:
         sys.stdout.write(text)
     for warning in result.warnings:
@@ -130,7 +130,7 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
         report.work, report.q_hot, report.q_cold, report.eta, report.regime,
     )
     summary_table = table(CYCLE_SUMMARY_COLUMNS, [summary], report.warnings)
-    _emit(summary_table, config.out_path, config.out_format)
+    _emit(summary_table, config.out_path)
     if getattr(args, "per_level", None):
         eh = states.hot.ground_referenced()
         ec = states.cold.ground_referenced()
@@ -140,7 +140,7 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
              float(report.work_per_level[n]))
             for n in range(len(report.work_per_level))
         ]
-        _emit(table(PER_LEVEL_COLUMNS, rows), args.per_level, config.out_format)
+        _emit(table(PER_LEVEL_COLUMNS, rows), args.per_level)
     return 0
 
 
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_single_cycle(args)
         config = _load_config(args)
         result = run_sweep(config)
-        _emit(result, config.out_path, config.out_format)
+        _emit(result, config.out_path)
         error_col = result.columns.index("error")
         if result.rows and all(row[error_col] for row in result.rows):
             sys.stderr.write("rabiotto: every sweep point failed\n")

@@ -78,9 +78,6 @@ class OperatorMatrix:
     def is_hermitian(self) -> bool:
         return is_hermitian_matrix(self.matrix)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
 
 def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
     """The matrix of an OperatorMatrix, or a bare array as complex128 if complex, else float64."""

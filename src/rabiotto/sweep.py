@@ -6,12 +6,16 @@ resonator-frequency work curve of the engine/refrigerator transition
 analysis). Every config key can be overridden through environment
 variables with the RABIOTTO_ prefix, nested keys joined by double underscores
 (e.g. RABIOTTO_SWEEP__N_POINTS=50); a name that matches no key is an error.
+``parse_config`` checks each key's type; SweepConfig checks the value rules
+when it is built, whether by ``parse_config``, directly or by
+``dataclasses.replace``, so every SweepConfig that exists passes them.
 
 Output is CSV (header row, UTF-8, 12-significant-digit floats, cells quoted
-only where needed) or a JSON mirror of the same table. Identical configs
-produce bit-identical files on one machine and numpy/BLAS build; rows are
-ordered by (series value, swept value) regardless of worker count, and every
-row echoes a hash of the fully resolved config.
+only where needed) or a JSON mirror of the same table, as the result's
+config sets in ``out_format``. Identical configs produce bit-identical files
+on one machine and numpy/BLAS build; rows are ordered by (series value,
+swept value) regardless of worker count, and every row echoes a hash of the
+fully resolved config.
 
 Sweep kinds:
   cycle    -- Otto-cycle observables per grid point (optionally with discord)
@@ -32,7 +36,7 @@ import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 
 import numpy as np
@@ -92,21 +96,11 @@ class CutoffPolicy:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
-        sides, and each distinct side is scanned once per call. With no groups
-        it scans nothing and only validates the policy. In auto mode the
-        ceiling must reach the scan start, or no cutoff can certify.
+        sides, and each distinct side is scanned once per call. The policy is
+        checked where the SweepConfig that holds it is built.
         """
-        if self.mode not in ("auto", "fixed"):
-            raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and (self.n_max is None or self.n_max < 2):
-            raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
-        if self.tol <= 0.0:
-            raise ConfigError(f"cutoff.tol: must be > 0, got {self.tol}")
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
-        start = scan_start(n_levels)
-        if self.ceiling < start:
-            raise ConfigError(f"cutoff.ceiling: must be >= the scan start {start}, got {self.ceiling}")
         scan = functools.cache(lambda side: converged_cutoff(side, n_levels, self.tol, self.ceiling))
         return [max(scan(side) for side in group) for group in groups]
 
@@ -157,6 +151,77 @@ class SweepConfig:
     workers: int = 0
     out_path: str | None = None
     out_format: str = "csv"
+
+    def __post_init__(self) -> None:
+        """Check the value rules, so a config passes them however it was built."""
+        if self.kind not in _KINDS:
+            raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {self.kind!r}")
+        if self.out_format not in FORMATS:
+            raise ConfigError(f"out_format: must be one of {FORMATS}, got {self.out_format!r}")
+        if self.sweep.n_points < 2:
+            raise ConfigError(f"sweep.n_points: must be >= 2, got {self.sweep.n_points}")
+        if self.sweep.start > self.sweep.stop:
+            raise ConfigError(
+                f"sweep.start: must not exceed sweep.stop ({self.sweep.start} > {self.sweep.stop})"
+            )
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant: unknown variant {self.variant!r}")
+        axes = [("sweep", self.sweep.parameter)]
+        if self.series is not None:
+            axes.append(("series", self.series.parameter))
+        for axis, parameter in axes:
+            if parameter not in SWEEPABLE:
+                raise ConfigError(f"{axis}.parameter: must be one of {SWEEPABLE}, got {parameter!r}")
+            owner = PARAMETER_VARIANT.get(parameter, self.variant)
+            if owner != self.variant:
+                raise ConfigError(f"{axis}.parameter: {parameter} is only swept in the {owner} variant")
+        if self.kind != "cycle" and self.sweep.parameter != "g_over_omega_c":
+            raise ConfigError(
+                f"sweep.parameter: kind {self.kind} sweeps only g_over_omega_c (use a theta series)"
+            )
+        if self.series is not None:
+            if self.series.parameter == self.sweep.parameter:
+                raise ConfigError("series.parameter: must differ from sweep.parameter")
+            if len(self.series.values) == 0:
+                raise ConfigError("series.values: must not be empty")
+        if not 0.0 < self.t_cold < self.t_hot:
+            raise ConfigError(f"t_cold: require 0 < t_cold < t_hot, got {self.t_cold}, {self.t_hot}")
+        if self.omega_ref <= 0.0:
+            raise ConfigError(f"omega_ref: must be > 0, got {self.omega_ref}")
+        if self.n_levels < 1:
+            raise ConfigError(f"n_levels: must be >= 1, got {self.n_levels}")
+        if self.discord.n_theta < 2:
+            raise ConfigError(f"discord.n_theta: must be >= 2, got {self.discord.n_theta}")
+        if self.discord.n_phi < 2 or self.discord.n_phi % 2:
+            raise ConfigError(f"discord.n_phi: must be even and >= 2, got {self.discord.n_phi}")
+        cutoff = self.cutoff
+        if cutoff.mode not in ("auto", "fixed"):
+            raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {cutoff.mode!r}")
+        if cutoff.mode == "fixed" and (cutoff.n_max is None or cutoff.n_max < 2):
+            raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
+        if cutoff.tol <= 0.0:
+            raise ConfigError(f"cutoff.tol: must be > 0, got {cutoff.tol}")
+        # in auto mode the ceiling must reach the scan start, or no cutoff can certify
+        start = scan_start(self.n_levels)
+        if cutoff.mode == "auto" and cutoff.ceiling < start:
+            raise ConfigError(f"cutoff.ceiling: must be >= the scan start {start}, got {cutoff.ceiling}")
+        if self.kind != "spectrum" and self.n_levels < 2:
+            # every other kind runs the cycle, whose heat and work over the ground
+            # level alone are zero; levels and approx rows report level 1
+            raise ConfigError(
+                f"n_levels: kind {self.kind} runs the cycle, so must be >= 2, got {self.n_levels}"
+            )
+        if self.kind == "approx":
+            if self.variant != "resonator-frequency":
+                raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
+            if self.theta != 0.0 or self.series is not None:
+                raise ConfigError("theta: approx is the theta = 0 closed form; set no theta or series")
+            try:
+                positive_work_bound(self.ratio, self.t_hot / self.t_cold)
+            except ValueError as exc:
+                raise ConfigError(f"ratio, t_hot: no positive-work bound: {exc}") from exc
+        if self.workers < 0:
+            raise ConfigError(f"workers: must be >= 0, got {self.workers}")
 
     def resolved_dict(self) -> dict:
         """The config as a dict; ``json.dumps`` of it parses back to the same config."""
@@ -255,70 +320,9 @@ def _series_values(config: SweepConfig) -> list[float | None]:
     return list(config.series.values) if config.series is not None else [None]
 
 
-def _validate(config: SweepConfig) -> None:
-    if config.kind not in _KINDS:
-        raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {config.kind!r}")
-    if config.out_format not in FORMATS:
-        raise ConfigError(f"out_format: must be one of {FORMATS}, got {config.out_format!r}")
-    if config.sweep.n_points < 2:
-        raise ConfigError(f"sweep.n_points: must be >= 2, got {config.sweep.n_points}")
-    if config.sweep.start > config.sweep.stop:
-        raise ConfigError(
-            f"sweep.start: must not exceed sweep.stop ({config.sweep.start} > {config.sweep.stop})"
-        )
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"variant: unknown variant {config.variant!r}")
-    axes = [("sweep", config.sweep.parameter)]
-    if config.series is not None:
-        axes.append(("series", config.series.parameter))
-    for axis, parameter in axes:
-        if parameter not in SWEEPABLE:
-            raise ConfigError(f"{axis}.parameter: must be one of {SWEEPABLE}, got {parameter!r}")
-        owner = PARAMETER_VARIANT.get(parameter, config.variant)
-        if owner != config.variant:
-            raise ConfigError(f"{axis}.parameter: {parameter} is only swept in the {owner} variant")
-    if config.kind != "cycle" and config.sweep.parameter != "g_over_omega_c":
-        raise ConfigError(
-            f"sweep.parameter: kind {config.kind} sweeps only g_over_omega_c (use a theta series)"
-        )
-    if config.series is not None:
-        if config.series.parameter == config.sweep.parameter:
-            raise ConfigError("series.parameter: must differ from sweep.parameter")
-        if len(config.series.values) == 0:
-            raise ConfigError("series.values: must not be empty")
-    if not 0.0 < config.t_cold < config.t_hot:
-        raise ConfigError(f"t_cold: require 0 < t_cold < t_hot, got {config.t_cold}, {config.t_hot}")
-    if config.omega_ref <= 0.0:
-        raise ConfigError(f"omega_ref: must be > 0, got {config.omega_ref}")
-    if config.n_levels < 1:
-        raise ConfigError(f"n_levels: must be >= 1, got {config.n_levels}")
-    if config.discord.n_theta < 2:
-        raise ConfigError(f"discord.n_theta: must be >= 2, got {config.discord.n_theta}")
-    if config.discord.n_phi < 2 or config.discord.n_phi % 2:
-        raise ConfigError(f"discord.n_phi: must be even and >= 2, got {config.discord.n_phi}")
-    config.cutoff.resolve([], config.n_levels)  # checks the policy, scans nothing
-    if config.kind != "spectrum" and config.n_levels < 2:
-        # every other kind runs the cycle, whose heat and work over the ground
-        # level alone are zero; levels and approx rows report level 1
-        raise ConfigError(
-            f"n_levels: kind {config.kind} runs the cycle, so must be >= 2, got {config.n_levels}"
-        )
-    if config.kind == "approx":
-        if config.variant != "resonator-frequency":
-            raise ConfigError("kind: approx comparison requires the resonator-frequency variant")
-        if config.theta != 0.0 or config.series is not None:
-            raise ConfigError("theta: approx is the theta = 0 closed form; set no theta or series")
-        try:
-            positive_work_bound(config.ratio, config.t_hot / config.t_cold)
-        except ValueError as exc:
-            raise ConfigError(f"ratio, t_hot: no positive-work bound: {exc}") from exc
-    if config.workers < 0:
-        raise ConfigError(f"workers: must be >= 0, got {config.workers}")
-
-
 def parse_config(text: str, environ: dict | None = None, overrides: dict | None = None) -> SweepConfig:
     """Decode a JSON config document, overlay RABIOTTO_* variables of ``environ``
-    (default os.environ), then ``overrides``, validate and fill defaults."""
+    (default os.environ), then ``overrides``, and build the config from it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -327,12 +331,10 @@ def parse_config(text: str, environ: dict | None = None, overrides: dict | None 
         raise ConfigError("config document must be a JSON object")
     _overlay(data, _env_document(environ))
     _overlay(data, overrides or {})
-    config = _build(SweepConfig, data)
     if data.get("t_cold") is not None and data.get("t_hot") is None:
         # preserve the default T_h / T_c when only T_c is given
-        config = replace(config, t_hot=DEFAULT_T_RATIO * float(config.t_cold))
-    _validate(config)
-    return config
+        data["t_hot"] = DEFAULT_T_RATIO * float(_check_value(float, data["t_cold"], "t_cold"))
+    return _build(SweepConfig, data)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +637,10 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def write_output(result: SweepResult, path: str | None, fmt: str) -> str:
-    """Render and optionally write the result; returns the rendered text."""
-    if fmt not in FORMATS:
-        raise ConfigError(f"out_format: must be one of {FORMATS}, got {fmt!r}")
-    text = render_csv(result) if fmt == "csv" else render_json(result)
+def write_output(result: SweepResult, path: str | None) -> str:
+    """Render the result in its config's ``out_format``, write it to ``path`` if
+    given, and return the rendered text."""
+    text = render_csv(result) if result.config.out_format == "csv" else render_json(result)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -38,6 +38,16 @@ def bell_state(dim_b=2):
     return OperatorMatrix(np.outer(v, v), subsystem_dims=(2, dim_b))
 
 
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+
+
+def bell_diagonal(c):
+    """(I + sum_i c_i sigma_i x sigma_i)/4 on qubit x 2-level oscillator; real, as sigma_y x sigma_y is."""
+    m = np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))
+    assert not m.imag.any()
+    return OperatorMatrix(m.real / 4, subsystem_dims=(2, 2))
+
+
 def reduced_qubit(rho):
     """Partial trace over the oscillator of a structured dense state."""
     _, n = rho.subsystem_dims
@@ -278,6 +288,29 @@ class TestQuantumDiscord:
         assert abs(result.entropy_ab) < 1e-12
         assert abs(result.entropy_a - math.log(2.0)) < 1e-12
         assert result.conditional_entropy_min < 1e-9
+
+    @pytest.mark.parametrize(
+        "c, expected, angles",
+        [
+            ((0.6, 0.1, -0.2), 0.0204628669676, (math.pi / 2, 0.0)),
+            ((0.2, -0.7, 0.3), 0.0458089536755, (math.pi / 2, math.pi / 2)),
+            ((0.1, 0.2, -0.5), 0.0201355135507, (0.0, 0.0)),
+        ],
+        ids=["x", "y", "z"],
+    )
+    def test_bell_diagonal_states_match_the_closed_form(self, c, expected, angles):
+        # Luo, PRA 77, 042303 (2008): D = ln 2 - S(rho_AB) + H((1 + c)/2) with c = max |c_i|,
+        # measured along the axis of the largest |c_i|; a y optimum shows a real state's
+        # optimum need not lie in the x-z plane
+        c1, c2, c3 = c
+        lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+        p = (1 + max(map(abs, c))) / 2
+        closed = math.log(2) + float(np.sum(lam * np.log(lam))) - p * math.log(p) - (1 - p) * math.log(1 - p)
+        assert abs(closed - expected) < 1e-12
+        result = quantum_discord(*spectral_form(bell_diagonal(c)))
+        assert abs(result.discord - closed) < 1e-12
+        basis = result.optimal_basis
+        assert abs(basis.theta_m - angles[0]) < 1e-6 and abs(basis.phi_m - angles[1]) < 1e-6
 
     def test_decomposition_identity(self, small_cycle):
         _, states, _ = small_cycle

@@ -9,6 +9,9 @@ import pytest
 
 from rabiotto import ConfigError, figure_preset, parse_config, run_sweep
 from rabiotto.sweep import (
+    CutoffPolicy,
+    DiscordOptions,
+    SweepAxis,
     SweepConfig,
     build_protocol,
     render_csv,
@@ -63,6 +66,10 @@ class TestParseConfig:
     def test_t_hot_defaults_to_nine_t_cold(self):
         config = parse_config(json.dumps({"t_cold": 0.02}), environ={})
         assert abs(config.t_hot - 0.18) < 1e-15
+        # an integer t_cold still gives a float t_hot, so the hash sees 9.0
+        assert repr(parse_config(json.dumps({"t_cold": 1}), environ={}).t_hot) == "9.0"
+        with pytest.raises(ConfigError, match=r"^t_cold: expected a number, got 'cold'$"):
+            parse_config(json.dumps({"t_cold": "cold"}), environ={})
 
     def test_rejects_single_point(self):
         with pytest.raises(ConfigError, match="n_points"):
@@ -142,6 +149,20 @@ class TestParseConfig:
             parse_config(json.dumps({"n_levels": 4, "cutoff": {"ceiling": -1}}), environ={})
         parse_config(json.dumps({"cutoff": {"mode": "fixed", "n_max": 12, "ceiling": 4}}), environ={})
 
+    @pytest.mark.parametrize(
+        "cutoff, message",
+        [
+            ({"mode": "per-point"}, "cutoff.mode: must be 'auto' or 'fixed', got 'per-point'"),
+            ({"mode": "fixed"}, "cutoff.n_max: fixed cutoff requires n_max >= 2"),
+            ({"mode": "fixed", "n_max": 1}, "cutoff.n_max: fixed cutoff requires n_max >= 2"),
+            ({"tol": 0.0}, "cutoff.tol: must be > 0, got 0.0"),
+        ],
+        ids=["mode", "no-n_max", "n_max=1", "tol=0"],
+    )
+    def test_rejects_bad_cutoff_policy(self, cutoff, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(json.dumps({"cutoff": cutoff}), environ={})
+
     def test_rejects_bad_temperatures(self):
         with pytest.raises(ConfigError, match="t_cold"):
             parse_config(json.dumps({"t_cold": 0.1, "t_hot": 0.05}), environ={})
@@ -171,6 +192,66 @@ class TestParseConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope", environ={})
+
+
+class TestBuiltConfigsAreChecked:
+    """A SweepConfig checks its rules when built, by any route, with parse_config's messages."""
+
+    @pytest.mark.parametrize(
+        "fields, document, message",
+        [
+            ({"variant": "coupled"}, {"variant": "coupled"}, "variant: unknown variant 'coupled'"),
+            (
+                {"sweep": SweepAxis("alpha", 0.5, 1.5, 3)},
+                {"sweep": {"parameter": "alpha", "start": 0.5, "stop": 1.5, "n_points": 3}},
+                "sweep.parameter: alpha is only swept in the coupled-coupling variant",
+            ),
+            (
+                {"kind": "approx", "variant": "coupled-coupling"},
+                {"kind": "approx", "variant": "coupled-coupling"},
+                "kind: approx comparison requires the resonator-frequency variant",
+            ),
+            (
+                {"kind": "spectrum", "sweep": SweepAxis("theta", 0.0, 1.0, 2)},
+                {"kind": "spectrum", "sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0, "n_points": 2}},
+                "sweep.parameter: kind spectrum sweeps only g_over_omega_c (use a theta series)",
+            ),
+            (
+                {"kind": "spectra"},
+                {"kind": "spectra"},
+                "kind: must be one of ('cycle', 'spectrum', 'levels', 'approx'), got 'spectra'",
+            ),
+            (
+                {"discord": DiscordOptions(enabled=True, n_phi=31)},
+                {"discord": {"enabled": True, "n_phi": 31}},
+                "discord.n_phi: must be even and >= 2, got 31",
+            ),
+        ],
+        ids=["misspelled-variant", "alpha-axis", "approx-variant", "spectrum-theta-axis", "unknown-kind",
+             "odd-n_phi"],
+    )
+    def test_invalid_config_fails_when_built(self, fields, document, message):
+        base = {"cutoff": CutoffPolicy("fixed", 16), "workers": 1}
+        for build in (
+            lambda: SweepConfig(**base, **fields),
+            lambda: dataclasses.replace(figure_preset("fig2"), **base, **fields),
+            lambda: parse_config(json.dumps(document), environ={}),
+        ):
+            with pytest.raises(ConfigError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    def test_replace_reaches_the_cutoff_policy(self):
+        with pytest.raises(ConfigError, match=r"^cutoff.n_max: fixed cutoff requires n_max >= 2$"):
+            dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy("fixed"))
+        with pytest.raises(ConfigError, match=r"^cutoff.ceiling: must be >= the scan start 24, got 4$"):
+            dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy(ceiling=4))
+
+    def test_benchmark_warm_up_config_builds(self):
+        # the benchmark harness runs this config before timing anything
+        config = SweepConfig(sweep=SweepAxis(stop=0.5, n_points=2), cutoff=CutoffPolicy("fixed", 8), workers=1)
+        result = run_sweep(config)
+        assert [row[result.columns.index("error")] for row in result.rows] == ["", ""]
 
 
 class TestFigurePresets:
@@ -485,11 +566,19 @@ class TestSerialization:
         config = parse_config(FAST, environ={})
         result = run_sweep(config)
         path = tmp_path / "out.csv"
-        text = write_output(result, str(path), "csv")
+        text = write_output(result, str(path))
         assert path.read_text(encoding="utf-8") == text
         lines = text.splitlines()
         assert lines[0].startswith("g_over_omega_c,")
         assert len(lines) == 1 + len(result.rows)
+
+    def test_json_format_follows_the_config(self, tmp_path):
+        result = run_sweep(parse_config(FAST, environ={}, overrides={"out_format": "json"}))
+        path = tmp_path / "out.json"
+        text = write_output(result, str(path))
+        assert path.read_text(encoding="utf-8") == text == render_json(result)
+        assert json.loads(text)["config"]["out_format"] == "json"
+        assert write_output(result, None) == text
 
     def test_json_mirrors_csv(self, tmp_path):
         config = parse_config(FAST, environ={})
