@@ -6,9 +6,10 @@ resonator-frequency work curve of the engine/refrigerator transition
 analysis). Every config key can be overridden through environment
 variables with the RABIOTTO_ prefix, nested keys joined by double underscores
 (e.g. RABIOTTO_SWEEP__N_POINTS=50); a name that matches no key is an error.
-``parse_config`` checks each key's type; SweepConfig checks the value rules
-when it is built, whether by ``parse_config``, directly or by
-``dataclasses.replace``, so every SweepConfig that exists passes them.
+Every config object checks its fields' types when it is built, and
+SweepConfig checks the value rules too, whether it is built by
+``parse_config``, directly or by ``dataclasses.replace``, so every
+SweepConfig that exists passes them.
 
 Output is CSV (header row, UTF-8, 12-significant-digit floats, cells quoted
 only where needed) or a JSON mirror of the same table, as the result's
@@ -27,6 +28,7 @@ Only cycle sweeps a parameter other than g_over_omega_c.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -35,7 +37,7 @@ import json
 import math
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 
@@ -85,28 +87,41 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
 
 
+class _Typed:
+    """A config object whose fields are type-checked when it is built (see ``_check_value``)."""
+
+    def __post_init__(self) -> None:
+        for name, (expected, nullable) in _field_types(type(self)).items():
+            value = getattr(self, name)
+            if value is not None or not nullable:
+                object.__setattr__(self, name, _check_value(expected, value, name))
+
+
 @dataclass(frozen=True)
-class CutoffPolicy:
+class CutoffPolicy(_Typed):
     mode: str = "auto"  # "auto" | "fixed"
     n_max: int | None = None
     tol: float = CUTOFF_TOL
     ceiling: int = CUTOFF_CEILING
 
-    def resolve(self, groups: list[list[RabiParams]], n_levels: int) -> list[int]:
+    def resolve(self, groups: list[list[RabiParams]], n_levels: int, mapper=map) -> list[int]:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
-        sides, and each distinct side is scanned once per call. The policy is
-        checked where the SweepConfig that holds it is built.
+        sides. Each distinct side is scanned once per call, through ``mapper``
+        (the builtin ``map``, or an executor's). The policy is checked where
+        the SweepConfig that holds it is built.
         """
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
-        scan = functools.cache(lambda side: converged_cutoff(side, n_levels, self.tol, self.ceiling))
-        return [max(scan(side) for side in group) for group in groups]
+        sides = list(dict.fromkeys(side for group in groups for side in group))
+        scan = functools.partial(converged_cutoff, n_levels=n_levels, tol=self.tol, ceiling=self.ceiling)
+        cutoffs = dict(zip(sides, mapper(scan, sides)))
+        return [max(cutoffs[side] for side in group) for group in groups]
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Typed):
     parameter: str = "g_over_omega_c"
     start: float = 0.0
     stop: float = 3.5
@@ -114,13 +129,13 @@ class SweepAxis:
 
 
 @dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Typed):
     parameter: str = "theta"
     values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
-class DiscordOptions:
+class DiscordOptions(_Typed):
     enabled: bool = False
     n_theta: int = DEFAULT_GRID[0]
     n_phi: int = DEFAULT_GRID[1]
@@ -128,7 +143,7 @@ class DiscordOptions:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Typed):
     """Fully resolved sweep configuration (see module docstring for defaults)."""
 
     kind: str = "cycle"
@@ -153,7 +168,8 @@ class SweepConfig:
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
-        """Check the value rules, so a config passes them however it was built."""
+        """Check the types, then the value rules, so a config passes them however it was built."""
+        super().__post_init__()
         if self.kind not in _KINDS:
             raise ConfigError(f"kind: must be one of {tuple(_KINDS)}, got {self.kind!r}")
         if self.out_format not in FORMATS:
@@ -233,44 +249,53 @@ class SweepConfig:
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, type]:
-    """Config key -> type for a config dataclass; ``X | None`` reads as X."""
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Config key -> (type, whether None is allowed) for a config dataclass.
+
+    Every union among the fields is ``X | None``, which reads as X, nullable.
+    """
     hints = typing.get_type_hints(cls)
     types = {}
     for f in fields(cls):
-        options = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
-        types[f.name] = options[0] if isinstance(hints[f.name], UnionType) else hints[f.name]
+        nullable = isinstance(hints[f.name], UnionType)
+        types[f.name] = (typing.get_args(hints[f.name])[0] if nullable else hints[f.name], nullable)
     return types
 
 
-# type -> (accepted JSON types, name in the error message)
+# type -> (accepted types, name in the error message); a tuple key is a JSON list
 _ACCEPTS = {
     bool: (bool, "a boolean"),
     int: (int, "an integer"),
     float: ((int, float), "a number"),
     str: (str, "a string"),
-    tuple: (list, "a list"),
+    tuple: ((list, tuple), "a list"),
 }
 
 
-def _build(cls, data: dict, path: str = ""):
+def _build(cls, data: dict):
     """Instance of a config dataclass from its raw dict; null means "use the default"."""
     types = _field_types(cls)
-    values = {}
-    for key, value in data.items():
-        where = f"{path}{key}"
+    for key in data:
         if key not in types:
-            raise ConfigError(f"{where}: unknown configuration key")
-        if value is not None:
-            values[key] = _check_value(types[key], value, where)
-    return cls(**values)
+            raise ConfigError(f"{key}: unknown configuration key")
+    return cls(**{key: value for key, value in data.items() if value is not None})
 
 
 def _check_value(expected, value, where: str):
+    """``value`` as a field of type ``expected``; a dict builds a config object.
+
+    The one type rule for config keys: every config object checks its
+    fields with it when built.
+    """
     if is_dataclass(expected):
+        if isinstance(value, expected):
+            return value
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected an object")
-        return _build(expected, value, where + ".")
+        try:
+            return _build(expected, value)
+        except ConfigError as exc:  # name the key by its path in the document
+            raise ConfigError(f"{where}.{exc}") from exc
     base = typing.get_origin(expected) or expected  # tuple[float, ...] -> tuple
     accepted, name = _ACCEPTS[base]
     if not isinstance(value, accepted) or (base is not bool and isinstance(value, bool)):
@@ -445,20 +470,21 @@ def _point_name(config: SweepConfig, series_value: float | None, swept_value: fl
     return point
 
 
-def _series_cutoffs(config: SweepConfig) -> dict[float | None, int]:
+def _series_cutoffs(config: SweepConfig, mapper=map) -> dict[float | None, int]:
     """Fock cutoff per series value: fixed, or certified at the sweep endpoints.
 
     Building the endpoint protocols validates the sweep: every protocol
     constraint is an interval in the swept parameter, and Fock support grows
     monotonically with (g/omega)^2, so the endpoints cover the whole grid.
     Only the sides the kind solves are certified; series values that leave a
-    side's RabiParams unchanged share its scan.
+    side's RabiParams unchanged share its scan. The scans run through
+    ``mapper``.
     """
     series_values = _series_values(config)
     endpoints = (config.sweep.start, config.sweep.stop)
     protocols = [[build_protocol(config, sv, x) for x in endpoints] for sv in series_values]
     groups = [[getattr(p, side) for p in group for side in _KINDS[config.kind][2]] for group in protocols]
-    return dict(zip(series_values, config.cutoff.resolve(groups, config.n_levels)))
+    return dict(zip(series_values, config.cutoff.resolve(groups, config.n_levels, mapper)))
 
 
 # Point functions return the rows of columns they compute and the warnings of
@@ -571,20 +597,39 @@ def _point_columns(config: SweepConfig, series_value: float | None, swept_value:
     return fixed
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Execute a sweep; rows ordered by (series, swept value), failures and warnings recorded."""
-    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
-    cutoffs = _series_cutoffs(config)
-    points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
-    tasks = [(config, sv, gv, cutoffs[sv]) for sv, gv in points]
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_point_task, tasks, chunksize=1))
-    else:
-        outcomes = [_point_task(t) for t in tasks]  # both keep task order
+
+def _executor(config: SweepConfig, n_tasks: int):
+    """The sweep's one executor, or a null context when it runs serially.
+
+    Threads, since the points are almost all LAPACK, which releases the GIL;
+    processes when the points compute discord, because the discord grid's
+    batched small eigensolves hold it.
+    """
+    workers = min(config.workers or _available_cpus(), n_tasks)
+    if workers <= 1:
+        return contextlib.nullcontext()
+    discord = config.kind == "cycle" and config.discord.enabled
+    pool = ProcessPoolExecutor if discord else ThreadPoolExecutor
+    return pool(max_workers=workers)
+
+
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Execute a sweep; rows ordered by (series, swept value), failures and warnings recorded.
+
+    The endpoint cutoff scans and the points run on the same executor.
+    """
+    grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
+    points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
+    with _executor(config, len(points)) as pool:
+        mapper = map if pool is None else pool.map  # both keep input order
+        cutoffs = _series_cutoffs(config, mapper)
+        outcomes = list(mapper(_point_task, [(config, sv, gv, cutoffs[sv]) for sv, gv in points]))
 
     columns = _columns_for(config)
     config_hash = config.config_hash()

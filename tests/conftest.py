@@ -1,7 +1,8 @@
 import os
 
-# One BLAS thread per process: the sweeps below run two-worker process pools,
-# and unpinned BLAS threads oversubscribe them. Set before numpy is imported.
+# One BLAS thread: the sweeps below run two-worker pools (threads that share
+# this process's BLAS, or processes for discord), and unpinned BLAS threads
+# oversubscribe them. Set before numpy is imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

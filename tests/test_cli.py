@@ -160,6 +160,16 @@ class TestSweepCommand:
         assert out == ""
         assert "cutoff.ceiling: must be >= the scan start 24, got 4" in err
 
+    @pytest.mark.parametrize("command", [["sweep"], ["discord", "--preset", "fig4"]])
+    def test_cutoff_scan_failure_is_the_same_for_any_worker_count(self, command, capsys, monkeypatch):
+        # the endpoint scans run on the sweep's executor: threads for sweep,
+        # processes for discord; a scan that fails there fails the run as it does serially
+        monkeypatch.setenv("RABIOTTO_CUTOFF__CEILING", "24")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        message = "rabiotto: numerical failure: cutoff ceiling 24 reached without 24-level convergence to 1.0e-08\n"
+        for workers in ("1", "2"):
+            assert run_cli([*command, "--workers", workers], capsys) == (3, "", message)
+
     def test_single_level_cycle_is_config_error(self, capsys, monkeypatch):
         # W and Q over the ground level alone are zero at every point
         monkeypatch.setenv("RABIOTTO_N_LEVELS", "1")

@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from rabiotto import ConfigError, figure_preset, parse_config, run_sweep
 from rabiotto.sweep import (
     CutoffPolicy,
     DiscordOptions,
+    SeriesSpec,
     SweepAxis,
     SweepConfig,
     build_protocol,
@@ -241,6 +245,36 @@ class TestBuiltConfigsAreChecked:
                 build()
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "cls, section, key, value, expected",
+        [
+            (SweepConfig, None, "workers", 1.5, "an integer"),
+            (SweepConfig, None, "workers", True, "an integer"),
+            (SweepConfig, None, "n_levels", 2.5, "an integer"),
+            (SweepConfig, None, "omega_c", math.inf, "a finite number"),
+            (SweepAxis, "sweep", "n_points", 2.5, "an integer"),
+            (DiscordOptions, "discord", "n_theta", 8.0, "an integer"),
+            (CutoffPolicy, "cutoff", "tol", "tight", "a number"),
+            (SeriesSpec, "series", "values", "pi", "a list"),
+        ],
+    )
+    def test_wrong_type_fails_when_built(self, cls, section, key, value, expected):
+        message = f"{key}: expected {expected}, got {value!r}"
+        with pytest.raises(ConfigError) as raised:
+            cls(**{key: value})
+        assert str(raised.value) == message
+        if section is None:
+            with pytest.raises(ConfigError) as raised:
+                dataclasses.replace(figure_preset("fig2"), **{key: value})
+            assert str(raised.value) == message
+        document = {key: value} if section is None else {section: {key: value}}
+        with pytest.raises(ConfigError) as raised:
+            parse_config(json.dumps(document), environ={})
+        assert str(raised.value) == (message if section is None else f"{section}.{message}")
+
+    def test_built_series_values_are_floats(self):
+        assert SeriesSpec(values=[0, 1]).values == (0.0, 1.0)
+
     def test_replace_reaches_the_cutoff_policy(self):
         with pytest.raises(ConfigError, match=r"^cutoff.n_max: fixed cutoff requires n_max >= 2$"):
             dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy("fixed"))
@@ -429,8 +463,20 @@ class TestRunSweep:
         assert text_a == text_b
 
     def test_worker_count_does_not_change_output(self):
-        # the second input runs the discord grid and its Nelder-Mead refinement
-        for extra in ({}, {"discord": {"enabled": True, "n_theta": 8, "n_phi": 16}}):
+        for extra in (
+            {},
+            # the discord grid and its Nelder-Mead refinement, on processes
+            {"discord": {"enabled": True, "n_theta": 8, "n_phi": 16}},
+            {"kind": "spectrum", "n_levels": 5},
+            {"kind": "levels"},
+            {"kind": "approx"},
+            # the endpoint cutoff scans, on the same executor as the points
+            {
+                "cutoff": {"mode": "auto"},
+                "sweep": {"parameter": "theta", "start": 0.0, "stop": 0.4, "n_points": 2},
+                "series": {"parameter": "g_over_omega_c", "values": [0.5, 2.0]},
+            },
+        ):
             base = {**json.loads(FAST), **extra, "workers": 1}
             serial = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
             base["workers"] = 2
@@ -439,7 +485,51 @@ class TestRunSweep:
             serial_rows = [r.rsplit(",", 1)[0] for r in serial.splitlines()]
             parallel_rows = [r.rsplit(",", 1)[0] for r in parallel.splitlines()]
             assert serial_rows == parallel_rows
-            assert ("D_rho1" in serial_rows[0]) == bool(extra)
+            assert ("D_rho1" in serial_rows[0]) == ("discord" in extra)
+            assert all(row["error"] == "" for row in csv.DictReader(io.StringIO(serial)))
+
+    def test_more_threads_than_cores_agree_with_serial(self):
+        # threads switching often: a point that read or wrote another's state would show
+        config = parse_config(FAST, environ={}, overrides={"sweep": {"n_points": 8}})
+        serial = run_sweep(config).rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_sweep(dataclasses.replace(config, workers=8)).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert [row[:-1] for row in pooled] == [row[:-1] for row in serial]
+
+    @pytest.mark.parametrize(
+        "kind, discord, pool",
+        [
+            ("cycle", False, ThreadPoolExecutor),
+            ("cycle", True, ProcessPoolExecutor),
+            # only cycle points compute discord
+            ("spectrum", True, ThreadPoolExecutor),
+        ],
+    )
+    def test_executor_kind(self, kind, discord, pool):
+        import rabiotto.sweep
+
+        overrides = {"kind": kind, "workers": 2, "discord": {"enabled": discord}}
+        config = parse_config(FAST, environ={}, overrides=overrides)
+        with rabiotto.sweep._executor(config, 3) as executor:
+            assert type(executor) is pool
+        with rabiotto.sweep._executor(config, 1) as executor:
+            assert executor is None
+
+    def test_all_cores_means_those_the_process_may_run_on(self, monkeypatch):
+        import rabiotto.sweep
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep on one CPU runs serially")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(rabiotto.sweep, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(rabiotto.sweep, "ProcessPoolExecutor", no_pool)
+        result = run_sweep(parse_config(FAST, environ={}, overrides={"workers": 0}))
+        assert [row[result.columns.index("error")] for row in result.rows] == ["", "", ""]
 
     def test_per_point_failure_recorded(self):
         # a cutoff too small for n_levels makes relative_spectrum/report fail
