@@ -41,7 +41,6 @@ from .spectral import (
     SpectralDecomposition,
     converged_cutoff,
     eigendecompose,
-    hermitian_eigh,
     relative_spectrum,
     solve_hamiltonian,
     symmetric_eigh,

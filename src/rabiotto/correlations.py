@@ -13,18 +13,18 @@ which by construction never returns a value above the best grid point.
 
 Only the "+" outcome is ever evaluated, f(n) = p_+ S(rho_B | +n): the "-"
 outcome along n is the "+" outcome along -n, so the sum over outcomes is
-S(n) = f(n) + f(-n). The search takes real states only. For those f is even
-in phi_m, so f(-n) = f(pi - theta_m, pi - phi_m), and with an even number of
-phi_m steps the half grid phi_m = 0 ... pi holds every antipode: S is f plus
-f with both grid axes reversed.
+S(n) = f(n) + f(-n). Every state is real (a ``SpectralDecomposition`` holds
+float64 vectors), so f is even in phi_m, f(-n) = f(pi - theta_m, pi - phi_m),
+and with an even number of phi_m steps the half grid phi_m = 0 ... pi holds
+every antipode: S is f plus f with both grid axes reversed.
 
 ``quantum_discord`` takes a state in its spectral form, the eigenpairs of a
 ``SpectralDecomposition`` and a population vector p: rho = sum_n p_n
 |v_n><v_n|, as every Otto-cycle state is. No dense 2n x 2n matrix is built.
 With X = V[:, p > SUPPORT_FLOOR] sqrt(p) (k kept levels) and X_q the rows
-of qubit state q, rho = X X^dag, S(rho_AB) = -sum p ln p and the reduced
+of qubit state q, rho = X X^T, S(rho_AB) = -sum p ln p and the reduced
 qubit state is rho_A = [[tr b00, tr b01], [tr b10, tr b11]] for the k x k
-Gram blocks b_ab = X_b^dag X_a. The unnormalized post-measurement oscillator
+Gram blocks b_ab = X_b^T X_a. The unnormalized post-measurement oscillator
 state for outcome |v> is Y Y^dag with Y = sum_a conj(v_a) X_a, which shares
 its nonzero eigenvalues with Y^dag Y = sum_ab conj(v_a) v_b b_ab. So all
 angles are batched through numpy's eigvalsh on k x k blocks, k being the
@@ -33,8 +33,9 @@ number of thermally occupied levels.
 ``conditional_entropy`` is the independent reference path: it applies full
 projectors (Pi (x) I) rho (Pi (x) I) to a dense structured matrix for both
 outcomes and partial-traces, with no spectral form and no antipode or parity
-identity, takes complex states too, and is what the vectorized path is
-tested against. It is batched over angle arrays only.
+identity, and is what the vectorized path is tested against. Its projectors
+are complex, since a measurement along phi_m needs the phase; its state is
+real like every other. It is batched over angle arrays only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import CycleStates
-from .hilbert import OperatorMatrix, is_hermitian_matrix
+from .hilbert import OperatorMatrix
 from .spectral import SpectralDecomposition
 
 __all__ = [
@@ -65,7 +66,6 @@ DISCORD_TOL = 1e-9
 AXIS_TOL = 1e-6
 FLAT_TOL = 1e-12  # grid span of S below which no measurement axis is preferred
 DEFAULT_GRID = (64, 128)
-REAL_TOL = 1e-14
 SUPPORT_FLOOR = 1e-15  # populations at or below this are left out of the Gram blocks
 BLOCK_BYTES = 2**19  # one batch of (angles, k, k) complex blocks
 REFINE_FTOL = 1e-13  # refinement stops when the simplex spans no more than this in S
@@ -114,11 +114,11 @@ def _check_spectrum(lam: np.ndarray) -> None:
 
 
 def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
-    """S(rho) = -tr(rho ln rho); rejects inputs that are not density matrices."""
-    m = rho.matrix if isinstance(rho, OperatorMatrix) else np.asarray(rho, dtype=complex)
-    if not is_hermitian_matrix(m):
+    """S(rho) = -tr(rho ln rho) of a real state; rejects inputs that are not density matrices."""
+    op = rho if isinstance(rho, OperatorMatrix) else OperatorMatrix(rho)
+    if not op.is_hermitian():
         raise ValueError("entropy requires a Hermitian density matrix")
-    lam = np.linalg.eigvalsh(m)
+    lam = np.linalg.eigvalsh(op.matrix)
     _check_spectrum(lam)
     return float(_entropy_from_eigenvalues(lam))
 
@@ -159,8 +159,7 @@ class _BlockEvaluator:
 
     The state is sum_n p_n |v_n><v_n| over the decomposition's eigenvectors;
     ``rho_a`` is its reduced qubit state. The weights depend only on the
-    Bloch vector of (theta, phi), so any real angles are valid, and the
-    vectors may be complex.
+    Bloch vector of (theta, phi), so any real angles are valid.
     """
 
     def __init__(self, decomposition: SpectralDecomposition, populations: np.ndarray):
@@ -168,11 +167,11 @@ class _BlockEvaluator:
         keep = populations > SUPPORT_FLOOR
         x = decomposition.states[:, keep] * np.sqrt(populations[keep])
         x0, x1 = x[:n], x[n:]
-        # b_ab = X_b^dag X_a, so that sum_ab conj(v_a) v_b b_ab = Y^dag Y
-        self.b00 = x0.conj().T @ x0
-        self.b01 = x1.conj().T @ x0
-        self.b10 = x0.conj().T @ x1
-        self.b11 = x1.conj().T @ x1
+        # b_ab = X_b^T X_a, so that sum_ab conj(v_a) v_b b_ab = Y^dag Y
+        self.b00 = x0.T @ x0
+        self.b01 = x1.T @ x0
+        self.b10 = x0.T @ x1
+        self.b11 = x1.T @ x1
         self.rho_a = np.array([[np.trace(self.b00), np.trace(self.b01)],
                                [np.trace(self.b10), np.trace(self.b11)]])
 
@@ -269,11 +268,11 @@ def quantum_discord(
 ) -> DiscordResult:
     """Quantum discord D_A of sum_n p_n |v_n><v_n| over real, structured eigenvectors.
 
-    ``decomposition`` must carry a Fock cutoff, its vectors must be real to
-    REAL_TOL, and ``populations`` (one per level) must sum to 1 with no
-    entry below -1e-10. ``grid = (n_theta, n_phi)`` sets the coarse search
-    over theta_m in [0, pi] and phi_m in [0, 2 pi); it needs n_theta >= 2
-    and an even n_phi >= 2. ``refine`` runs Nelder-Mead from the best grid point. The
+    ``decomposition`` must carry a Fock cutoff, and ``populations`` (one per
+    level) must sum to 1 with no entry below -1e-10. ``grid = (n_theta,
+    n_phi)`` sets the coarse search over theta_m in [0, pi] and phi_m in
+    [0, 2 pi); it needs n_theta >= 2 and an even n_phi >= 2. ``refine`` runs
+    Nelder-Mead from the best grid point. The
     reported ``optimal_basis`` is one representative of the axis pair n, -n,
     or (0, 0) when the grid values of S span no more than FLAT_TOL (a
     product state), where round-off alone would pick the axis.
@@ -283,8 +282,6 @@ def quantum_discord(
     n_theta, n_phi = grid
     if n_theta < 2 or n_phi < 2 or n_phi % 2:
         raise ValueError(f"grid needs n_theta >= 2 and an even n_phi >= 2, got {grid}")
-    if np.max(np.abs(decomposition.states.imag)) > REAL_TOL:
-        raise ValueError("quantum_discord requires a real density matrix")
     populations = np.asarray(populations, dtype=float)
     if populations.shape != decomposition.energies.shape:
         raise ValueError(f"expected {decomposition.dim} populations, got shape {populations.shape}")

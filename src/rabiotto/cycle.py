@@ -180,7 +180,7 @@ class CycleStates:
 
     def __post_init__(self):
         for name in ("populations_hot", "populations_cold"):
-            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ class CycleReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "work_per_level", frozen_copy(self.work_per_level, dtype=float))
+        object.__setattr__(self, "work_per_level", frozen_copy(self.work_per_level))
 
 
 def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Tensor-product convention, fixed package-wide: the qubit is the FIRST factor
 and the oscillator the second, so a composite basis index is q * n_max + n and
-an operator is a 2x2 grid of n_max x n_max qubit blocks. ``OperatorMatrix``
-keeps the dtype of its entries: float64 for real input (every Rabi
-Hamiltonian) and complex128 only for complex input, such as the correlations
-module's reference projectors.
+an operator is a 2x2 grid of n_max x n_max qubit blocks. Every entry of a
+generalized Rabi Hamiltonian is real at every theta, and so is every
+eigenvector and cycle state, so operators and states are float64 only:
+``frozen_copy`` is the one real-array rule, and complex input raises.
 
 A Fock cutoff is a plain int n_max, the dimension of the truncated oscillator
 space with basis |0> ... |n_max - 1>. ``check_cutoff`` is its one check, made
@@ -34,23 +34,29 @@ def check_cutoff(n_max: int) -> int:
     return int(n_max)
 
 
-def frozen_copy(a, dtype=None) -> np.ndarray:
-    """A read-only C-ordered copy of ``a``; the caller's array is left as it was."""
-    out = np.array(a, dtype=dtype, order="C")
+def frozen_copy(a) -> np.ndarray:
+    """A read-only C-ordered float64 copy of ``a``; the caller's array is left as it was.
+
+    Complex input raises ValueError, read from its dtype: a complex array
+    whose imaginary part is exactly zero is rejected too.
+    """
+    if np.iscomplexobj(a):
+        raise ValueError(f"expected a real array, got dtype {np.asarray(a).dtype}")
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
 
 def is_hermitian_matrix(m: np.ndarray) -> bool:
-    """The one Hermiticity rule; a NaN skew is left to the eigensolver's certificates."""
-    return not np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m))))
+    """The one Hermiticity rule, M = M^T to HERMITICITY_TOL; a NaN skew is left to the certificates."""
+    return not np.max(np.abs(m - m.T)) > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m))))
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense square operator with optional qubit/oscillator structure.
+    """Dense square real operator with optional qubit/oscillator structure.
 
-    ``matrix`` is float64 for real input and complex128 for complex input.
+    ``matrix`` is a read-only float64 copy; complex input raises ValueError.
     ``subsystem_dims`` is ``(2, n_max)`` for operators living on the composite
     space (qubit first) and ``None`` for unstructured matrices.
     """
@@ -59,7 +65,7 @@ class OperatorMatrix:
     subsystem_dims: tuple[int, int] | None = field(default=None)
 
     def __post_init__(self):
-        m = frozen_copy(as_matrix(self.matrix))
+        m = frozen_copy(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if self.subsystem_dims is not None:
@@ -77,11 +83,4 @@ class OperatorMatrix:
 
     def is_hermitian(self) -> bool:
         return is_hermitian_matrix(self.matrix)
-
-
-def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
-    """The matrix of an OperatorMatrix, or a bare array as complex128 if complex, else float64."""
-    if isinstance(op, OperatorMatrix):
-        return op.matrix
-    return np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
 

@@ -13,8 +13,9 @@ parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
 Where H conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0)
 it builds and solves the two tridiagonal parity sectors of
 ``hamiltonian.parity_sectors``, each half the dimension; otherwise it builds
-and solves the whole matrix. ``eigendecompose`` solves any Hermitian matrix
-whole, with the same certificates.
+and solves the whole matrix. ``eigendecompose`` solves any real symmetric
+matrix whole, with the same certificates. Every matrix and vector here is
+float64: the one LAPACK path is ``symmetric_eigh``.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_sectors
-from .hilbert import OperatorMatrix, as_matrix, check_cutoff, frozen_copy, is_hermitian_matrix
+from .hilbert import OperatorMatrix, check_cutoff, frozen_copy
 
 __all__ = [
     "ConvergenceError",
     "SpectralDecomposition",
     "converged_cutoff",
     "eigendecompose",
-    "hermitian_eigh",
     "relative_spectrum",
     "solve_hamiltonian",
     "symmetric_eigh",
@@ -49,10 +49,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns).
+    """Ascending eigenvalues and orthonormal eigenvectors (as columns), both float64.
 
     ``residual_norm`` and ``orthonormality_error`` are the certificates'
-    values, max ||H v - E v|| and max |V^dag V - I|, each the largest over
+    values, max ||H v - E v|| and max |V^T V - I|, each the largest over
     the solved blocks.
     """
 
@@ -63,7 +63,7 @@ class SpectralDecomposition:
     orthonormality_error: float
 
     def __post_init__(self):
-        object.__setattr__(self, "energies", frozen_copy(self.energies, dtype=float))
+        object.__setattr__(self, "energies", frozen_copy(self.energies))
         object.__setattr__(self, "states", frozen_copy(self.states))
 
     @property
@@ -82,12 +82,11 @@ def ground_referenced(energies: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues and, if asked, eigenvectors of a real or complex Hermitian matrix."""
+    """Ascending eigenvalues and, if asked, eigenvectors of a real symmetric matrix."""
     return tuple(np.linalg.eigh(matrix)) if vectors else (np.linalg.eigvalsh(matrix), None)
 
 
-# eigendecompose calls each name on its own path, so the two paths can be wrapped apart
-hermitian_eigh = symmetric_eigh
+hermitian_eigh = symmetric_eigh  # bench/tracing.py wraps this name
 
 
 def _certified(
@@ -109,7 +108,7 @@ def _certified(
             raise ConvergenceError(
                 f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-        block_ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+        block_ortho = float(np.max(np.abs(v.T @ v - np.eye(v.shape[1]))))
         if not block_ortho <= ORTHONORMALITY_TOL:
             raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
         residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
@@ -118,7 +117,7 @@ def _certified(
     order = np.argsort(energies, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
-    states = np.zeros((len(energies), len(energies)), dtype=solved[0][2].dtype)
+    states = np.zeros((len(energies), len(energies)))
     start = 0
     for indices, w, v in solved:
         states[np.ix_(indices, column[start:start + len(w)])] = v
@@ -133,32 +132,22 @@ def _certified(
 
 
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
-    """Full decomposition of a Hermitian matrix, solved whole, with certified residuals.
+    """Full decomposition of a real symmetric matrix, solved whole, with certified residuals.
 
-    Real input, and complex input whose imaginary part is exactly zero, is
-    solved and certified in real arithmetic and gets float64 ``states``;
-    other complex input gets complex128 ``states``. Inside an exactly
-    degenerate eigenvalue cluster the basis is the one LAPACK returns.
-    ``cutoff_used`` is n_max for an OperatorMatrix with subsystem_dims
-    (2, n_max), else None. Non-Hermitian input raises ValueError; a LAPACK
-    failure raises numpy.linalg.LinAlgError; a failed or NaN residual or
-    orthonormality gate raises ConvergenceError. The gates are fixed at
-    RESIDUAL_TOL (1e-9) and ORTHONORMALITY_TOL (1e-10).
+    A bare array goes through ``OperatorMatrix``, so complex or non-square
+    input raises ValueError. Inside an exactly degenerate eigenvalue cluster
+    the basis is the one LAPACK returns. ``cutoff_used`` is n_max for an
+    OperatorMatrix with subsystem_dims (2, n_max), else None. Non-Hermitian
+    input raises ValueError; a LAPACK failure raises
+    numpy.linalg.LinAlgError; a failed or NaN residual or orthonormality
+    gate raises ConvergenceError. The gates are fixed at RESIDUAL_TOL (1e-9)
+    and ORTHONORMALITY_TOL (1e-10).
     """
-    m = as_matrix(h)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"eigendecompose requires a square matrix, got shape {m.shape}")
-    real = not (np.iscomplexobj(m) and np.any(m.imag))
-    if real:
-        m = np.ascontiguousarray(m.real)
-    if not is_hermitian_matrix(m):
+    op = h if isinstance(h, OperatorMatrix) else OperatorMatrix(h)
+    if not op.is_hermitian():
         raise ValueError("eigendecompose requires a Hermitian matrix")
-    dims = h.subsystem_dims if isinstance(h, OperatorMatrix) else None
-    return _certified(
-        [(np.arange(m.shape[0]), m)],
-        symmetric_eigh if real else hermitian_eigh,
-        dims[1] if dims is not None else None,
-    )
+    cutoff = op.subsystem_dims[1] if op.subsystem_dims is not None else None
+    return _certified([(np.arange(op.dim), op.matrix)], symmetric_eigh, cutoff)
 
 
 def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -214,6 +203,12 @@ def converged_cutoff(
     ground-referenced energies; eigenvalues-only solves keep it cheap.
     Raises ConvergenceError if the ceiling (default 512) is reached, and
     ValueError for a ceiling below the scan start; ``tol`` defaults to 1e-8.
+
+    Each tested n is compared against a solve at 2n, so a scan that fails
+    solves up to twice the ceiling. With one BLAS thread at theta = 0.3 and
+    g = 40, the default ceiling's last solve is cutoff 1024 (dimension 2048)
+    at n_levels 8, taking 1.0-1.3 s and a peak RSS of 160 MiB, and cutoff
+    768 at n_levels 24, taking 0.4-0.5 s and 107 MiB (2 vCPUs, OpenBLAS).
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")

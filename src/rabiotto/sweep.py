@@ -210,6 +210,8 @@ class SweepConfig(_Typed):
             raise ConfigError(f"discord.n_theta: must be >= 2, got {self.discord.n_theta}")
         if self.discord.n_phi < 2 or self.discord.n_phi % 2:
             raise ConfigError(f"discord.n_phi: must be even and >= 2, got {self.discord.n_phi}")
+        if self.discord.enabled and self.kind != "cycle":
+            raise ConfigError(f"discord.enabled: only cycle sweeps compute discord, got kind {self.kind}")
         cutoff = self.cutoff
         if cutoff.mode not in ("auto", "fixed"):
             raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {cutoff.mode!r}")
@@ -614,8 +616,7 @@ def _executor(config: SweepConfig, n_tasks: int):
     workers = min(config.workers or _available_cpus(), n_tasks)
     if workers <= 1:
         return contextlib.nullcontext()
-    discord = config.kind == "cycle" and config.discord.enabled
-    pool = ProcessPoolExecutor if discord else ThreadPoolExecutor
+    pool = ProcessPoolExecutor if config.discord.enabled else ThreadPoolExecutor
     return pool(max_workers=workers)
 
 

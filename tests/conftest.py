@@ -26,16 +26,16 @@ def small_cycle():
 
 
 def random_density(rng, dim):
-    """Random full-rank density matrix (Hilbert-Schmidt-ish)."""
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
+    """Random full-rank real density matrix (Hilbert-Schmidt-ish)."""
+    x = rng.normal(size=(dim, dim))
+    rho = x @ x.T
+    return rho / np.trace(rho)
 
 
 def dense_state(decomposition, populations):
     """sum_n p_n |v_n><v_n| as a structured dense matrix, for the reference paths."""
     v = decomposition.states
-    return OperatorMatrix((v * populations) @ v.conj().T, subsystem_dims=(2, decomposition.cutoff_used))
+    return OperatorMatrix((v * populations) @ v.T, subsystem_dims=(2, decomposition.cutoff_used))
 
 
 def spectral_form(rho):

@@ -300,6 +300,14 @@ class TestDiscordCommand:
         assert out == ""
         assert "discord.n_phi: must be even and >= 2" in err
 
+    @pytest.mark.parametrize("name, kind", [("fig9", "spectrum"), ("fig3", "levels"), ("fig10", "approx")])
+    def test_preset_of_a_kind_without_discord_is_config_error(self, name, kind, capsys, monkeypatch):
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["discord", "--preset", name, "--workers", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"discord.enabled: only cycle sweeps compute discord, got kind {kind}" in err
+
 
 class TestApproxCommand:
     def test_empty_config_file_is_config_error(self, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rabiotto import OperatorMatrix
+from rabiotto import CycleReport, CycleStates, OperatorMatrix, SpectralDecomposition, eigendecompose
+from rabiotto import von_neumann_entropy
 from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator, parity_sectors
 from rabiotto.hilbert import check_cutoff
 from rabiotto.cycle import resonator_frequency_protocol, run_cycle
@@ -40,8 +41,41 @@ class TestOperatorMatrix:
     def test_hermitian_check(self, rng):
         m = rng.normal(size=(4, 4))
         assert OperatorMatrix(m + m.T).is_hermitian()
-        assert not OperatorMatrix(m + m.T + 1e-6 * np.eye(4) * 1j).is_hermitian()
+        skewed = m + m.T
+        skewed[0, 1] += 1e-6
+        assert not OperatorMatrix(skewed).is_hermitian()
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.eye(5), subsystem_dims=(2, 3))
+
+
+def _spectral(states):
+    return SpectralDecomposition(np.zeros(2), states, None, 0.0, 0.0)
+
+
+def _cycle_states(populations):
+    d = eigendecompose(np.eye(2))
+    return CycleStates(d, d, populations, populations)
+
+
+def _report(work_per_level):
+    return CycleReport(0.0, 0.0, 0.0, work_per_level, 0.0, "engine", 0.0)
+
+
+class TestRealArrayRule:
+    """Every operator and state is float64: the rule reads the dtype, not the values."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [OperatorMatrix, _spectral, eigendecompose, lambda m: von_neumann_entropy(m / 2.0),
+         lambda m: _cycle_states(np.diag(m) / 2.0), lambda m: _report(np.diag(m))],
+        ids=["OperatorMatrix", "SpectralDecomposition", "eigendecompose", "von_neumann_entropy",
+             "CycleStates", "CycleReport"],
+    )
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_complex_input_raises(self, build, imag):
+        m = np.eye(2) + imag * np.array([[0.0, 1.0j], [-1.0j, 0.0]])
+        build(m.real)
+        with pytest.raises(ValueError, match="expected a real array, got dtype complex128"):
+            build(m)

@@ -16,7 +16,7 @@ from rabiotto import (
     solve_hamiltonian,
 )
 from rabiotto.hamiltonian import conserves_parity
-from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL
+from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL, symmetric_eigh
 from rabiotto.sweep import build_protocol, figure_preset
 
 
@@ -34,18 +34,84 @@ def charpoly_roots(m):
     return np.sort(np.roots(coeffs).real)
 
 
-class TestEigendecompose:
-    def test_diagonal_sorted(self):
-        d = eigendecompose(OperatorMatrix(np.diag([3.0, 1.0, 2.0]).astype(complex)))
-        np.testing.assert_allclose(d.energies, [1.0, 2.0, 3.0])
-        assert d.residual_norm < 1e-9
+def random_symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return m + m.T
 
-    def test_two_level(self):
-        d = eigendecompose(OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex)))
-        np.testing.assert_allclose(d.energies, [-1.0, 1.0])
+
+class TestEigendecompose:
+    def test_diagonal(self):
+        d = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+        np.testing.assert_allclose(d.energies, [1.0, 2.0, 3.0], atol=1e-14)
+        # eigenvectors are the permuted standard basis
+        np.testing.assert_allclose(np.abs(d.states), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+
+    def test_two_by_two_offdiagonal(self):
+        d = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(d.energies, [-1.0, 1.0], atol=1e-15)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        v = d.states[:, 0].real
-        assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-12
+        v = d.states[:, 0]
+        assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-14
+
+    def test_one_by_one(self):
+        d = eigendecompose(np.array([[4.0]]))
+        assert d.energies[0] == 4.0 and abs(d.states[0, 0]) == 1.0
+
+    def test_against_charpoly_oracle(self, rng):
+        for n in (3, 5, 7):
+            m = random_symmetric(rng, n)
+            np.testing.assert_allclose(eigendecompose(m).energies, charpoly_roots(m), atol=1e-8)
+            w, _ = symmetric_eigh(m, vectors=False)
+            np.testing.assert_allclose(w, charpoly_roots(m), atol=1e-8)
+
+    def test_residuals_and_orthonormality(self, rng):
+        for n in (2, 11, 60):
+            m = random_symmetric(rng, n)
+            d = eigendecompose(m)
+            w, v = d.energies, d.states
+            assert np.all(np.diff(w) >= 0)
+            residual = np.linalg.norm(m @ v - v * w, axis=0).max()
+            assert residual < 1e-12 * max(1, n)
+            assert d.residual_norm == pytest.approx(residual, rel=1e-6, abs=1e-15)
+            ortho_err = np.max(np.abs(v.T @ v - np.eye(n)))
+            assert ortho_err < 1e-13 * max(1, n)
+            assert d.orthonormality_error == pytest.approx(ortho_err, rel=1e-6, abs=1e-15)
+
+    def test_matches_lapack(self, rng):
+        # the real-arithmetic path agrees with LAPACK's complex Hermitian routine
+        m = random_symmetric(rng, 40)
+        w_complex = np.linalg.eigvalsh(m.astype(complex))
+        np.testing.assert_allclose(eigendecompose(m).energies, w_complex, atol=1e-11)
+
+    def test_eigenvalues_only_path(self, rng):
+        # converged_cutoff's eigenvalues-only solve agrees with the full decomposition
+        m = random_symmetric(rng, 25)
+        w_only, v = symmetric_eigh(m, vectors=False)
+        assert v is None
+        np.testing.assert_allclose(w_only, eigendecompose(m).energies, atol=1e-12)
+
+    def test_degenerate_spectrum(self):
+        # fourfold-degenerate eigenvalue; vectors must still be orthonormal
+        m = np.diag([2.0, 2.0, 2.0, 2.0, 5.0])
+        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
+        m = q @ m @ q.T
+        d = eigendecompose(m)
+        w, v = d.energies, d.states
+        np.testing.assert_allclose(w, [2, 2, 2, 2, 5], atol=1e-12)
+        assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-12
+        assert np.linalg.norm(m @ v - v * w, axis=0).max() < 1e-12
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            eigendecompose(np.ones((2, 3)))
+
+    def test_non_finite_input_never_passes_the_certificate(self):
+        # OpenBLAS's LAPACK returns NaN eigenpairs here without raising; the
+        # NaN residual must fail the gate, not compare False against it
+        m = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises((ConvergenceError, np.linalg.LinAlgError)):
+                eigendecompose(m)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -57,14 +123,14 @@ class TestEigendecompose:
         params = RabiParams.resonant(1.0, g=1.0)
         h = build_hamiltonian(params, 4)
         d = eigendecompose(h)
-        np.testing.assert_allclose(d.energies, charpoly_roots(h.matrix.real), atol=1e-8)
+        np.testing.assert_allclose(d.energies, charpoly_roots(h.matrix), atol=1e-8)
         # blocked variant: project onto the two parity sectors and solve 4x4 blocks
-        p = parity_operator(4).matrix.real
+        p = parity_operator(4).matrix
         w_par, v_par = np.linalg.eigh(p)
         blocks = []
         for sign in (-1.0, 1.0):
             basis = v_par[:, np.isclose(w_par, sign)]
-            blocks.append(basis.T @ h.matrix.real @ basis)
+            blocks.append(basis.T @ h.matrix @ basis)
         oracle = np.sort(np.concatenate([charpoly_roots(b) for b in blocks]))
         np.testing.assert_allclose(d.energies, oracle, atol=1e-8)
 
@@ -72,20 +138,20 @@ class TestEigendecompose:
         h = build_hamiltonian(RabiParams.resonant(1.0, g=1.0), 60)
         d = eigendecompose(h)
         assert d.residual_norm < 1e-9
-        gram = d.states.conj().T @ d.states
+        gram = d.states.T @ d.states
         assert np.max(np.abs(gram - np.eye(d.dim))) < 1e-10
         assert d.cutoff_used == 60
 
     def test_eigenvalue_sum_equals_trace(self):
         h = build_hamiltonian(RabiParams.resonant(1.0, g=2.0, theta=0.3), 40)
         d = eigendecompose(h)
-        assert abs(d.energies.sum() - np.trace(h.matrix).real) < 1e-8
+        assert abs(d.energies.sum() - np.trace(h.matrix)) < 1e-8
 
     def test_definite_parity_at_theta_zero(self):
         h = build_hamiltonian(RabiParams.resonant(1.0, g=1.3), 30)
         d = eigendecompose(h)
         p = parity_operator(30).matrix
-        expect = np.einsum("ij,ji->i", d.states.conj().T, p @ d.states).real
+        expect = np.einsum("ij,ji->i", d.states.T, p @ d.states)
         np.testing.assert_allclose(np.abs(expect), 1.0, atol=1e-8)
 
 
@@ -160,9 +226,20 @@ class TestConvergedCutoff:
         delta = np.abs(relative_spectrum(d1, 10) - relative_spectrum(d2, 10)).max()
         assert delta < tol
 
-    def test_ceiling_failure(self):
+    def test_ceiling_failure(self, monkeypatch):
+        # each tested n is compared against a solve at 2n, so a failing scan
+        # solves up to twice the ceiling
+        solved = []
+
+        def recorded(params, n_max, n_levels):
+            solved.append(n_max)
+            return relative_levels(params, n_max, n_levels)
+
+        relative_levels = spectral._relative_levels
+        monkeypatch.setattr(spectral, "_relative_levels", recorded)
         with pytest.raises(ConvergenceError, match="ceiling"):
             converged_cutoff(RabiParams.resonant(1.0, g=3.0), n_levels=8, tol=1e-8, ceiling=16)
+        assert solved == [8, 16, 32]
 
     def test_rejects_ceiling_below_scan_start(self):
         # the scan starts at max(n_levels, 8), so ceiling 4 can certify nothing
@@ -177,8 +254,8 @@ class TestConvergedCutoff:
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Calls of the two solver names and of the two Hamiltonian builders in rabiotto.spectral."""
-    calls = {"eigh": 0, "hermitian": 0, "build": 0, "sectors": 0}
+    """Calls of the solver and of the two Hamiltonian builders in rabiotto.spectral."""
+    calls = {"eigh": 0, "build": 0, "sectors": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -187,7 +264,6 @@ def solver_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(spectral, "symmetric_eigh", counted("eigh", spectral.symmetric_eigh))
-    monkeypatch.setattr(spectral, "hermitian_eigh", counted("hermitian", spectral.hermitian_eigh))
     monkeypatch.setattr(spectral, "build_hamiltonian", counted("build", spectral.build_hamiltonian))
     monkeypatch.setattr(spectral, "parity_sectors", counted("sectors", spectral.parity_sectors))
     return calls
@@ -246,14 +322,6 @@ class TestParitySectors:
         # eigendecompose takes no split from subsystem_dims, even where H conserves parity
         d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12))
         assert (solver_calls["eigh"], solver_calls["sectors"], d.cutoff_used) == (1, 0, 12)
-
-    def test_complex_input_is_solved_whole(self, solver_calls):
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12).matrix.astype(complex)
-        h[0, 2] += 1e-3j
-        h[2, 0] -= 1e-3j
-        d = eigendecompose(OperatorMatrix(h, subsystem_dims=(2, 12)))
-        assert (solver_calls["eigh"], solver_calls["hermitian"]) == (0, 1)
-        assert d.states.dtype == complex
 
     def test_cross_sector_ties_are_ordered_the_same_every_time(self):
         # g = 0 and omega_q = 2 omega_cav: |up,n> and |down,n+2> have opposite

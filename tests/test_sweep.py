@@ -230,9 +230,15 @@ class TestBuiltConfigsAreChecked:
                 {"discord": {"enabled": True, "n_phi": 31}},
                 "discord.n_phi: must be even and >= 2, got 31",
             ),
+            (
+                # only cycle points compute discord
+                {"kind": "spectrum", "discord": DiscordOptions(enabled=True)},
+                {"kind": "spectrum", "discord": {"enabled": True}},
+                "discord.enabled: only cycle sweeps compute discord, got kind spectrum",
+            ),
         ],
         ids=["misspelled-variant", "alpha-axis", "approx-variant", "spectrum-theta-axis", "unknown-kind",
-             "odd-n_phi"],
+             "odd-n_phi", "discord-on-spectrum"],
     )
     def test_invalid_config_fails_when_built(self, fields, document, message):
         base = {"cutoff": CutoffPolicy("fixed", 16), "workers": 1}
@@ -505,8 +511,6 @@ class TestRunSweep:
         [
             ("cycle", False, ThreadPoolExecutor),
             ("cycle", True, ProcessPoolExecutor),
-            # only cycle points compute discord
-            ("spectrum", True, ThreadPoolExecutor),
         ],
     )
     def test_executor_kind(self, kind, discord, pool):
