@@ -53,6 +53,18 @@ class TestEigendecompose:
         v = d.states[:, 0]
         assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-14
 
+    def test_diagonal_sorted(self):
+        d = eigendecompose(OperatorMatrix(np.diag([3.0, 1.0, 2.0])))
+        np.testing.assert_allclose(d.energies, [1.0, 2.0, 3.0])
+        assert d.residual_norm < 1e-9
+
+    def test_two_level(self):
+        d = eigendecompose(OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        np.testing.assert_allclose(d.energies, [-1.0, 1.0])
+        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        v = d.states[:, 0]
+        assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-12
+
     def test_one_by_one(self):
         d = eigendecompose(np.array([[4.0]]))
         assert d.energies[0] == 4.0 and abs(d.states[0, 0]) == 1.0
@@ -100,6 +112,10 @@ class TestEigendecompose:
         np.testing.assert_allclose(w, [2, 2, 2, 2, 5], atol=1e-12)
         assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-12
         assert np.linalg.norm(m @ v - v * w, axis=0).max() < 1e-12
+
+    def test_trace_equals_eigenvalue_sum(self, rng):
+        m = random_symmetric(rng, 30)
+        assert abs(eigendecompose(m).energies.sum() - np.trace(m)) < 1e-10
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
