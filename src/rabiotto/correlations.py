@@ -24,11 +24,12 @@ every antipode: S is f plus f with both grid axes reversed.
 With X = V[:, p > SUPPORT_FLOOR] sqrt(p) (k kept levels) and X_q the rows
 of qubit state q, rho = X X^T, S(rho_AB) = -sum p ln p and the reduced
 qubit state is rho_A = [[tr b00, tr b01], [tr b10, tr b11]] for the k x k
-Gram blocks b_ab = X_b^T X_a. The unnormalized post-measurement oscillator
-state for outcome |v> is Y Y^dag with Y = sum_a conj(v_a) X_a, which shares
-its nonzero eigenvalues with Y^dag Y = sum_ab conj(v_a) v_b b_ab. So all
-angles are batched through numpy's eigvalsh on k x k blocks, k being the
-number of thermally occupied levels.
+Gram blocks b_ab = X_b^T X_a, where b10 = b01^T because X is real. The
+unnormalized post-measurement oscillator state for outcome |v> is Y Y^dag
+with Y = sum_a conj(v_a) X_a, which shares its nonzero eigenvalues with
+Y^dag Y = sum_ab conj(v_a) v_b b_ab. So all angles are batched through
+numpy's eigvalsh on k x k blocks, k being the number of thermally occupied
+levels.
 
 ``conditional_entropy`` is the independent reference path: it applies full
 projectors (Pi (x) I) rho (Pi (x) I) to a dense structured matrix for both
@@ -169,11 +170,10 @@ class _BlockEvaluator:
         x0, x1 = x[:n], x[n:]
         # b_ab = X_b^T X_a, so that sum_ab conj(v_a) v_b b_ab = Y^dag Y
         self.b00 = x0.T @ x0
-        self.b01 = x1.T @ x0
-        self.b10 = x0.T @ x1
+        self.b01 = x1.T @ x0  # b10 = b01^T
         self.b11 = x1.T @ x1
         self.rho_a = np.array([[np.trace(self.b00), np.trace(self.b01)],
-                               [np.trace(self.b10), np.trace(self.b11)]])
+                               [np.trace(self.b01), np.trace(self.b11)]])
 
     def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         out = np.empty(thetas.shape[0])
@@ -189,7 +189,7 @@ class _BlockEvaluator:
         m = (
             w00[:, None, None] * self.b00
             + w01[:, None, None] * self.b01
-            + np.conj(w01)[:, None, None] * self.b10
+            + np.conj(w01)[:, None, None] * self.b01.T
             + (1.0 - w00)[:, None, None] * self.b11
         )
         p = np.einsum("bii->b", m).real
@@ -264,18 +264,18 @@ def quantum_discord(
     decomposition: SpectralDecomposition,
     populations: np.ndarray,
     grid: tuple[int, int] = DEFAULT_GRID,
-    refine: bool = True,
 ) -> DiscordResult:
     """Quantum discord D_A of sum_n p_n |v_n><v_n| over real, structured eigenvectors.
 
     ``decomposition`` must carry a Fock cutoff, and ``populations`` (one per
     level) must sum to 1 with no entry below -1e-10. ``grid = (n_theta,
     n_phi)`` sets the coarse search over theta_m in [0, pi] and phi_m in
-    [0, 2 pi); it needs n_theta >= 2 and an even n_phi >= 2. ``refine`` runs
-    Nelder-Mead from the best grid point. The
-    reported ``optimal_basis`` is one representative of the axis pair n, -n,
-    or (0, 0) when the grid values of S span no more than FLAT_TOL (a
-    product state), where round-off alone would pick the axis.
+    [0, 2 pi); it needs n_theta >= 2 and an even n_phi >= 2. Nelder-Mead
+    then always refines the best grid point, and its result is kept only
+    where it lies below the grid's. The reported ``optimal_basis`` is one
+    representative of the axis pair n, -n, or (0, 0) when the grid values
+    of S span no more than FLAT_TOL (a product state), where round-off
+    alone would pick the axis.
     """
     if decomposition.cutoff_used is None:
         raise ValueError("quantum_discord requires qubit (x) oscillator structure")
@@ -300,17 +300,15 @@ def quantum_discord(
     best_val = float(values[i_t, i_p])
     best_angles = (float(thetas[i_t]), float(phis[i_p]))
 
-    if refine:
-        step = (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi)
+    def objective(x: np.ndarray) -> float:
+        t, p = float(x[0]), float(x[1])
+        return float(evaluator(np.array([t, math.pi - t]), np.array([p, math.pi - p])).sum())
 
-        def objective(x: np.ndarray) -> float:
-            t, p = float(x[0]), float(x[1])
-            return float(evaluator(np.array([t, math.pi - t]), np.array([p, math.pi - p])).sum())
-
-        x_opt, f_opt = nelder_mead(objective, best_angles, step)
-        if f_opt < best_val:  # refinement is monotone against the grid
-            best_val = float(f_opt)
-            best_angles = (float(x_opt[0]), float(x_opt[1]))
+    step = (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi)
+    x_opt, f_opt = nelder_mead(objective, best_angles, step)
+    if f_opt < best_val:  # refinement is monotone against the grid
+        best_val = float(f_opt)
+        best_angles = (float(x_opt[0]), float(x_opt[1]))
 
     if float(np.ptp(values)) <= FLAT_TOL:  # no axis preferred; report z, not round-off
         best_angles = (0.0, 0.0)
@@ -354,18 +352,14 @@ class DiscordDifferences:
         return self.rho3.discord - self.rho4.discord
 
 
-def discord_differences(
-    states: CycleStates,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    refine: bool = True,
-) -> DiscordDifferences:
+def discord_differences(states: CycleStates, grid: tuple[int, int] = DEFAULT_GRID) -> DiscordDifferences:
     """Discords of rho1, rho3, rho4 and their pairwise differences.
 
     rho1 is the hot populations on the hot eigenvectors, rho3 the cold ones
     on the cold eigenvectors and rho4 the cold ones on the hot eigenvectors.
     """
     return DiscordDifferences(
-        rho1=quantum_discord(states.hot, states.populations_hot, grid=grid, refine=refine),
-        rho3=quantum_discord(states.cold, states.populations_cold, grid=grid, refine=refine),
-        rho4=quantum_discord(states.hot, states.populations_cold, grid=grid, refine=refine),
+        rho1=quantum_discord(states.hot, states.populations_hot, grid=grid),
+        rho3=quantum_discord(states.cold, states.populations_cold, grid=grid),
+        rho4=quantum_discord(states.hot, states.populations_cold, grid=grid),
     )

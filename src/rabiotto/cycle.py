@@ -190,7 +190,8 @@ class CycleReport:
     Energies are in units of hbar * omega_ref. ``eta`` is W/Q_h when Q_h > 0
     and NaN otherwise. ``tail_mass_hot`` is the hot-bath population mass left
     out of the n_levels-truncated sums; exceeding TAIL_MASS_TOL appends a
-    truncation warning.
+    truncation warning, and so does a basis with fewer than n_levels levels,
+    whose sums stop at the basis size.
     """
 
     q_hot: float
@@ -250,9 +251,9 @@ def _report_from_spectra(
     tail = float(1.0 - populations_hot[:k].sum())
     warnings = ()
     if tail > TAIL_MASS_TOL:
-        warnings = (
-            f"truncated sums: hot-bath tail population {tail:.3e} beyond {k} levels",
-        )
+        warnings += (f"truncated sums: hot-bath tail population {tail:.3e} beyond {k} levels",)
+    if k < n_levels:  # the tail above is then empty by construction
+        warnings += (f"truncated sums: the basis holds {k} levels, fewer than n_levels {n_levels}",)
     eta = work / q_hot if q_hot > 0.0 else float("nan")
     return CycleReport(
         q_hot=q_hot,

@@ -89,20 +89,18 @@ def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
 hermitian_eigh = symmetric_eigh  # bench/tracing.py wraps this name
 
 
-def _certified(
-    pairs: list[tuple[np.ndarray, np.ndarray]], solver, cutoff_used: int | None
-) -> SpectralDecomposition:
+def _certified(pairs: list[tuple[np.ndarray, np.ndarray]], cutoff_used: int | None) -> SpectralDecomposition:
     """Decomposition of the matrix whose every entry lies in one of the (indices, block) pairs.
 
-    Each block is solved by one ``solver`` call and must pass both gates; its
-    vectors are scattered once into their energy-sorted columns of the full
-    basis, zero off the block. Energies merge by a stable sort, so a tie
-    between blocks lists the earlier block's level first.
+    Each block is solved by one ``symmetric_eigh`` call and must pass both
+    gates; its vectors are scattered once into their energy-sorted columns of
+    the full basis, zero off the block. Energies merge by a stable sort, so a
+    tie between blocks lists the earlier block's level first.
     """
     solved = []
     residual = ortho_err = 0.0
     for indices, block in pairs:
-        w, v = solver(block)
+        w, v = symmetric_eigh(block)
         block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
         if not block_residual <= RESIDUAL_TOL:
             raise ConvergenceError(
@@ -147,7 +145,7 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
     if not op.is_hermitian():
         raise ValueError("eigendecompose requires a Hermitian matrix")
     cutoff = op.subsystem_dims[1] if op.subsystem_dims is not None else None
-    return _certified([(np.arange(op.dim), op.matrix)], symmetric_eigh, cutoff)
+    return _certified([(np.arange(op.dim), op.matrix)], cutoff)
 
 
 def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -171,7 +169,7 @@ def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
     a cutoff that is not an integer >= 2 raises ValueError.
     """
     n_max = check_cutoff(n_max)
-    return _certified(_hamiltonian_blocks(params, n_max), symmetric_eigh, n_max)
+    return _certified(_hamiltonian_blocks(params, n_max), n_max)
 
 
 def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np.ndarray:

@@ -16,7 +16,8 @@ only where needed) or a JSON mirror of the same table, as the result's
 config sets in ``out_format``. Identical configs produce bit-identical files
 on one machine and numpy/BLAS build; rows are ordered by (series value,
 swept value) regardless of worker count, and every row echoes a hash of the
-fully resolved config.
+fully resolved config without its run keys (workers, out_path, out_format),
+so one computation carries one hash however it is run or written.
 
 Sweep kinds:
   cycle    -- Otto-cycle observables per grid point (optionally with discord)
@@ -58,7 +59,7 @@ from .cycle import (
 )
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .spectral import (
-    CUTOFF_CEILING, CUTOFF_TOL, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonian,
+    CUTOFF_CEILING, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonian,
 )
 from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
@@ -78,6 +79,8 @@ ENV_PREFIX = "RABIOTTO_"
 VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
 SWEEPABLE = ("g_over_omega_c", "theta", "alpha", "omega_qh")
 FORMATS = ("csv", "json")
+# keys that change how a run executes or where its table goes, never a cell
+_RUN_KEYS = ("workers", "out_path", "out_format")
 # the variant that varies each variant-specific parameter; a cycle row leaves
 # the parameter blank under every other variant
 PARAMETER_VARIANT = {"alpha": "coupled-coupling", "omega_qh": "qubit-frequency"}
@@ -101,21 +104,21 @@ class _Typed:
 class CutoffPolicy(_Typed):
     mode: str = "auto"  # "auto" | "fixed"
     n_max: int | None = None
-    tol: float = CUTOFF_TOL
     ceiling: int = CUTOFF_CEILING
 
     def resolve(self, groups: list[list[RabiParams]], n_levels: int, mapper=map) -> list[int]:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
-        sides. Each distinct side is scanned once per call, through ``mapper``
-        (the builtin ``map``, or an executor's). The policy is checked where
-        the SweepConfig that holds it is built.
+        sides, certified to the fixed CUTOFF_TOL (1e-8). Each distinct side is
+        scanned once per call, through ``mapper`` (the builtin ``map``, or an
+        executor's). The policy is checked where the SweepConfig that holds it
+        is built.
         """
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
         sides = list(dict.fromkeys(side for group in groups for side in group))
-        scan = functools.partial(converged_cutoff, n_levels=n_levels, tol=self.tol, ceiling=self.ceiling)
+        scan = functools.partial(converged_cutoff, n_levels=n_levels, ceiling=self.ceiling)
         cutoffs = dict(zip(sides, mapper(scan, sides)))
         return [max(cutoffs[side] for side in group) for group in groups]
 
@@ -139,7 +142,6 @@ class DiscordOptions(_Typed):
     enabled: bool = False
     n_theta: int = DEFAULT_GRID[0]
     n_phi: int = DEFAULT_GRID[1]
-    refine: bool = True
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,6 @@ class SweepConfig(_Typed):
             raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {cutoff.mode!r}")
         if cutoff.mode == "fixed" and (cutoff.n_max is None or cutoff.n_max < 2):
             raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
-        if cutoff.tol <= 0.0:
-            raise ConfigError(f"cutoff.tol: must be > 0, got {cutoff.tol}")
         # in auto mode the ceiling must reach the scan start, or no cutoff can certify
         start = scan_start(self.n_levels)
         if cutoff.mode == "auto" and cutoff.ceiling < start:
@@ -246,7 +246,9 @@ class SweepConfig(_Typed):
         return asdict(self)
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.resolved_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the resolved config without its run keys (_RUN_KEYS)."""
+        computation = {k: v for k, v in self.resolved_dict().items() if k not in _RUN_KEYS}
+        payload = json.dumps(computation, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -507,11 +509,7 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tu
         "tail_mass_hot": report.tail_mass_hot,
     }
     if config.discord.enabled:
-        diffs = discord_differences(
-            states,
-            grid=(config.discord.n_theta, config.discord.n_phi),
-            refine=config.discord.refine,
-        )
+        diffs = discord_differences(states, grid=(config.discord.n_theta, config.discord.n_phi))
         row.update(
             {
                 "D_rho1": diffs.rho1.discord,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -45,9 +47,9 @@ class TestPresetCommand:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("fig2", "be15c47212d6"), ("fig3", "aee75a3e3a8d"), ("fig4", "bca9f686c67d"),
-            ("fig5", "c531ee95e53d"), ("fig6", "a8e04dbadc9c"), ("fig7", "04fc8e309490"),
-            ("fig8", "bf4f93d8a1c9"), ("fig9", "6ef53eb53c73"), ("fig10", "619087d319b5"),
+            ("fig2", "3d5a82f9678f"), ("fig3", "79869c00330c"), ("fig4", "94e40fa07b0b"),
+            ("fig5", "1eb4e25b0f8d"), ("fig6", "6cbccedb6a12"), ("fig7", "58256defcae7"),
+            ("fig8", "cf65753d84c3"), ("fig9", "7d6fad67b99f"), ("fig10", "5b03e7b5637f"),
         ],
     )
     def test_preset_path_keeps_the_config_hash(self, name, expected, monkeypatch):
@@ -56,6 +58,16 @@ class TestPresetCommand:
         for variable in [v for v in os.environ if v.startswith("RABIOTTO_")]:
             monkeypatch.delenv(variable)
         assert _load_config(build_parser().parse_args(["sweep", "--preset", name])).config_hash() == expected
+
+    @pytest.mark.parametrize("section, key, value", [("cutoff", "tol", 1e-6), ("discord", "refine", False)])
+    def test_removed_certificate_keys_are_config_errors(self, section, key, value, tmp_path, capsys):
+        # the cutoff tolerance and the discord refinement are fixed; a document
+        # saved by an older `rabiotto preset` that still sets them is rejected
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**FAST_CONFIG, section: {key: value}}), encoding="utf-8")
+        code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"rabiotto: config error: {section}.{key}: unknown configuration key\n"
 
     def test_round_trips_through_config_flag(self, tmp_path, capsys):
         cfg = tmp_path / "fig9.json"
@@ -125,6 +137,45 @@ class TestSweepCommand:
             column = lines[0].split(",").index("tail_mass_hot")
             rows = [float(line.split(",")[column]) for line in lines[1:]]
             assert rows == pytest.approx(tails, rel=1e-3)
+
+    def test_basis_smaller_than_n_levels_warns_at_every_point(self, capsys, monkeypatch):
+        # cutoff 4 holds 8 levels, so the sums stop short of n_levels = 24 and the
+        # hot tail is empty by construction; the table is what the cutoff gives
+        monkeypatch.setenv("RABIOTTO_CUTOFF__MODE", "fixed")
+        monkeypatch.setenv("RABIOTTO_CUTOFF__N_MAX", "4")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["sweep", "--workers", "1"], capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            f"rabiotto: warning: g_over_omega_c = {g}: truncated sums: the basis holds 8 levels,"
+            " fewer than n_levels 24"
+            for g in ("0.0", "3.5")
+        ]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["W"], row["regime"], row["error"]) for row in rows] == [
+            ("0.00729920828938", "engine", ""), ("-0.000252686363736", "refrigerator", ""),
+        ]
+
+    def test_run_keys_leave_the_config_hash_alone(self, fast_config_path, tmp_path, capsys):
+        # workers, --format and --out say how a run executes and where it writes
+        def hashes(table: str) -> set[str]:
+            return {row["config_hash"] for row in csv.DictReader(io.StringIO(table))}
+
+        command = ["sweep", "--config", fast_config_path]
+        found = set()
+        for workers in ("1", "2"):
+            code, out, _ = run_cli([*command, "--workers", workers], capsys)
+            assert code == 0
+            found |= hashes(out)
+        code, out, _ = run_cli([*command, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        column = doc["columns"].index("config_hash")
+        found |= {doc["config_hash"], *(row[column] for row in doc["rows"])}
+        path = tmp_path / "out.csv"
+        assert run_cli([*command, "--out", str(path)], capsys)[0] == 0
+        found |= hashes(path.read_text(encoding="utf-8"))
+        assert len(found) == 1
 
     def test_config_and_preset_conflict(self, fast_config_path, capsys):
         code, _, err = run_cli(
@@ -267,6 +318,17 @@ class TestCycleCommand:
         expected = summary()
         monkeypatch.setenv("RABIOTTO_SWEEP__START", "-1")
         assert summary() == expected
+
+    def test_discord_preset_runs_one_point_without_discord(self, capsys, monkeypatch):
+        # the summary row has no discord column, so none is computed; the point
+        # is the template's g = 0 on its theta = 0, not the sweep or the series
+        calls = []
+        monkeypatch.setattr("rabiotto.correlations.quantum_discord", lambda *args, **kw: calls.append(args))
+        code, out, err = run_cli(["cycle", "--preset", "fig4", "--workers", "1"], capsys)
+        assert (code, err, calls) == (0, "", [])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert (rows[0]["g_over_omega_c"], rows[0]["theta"]) == ("0", "0")
 
     def test_lapack_failure_is_numerical_failure(self, fast_config_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

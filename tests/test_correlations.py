@@ -316,10 +316,17 @@ class TestQuantumDiscord:
         assert result.discord >= 0.0
 
     def test_refinement_never_worse_than_grid(self, small_cycle):
+        # the best point of the same (12, 24) grid: f on the half grid phi_m = 0 ... pi
+        # plus its antipode, f with both axes reversed
         _, states, _ = small_cycle
-        coarse = quantum_discord(states.hot, states.populations_hot, grid=(12, 24), refine=False)
-        refined = quantum_discord(states.hot, states.populations_hot, grid=(12, 24), refine=True)
-        assert refined.conditional_entropy_min <= coarse.conditional_entropy_min + 1e-15
+        refined = quantum_discord(states.hot, states.populations_hot, grid=(12, 24))
+        evaluator = _BlockEvaluator(states.hot, states.populations_hot)
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, math.pi, 12), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)[:13], indexing="ij"
+        )
+        f = evaluator(tt.ravel(), pp.ravel()).reshape(tt.shape)
+        grid_best = float((f + f[::-1, ::-1]).min())
+        assert refined.conditional_entropy_min <= grid_best + 1e-15
 
     def test_refinement_against_brute_force_grid(self, small_cycle):
         # optimizer must never land above the best point of a denser grid

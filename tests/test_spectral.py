@@ -371,7 +371,7 @@ class TestParitySectors:
         config = figure_preset(preset)
         protocol = build_protocol(config, series_value, endpoint)
         found = {
-            side: converged_cutoff(getattr(protocol, side), config.n_levels, config.cutoff.tol, config.cutoff.ceiling)
+            side: converged_cutoff(getattr(protocol, side), config.n_levels, ceiling=config.cutoff.ceiling)
             for side in expected
         }
         assert found == expected
