@@ -19,14 +19,13 @@ import numpy as np
 from rabiotto import discord_differences, resonator_frequency_protocol, run_cycle
 
 CUTOFF = 48
-GRID = (32, 64)  # coarse measurement grid; refinement picks up the rest
 
 print(f"{'g/w_c':>6} {'W':>12} {'D(rho4)-D(rho1)':>17} {'D(rho3)-D(rho1)':>17}")
 values = []
 for g in np.arange(0.2, 2.81, 0.2):
     protocol = resonator_frequency_protocol(g=float(g))
     states, rep = run_cycle(protocol, cutoff=CUTOFF)
-    diffs = discord_differences(states, grid=GRID)
+    diffs = discord_differences(states)
     values.append((g, rep.work, diffs.d41))
     print(f"{g:>6.1f} {rep.work:>12.4e} {diffs.d41:>17.4e} {diffs.d31:>17.4e}")
 

@@ -47,9 +47,9 @@ class TestPresetCommand:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("fig2", "3d5a82f9678f"), ("fig3", "79869c00330c"), ("fig4", "94e40fa07b0b"),
-            ("fig5", "1eb4e25b0f8d"), ("fig6", "6cbccedb6a12"), ("fig7", "58256defcae7"),
-            ("fig8", "cf65753d84c3"), ("fig9", "7d6fad67b99f"), ("fig10", "5b03e7b5637f"),
+            ("fig2", "f30a413fb218"), ("fig3", "eb3f71c1d63b"), ("fig4", "65464b16c443"),
+            ("fig5", "8ec5abbba096"), ("fig6", "4f4882b48c7d"), ("fig7", "ab51acb32b2e"),
+            ("fig8", "6b7e6f5509e5"), ("fig9", "7e679288c0fc"), ("fig10", "ce97068f4723"),
         ],
     )
     def test_preset_path_keeps_the_config_hash(self, name, expected, monkeypatch):
@@ -155,6 +155,19 @@ class TestSweepCommand:
         assert [(row["W"], row["regime"], row["error"]) for row in rows] == [
             ("0.00729920828938", "engine", ""), ("-0.000252686363736", "refrigerator", ""),
         ]
+
+    def test_spectrum_larger_than_its_fixed_basis_is_config_error(self, capsys, monkeypatch):
+        # a cycle sweep at cutoff 4 warns (above); a spectrum row would need
+        # 24 levels from a basis of 8, known before any point runs
+        monkeypatch.setenv("RABIOTTO_CUTOFF__MODE", "fixed")
+        monkeypatch.setenv("RABIOTTO_CUTOFF__N_MAX", "4")
+        monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
+        code, out, err = run_cli(["spectrum", "--workers", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "rabiotto: config error: cutoff.n_max: a spectrum of 24 levels needs 2 * n_max >= n_levels,"
+            " got n_max 4\n"
+        )
 
     def test_run_keys_leave_the_config_hash_alone(self, fast_config_path, tmp_path, capsys):
         # workers, --format and --out say how a run executes and where it writes

@@ -20,6 +20,8 @@ from rabiotto import (
 )
 from rabiotto.correlations import (
     AXIS_TOL,
+    DEFAULT_GRID,
+    FLAT_TOL,
     REFINE_MAX_ITER,
     _BlockEvaluator,
     _bloch,
@@ -46,6 +48,22 @@ def bell_diagonal(c):
     m = np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))
     assert not m.imag.any()
     return OperatorMatrix(m.real / 4, subsystem_dims=(2, 2))
+
+
+# Bell-diagonal correlation vectors whose largest |c_i| lies along x, y and z
+BELL_DIAGONAL = {"x": (0.6, 0.1, -0.2), "y": (0.2, -0.7, 0.3), "z": (0.1, 0.2, -0.5)}
+
+
+def half_grid_values(decomposition, populations, grid):
+    """S on quantum_discord's real-state half grid: f plus f with both axes reversed."""
+    n_theta, n_phi = grid
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, math.pi, n_theta),
+        np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[: n_phi // 2 + 1],
+        indexing="ij",
+    )
+    f = _BlockEvaluator(decomposition, populations)(tt.ravel(), pp.ravel()).reshape(tt.shape)
+    return f + f[::-1, ::-1]
 
 
 def reduced_qubit(rho):
@@ -288,9 +306,9 @@ class TestQuantumDiscord:
     @pytest.mark.parametrize(
         "c, expected, angles",
         [
-            ((0.6, 0.1, -0.2), 0.0204628669676, (math.pi / 2, 0.0)),
-            ((0.2, -0.7, 0.3), 0.0458089536755, (math.pi / 2, math.pi / 2)),
-            ((0.1, 0.2, -0.5), 0.0201355135507, (0.0, 0.0)),
+            (BELL_DIAGONAL["x"], 0.0204628669676, (math.pi / 2, 0.0)),
+            (BELL_DIAGONAL["y"], 0.0458089536755, (math.pi / 2, math.pi / 2)),
+            (BELL_DIAGONAL["z"], 0.0201355135507, (0.0, 0.0)),
         ],
         ids=["x", "y", "z"],
     )
@@ -316,16 +334,9 @@ class TestQuantumDiscord:
         assert result.discord >= 0.0
 
     def test_refinement_never_worse_than_grid(self, small_cycle):
-        # the best point of the same (12, 24) grid: f on the half grid phi_m = 0 ... pi
-        # plus its antipode, f with both axes reversed
         _, states, _ = small_cycle
         refined = quantum_discord(states.hot, states.populations_hot, grid=(12, 24))
-        evaluator = _BlockEvaluator(states.hot, states.populations_hot)
-        tt, pp = np.meshgrid(
-            np.linspace(0.0, math.pi, 12), np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)[:13], indexing="ij"
-        )
-        f = evaluator(tt.ravel(), pp.ravel()).reshape(tt.shape)
-        grid_best = float((f + f[::-1, ::-1]).min())
+        grid_best = float(half_grid_values(states.hot, states.populations_hot, (12, 24)).min())
         assert refined.conditional_entropy_min <= grid_best + 1e-15
 
     def test_refinement_against_brute_force_grid(self, small_cycle):
@@ -389,6 +400,61 @@ class TestQuantumDiscord:
         unstructured = SpectralDecomposition(h.energies, h.states, None, h.residual_norm, h.orthonormality_error)
         with pytest.raises(ValueError, match="structure"):
             quantum_discord(unstructured, states.populations_hot)
+
+
+class TestDefaultGrid:
+    """DEFAULT_GRID finds what a 64 x 128 grid finds, on test states and preset cycle states."""
+
+    FINE = (64, 128)
+
+    @staticmethod
+    def preset_states(name, series_value, couplings):
+        config = figure_preset(name)
+        cutoff = _series_cutoffs(config)[series_value]
+        for g in couplings:
+            states, _ = run_cycle(build_protocol(config, series_value, g), cutoff=cutoff)
+            for state in ("rho1", "rho3", "rho4"):
+                label = f"{name} {config.series.parameter} = {series_value:.4g}, g = {g}, {state}"
+                yield label, cycle_state(states, state)
+
+    @staticmethod
+    def low_rank_state(seed):
+        """A random real state of rank 1-3 on qubit x 2-8 levels."""
+        rng = np.random.default_rng(seed)
+        n, rank = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        x = rng.normal(size=(2 * n, rank)) * rng.uniform(0.05, 1.0, size=rank)
+        rho = x @ x.T
+        return OperatorMatrix(rho / np.trace(rho), subsystem_dims=(2, n))
+
+    def test_default_grid_matches_the_fine_grid(self, rng):
+        # D at most 2e-12 above the fine grid's (solver rewrites have moved D
+        # cells by up to 1.7e-12), and the flat-landscape rule fires on the
+        # same states; the g = 0 cycle states and the Bell pair are flat. The
+        # fig4 g = 0.75 rho4 state fails at (4, 8), the fig8 g = 0.05 rho4
+        # state at (6, 12), and the rank-3 state has a narrow global basin
+        # that (8, 16) misses by 3e-3
+        cases = [("Bell pair", spectral_form(bell_state()))]
+        cases += [(f"Bell-diagonal {axis}", spectral_form(bell_diagonal(c))) for axis, c in BELL_DIAGONAL.items()]
+        cases += [
+            (f"random dim {dim}", spectral_form(OperatorMatrix(random_density(rng, dim), subsystem_dims=(2, dim // 2))))
+            for dim in (8, 12)
+        ]
+        cases.append(("random rank 3", spectral_form(self.low_rank_state(2048))))
+        cases += list(self.preset_states("fig4", 3 * math.pi / 8, (0.0, 0.75, 3.5)))
+        cases += list(self.preset_states("fig8", 1.5, (0.05,)))
+        flat_states = []
+        for name, (decomposition, populations) in cases:
+            coarse = quantum_discord(decomposition, populations)
+            fine = quantum_discord(decomposition, populations, grid=self.FINE)
+            assert coarse.discord <= fine.discord + 2e-12, name
+            flat = [
+                float(np.ptp(half_grid_values(decomposition, populations, grid))) <= FLAT_TOL
+                for grid in (DEFAULT_GRID, self.FINE)
+            ]
+            assert flat[0] == flat[1], name
+            if flat[0]:
+                flat_states.append(name)
+        assert len(flat_states) == 4, flat_states
 
 
 class TestReportedAxis:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -165,6 +166,16 @@ class TestParseConfig:
     def test_rejects_bad_cutoff_policy(self, cutoff, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             parse_config(json.dumps({"cutoff": cutoff}), environ={})
+
+    def test_rejects_spectrum_larger_than_its_fixed_basis(self):
+        # cutoff 4 holds 8 levels; a spectrum row needs all n_levels of them,
+        # while a cycle sweep only warns that its sums stop short
+        doc = {"kind": "spectrum", "n_levels": 9, "cutoff": {"mode": "fixed", "n_max": 4}}
+        message = "cutoff.n_max: a spectrum of 9 levels needs 2 * n_max >= n_levels, got n_max 4"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc), environ={})
+        parse_config(json.dumps({**doc, "n_levels": 8}), environ={})
+        parse_config(json.dumps({**doc, "kind": "cycle"}), environ={})
 
     def test_rejects_bad_temperatures(self):
         with pytest.raises(ConfigError, match="t_cold"):
@@ -532,15 +543,19 @@ class TestRunSweep:
         result = run_sweep(parse_config(FAST, environ={}, overrides={"workers": 0}))
         assert [row[result.columns.index("error")] for row in result.rows] == ["", "", ""]
 
-    def test_per_point_failure_recorded(self):
-        # a cutoff too small for n_levels makes relative_spectrum/report fail
-        # at no point; instead force failure via a fixed cutoff below requirements
+    def test_per_point_failure_recorded(self, monkeypatch):
+        # a spectrum cutoff too small for n_levels is a config error, so force
+        # the failure inside each point
+        def fail(decomposition, n_levels):
+            raise ValueError("forced")
+
+        monkeypatch.setattr("rabiotto.sweep.relative_spectrum", fail)
         config = parse_config(
             json.dumps(
                 {
                     "kind": "spectrum",
-                    "n_levels": 40,
-                    "cutoff": {"mode": "fixed", "n_max": 8},  # dim 16 < 40 levels
+                    "n_levels": 4,
+                    "cutoff": {"mode": "fixed", "n_max": 8},
                     "sweep": {"start": 0.0, "stop": 1.0, "n_points": 2},
                     "workers": 1,
                 }
@@ -549,7 +564,7 @@ class TestRunSweep:
         )
         result = run_sweep(config)
         err_idx = result.columns.index("error")
-        assert all(row[err_idx] for row in result.rows)
+        assert [row[err_idx] for row in result.rows] == ["ValueError: forced"] * 2
         g_idx = result.columns.index("g_over_omega")
         assert [row[g_idx] for row in result.rows] == [0.0, 1.0]
 
