@@ -34,7 +34,7 @@ for g in np.arange(0.0, 3.01, 0.375):
         states, rep = run_cycle(protocol, cutoff=CUTOFF)
         works.append(rep.work)
         if omega_qh == 1.0:
-            d41 = discord_differences(states, grid=(24, 48)).d41
+            d41 = discord_differences(states).d41
     print(f"{g:>5.2f} | " + " | ".join(f"{w:>11.4e}" for w in works) + f" | {d41:>12.4e}")
 
 print("\nwork extremes per curve over a finer grid; a curve refrigerates when its")

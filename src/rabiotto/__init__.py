@@ -10,42 +10,48 @@ Library layout:
   approx        displaced-oscillator closed forms and the positive-work bound
   sweep         parameter sweeps, figure presets, CSV/JSON export
   cli           the `rabiotto` command-line interface
+
+The names below are loaded from their modules on first use, so ``import
+rabiotto`` alone loads no numpy: the CLI sets its BLAS thread variables
+after the package is imported and before numpy is.
 """
 
-from .approx import approx_levels, approx_w1, laguerre, positive_work_bound
-from .correlations import (
-    DiscordDifferences,
-    DiscordResult,
-    MeasurementBasis,
-    conditional_entropy,
-    discord_differences,
-    quantum_discord,
-    von_neumann_entropy,
-)
-from .cycle import (
-    CycleProtocol,
-    CycleReport,
-    CycleStates,
-    ReservoirSpec,
-    classify_regime,
-    coupled_coupling_protocol,
-    qubit_frequency_protocol,
-    resonator_frequency_protocol,
-    run_cycle,
-    thermal_populations,
-)
-from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_operator, parity_sectors
-from .hilbert import OperatorMatrix
-from .spectral import (
-    ConvergenceError,
-    SpectralDecomposition,
-    converged_cutoff,
-    eigendecompose,
-    relative_spectrum,
-    solve_hamiltonian,
-    symmetric_eigh,
-)
-from .sweep import ConfigError, SweepConfig, figure_preset, parse_config, run_sweep, write_output
-from .units import DEFAULT_OMEGA_REF, thermal_energy
+import importlib
 
+_EXPORTS = {
+    "approx": ("approx_levels", "approx_w1", "laguerre", "positive_work_bound"),
+    "correlations": (
+        "DiscordDifferences", "DiscordResult", "MeasurementBasis", "conditional_entropy",
+        "discord_differences", "quantum_discord", "von_neumann_entropy",
+    ),
+    "cycle": (
+        "CycleProtocol", "CycleReport", "CycleStates", "ReservoirSpec", "classify_regime",
+        "coupled_coupling_protocol", "qubit_frequency_protocol", "resonator_frequency_protocol",
+        "run_cycle", "thermal_populations",
+    ),
+    "hamiltonian": ("RabiParams", "build_hamiltonian", "conserves_parity", "parity_operator", "parity_sectors"),
+    "hilbert": ("OperatorMatrix",),
+    "spectral": (
+        "ConvergenceError", "SpectralDecomposition", "converged_cutoff", "eigendecompose",
+        "relative_spectrum", "solve_hamiltonian", "symmetric_eigh",
+    ),
+    "sweep": ("ConfigError", "SweepConfig", "figure_preset", "parse_config", "run_sweep", "write_output"),
+    "units": ("DEFAULT_OMEGA_REF", "thermal_energy"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # any other name raises, so `from rabiotto import cycle` imports the submodule
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,14 +17,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-import numpy as np
+# One BLAS thread per process, unless the user set another: every solve is a
+# small matrix, and a sweep's parallelism is its pool, whose processes inherit
+# these. BLAS reads them when numpy loads, which the package __init__ does not.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .cycle import run_cycle
-from .spectral import ConvergenceError
-from .spectral import converged_cutoff  # noqa: F401  (bench/tracing.py wraps this name)
-from .sweep import (
+import numpy as np  # noqa: E402
+
+from . import sweep  # noqa: E402
+from .cycle import run_cycle  # noqa: E402
+from .spectral import ConvergenceError  # noqa: E402
+from .spectral import converged_cutoff  # noqa: E402, F401  (bench/tracing.py wraps this name)
+from .sweep import (  # noqa: E402
     ConfigError,
     SweepConfig,
     SweepResult,
@@ -32,7 +40,6 @@ from .sweep import (
     figure_preset,
     parse_config,
     run_sweep,
-    write_output,
 )
 
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, ConvergenceError, ArithmeticError, FloatingPointError)
@@ -105,11 +112,25 @@ def _load_config(args: argparse.Namespace) -> SweepConfig:
     return parse_config(text, overrides=COMMAND_OVERRIDES.get(args.command, {}) | flags)
 
 
-def _emit(result: SweepResult, path: str | None) -> None:
-    """Write the table to ``path`` or stdout, then its warnings to stderr."""
-    text = write_output(result, path)
+def _write(text: str, path: str | None) -> None:
+    """Every output of the CLI: ``text`` to ``path``, or to stdout without one.
+
+    A path that cannot be written is a config error. It is found only here,
+    after the run: probing it first would create or truncate the file early.
+    """
     if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def write_output(result: SweepResult, path: str | None) -> None:
+    """Write the table in its config's out_format (see ``_write``), then its warnings to stderr."""
+    _write(sweep.write_output(result, None), path)
     for warning in result.warnings:
         sys.stderr.write(f"rabiotto: warning: {warning}\n")
 
@@ -130,7 +151,7 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
         report.work, report.q_hot, report.q_cold, report.eta, report.regime,
     )
     summary_table = table(CYCLE_SUMMARY_COLUMNS, [summary], report.warnings)
-    _emit(summary_table, config.out_path)
+    write_output(summary_table, config.out_path)
     if getattr(args, "per_level", None):
         eh = states.hot.ground_referenced()
         ec = states.cold.ground_referenced()
@@ -140,7 +161,7 @@ def _run_single_cycle(args: argparse.Namespace) -> int:
              float(report.work_per_level[n]))
             for n in range(len(report.work_per_level))
         ]
-        _emit(table(PER_LEVEL_COLUMNS, rows), args.per_level)
+        write_output(table(PER_LEVEL_COLUMNS, rows), args.per_level)
     return 0
 
 
@@ -150,18 +171,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "preset":
             config = figure_preset(args.name)
-            text = json.dumps(config.resolved_dict(), indent=1, sort_keys=True) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(json.dumps(config.resolved_dict(), indent=1, sort_keys=True) + "\n", args.out)
             return 0
         if args.command == "cycle":
             return _run_single_cycle(args)
         config = _load_config(args)
         result = run_sweep(config)
-        _emit(result, config.out_path)
+        write_output(result, config.out_path)
         error_col = result.columns.index("error")
         if result.rows and all(row[error_col] for row in result.rows):
             sys.stderr.write("rabiotto: every sweep point failed\n")

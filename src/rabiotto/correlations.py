@@ -357,14 +357,14 @@ class DiscordDifferences:
         return self.rho3.discord - self.rho4.discord
 
 
-def discord_differences(states: CycleStates, grid: tuple[int, int] = DEFAULT_GRID) -> DiscordDifferences:
-    """Discords of rho1, rho3, rho4 and their pairwise differences.
+def discord_differences(states: CycleStates) -> DiscordDifferences:
+    """Discords of rho1, rho3, rho4 on DEFAULT_GRID and their pairwise differences.
 
     rho1 is the hot populations on the hot eigenvectors, rho3 the cold ones
     on the cold eigenvectors and rho4 the cold ones on the hot eigenvectors.
     """
     return DiscordDifferences(
-        rho1=quantum_discord(states.hot, states.populations_hot, grid=grid),
-        rho3=quantum_discord(states.cold, states.populations_cold, grid=grid),
-        rho4=quantum_discord(states.hot, states.populations_cold, grid=grid),
+        rho1=quantum_discord(states.hot, states.populations_hot),
+        rho3=quantum_discord(states.cold, states.populations_cold),
+        rho4=quantum_discord(states.hot, states.populations_cold),
     )

@@ -45,7 +45,7 @@ from types import UnionType
 import numpy as np
 
 from .approx import approx_w1, positive_work_bound
-from .correlations import DEFAULT_GRID, discord_differences
+from .correlations import discord_differences
 from .cycle import (
     DEFAULT_N_LEVELS,
     DEFAULT_T_COLD,
@@ -140,8 +140,6 @@ class SeriesSpec(_Typed):
 @dataclass(frozen=True)
 class DiscordOptions(_Typed):
     enabled: bool = False
-    n_theta: int = DEFAULT_GRID[0]
-    n_phi: int = DEFAULT_GRID[1]
 
 
 @dataclass(frozen=True)
@@ -208,10 +206,6 @@ class SweepConfig(_Typed):
             raise ConfigError(f"omega_ref: must be > 0, got {self.omega_ref}")
         if self.n_levels < 1:
             raise ConfigError(f"n_levels: must be >= 1, got {self.n_levels}")
-        if self.discord.n_theta < 2:
-            raise ConfigError(f"discord.n_theta: must be >= 2, got {self.discord.n_theta}")
-        if self.discord.n_phi < 2 or self.discord.n_phi % 2:
-            raise ConfigError(f"discord.n_phi: must be even and >= 2, got {self.discord.n_phi}")
         if self.discord.enabled and self.kind != "cycle":
             raise ConfigError(f"discord.enabled: only cycle sweeps compute discord, got kind {self.kind}")
         cutoff = self.cutoff
@@ -515,7 +509,7 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tu
         "tail_mass_hot": report.tail_mass_hot,
     }
     if config.discord.enabled:
-        diffs = discord_differences(states, grid=(config.discord.n_theta, config.discord.n_phi))
+        diffs = discord_differences(states)
         row.update(
             {
                 "D_rho1": diffs.rho1.discord,

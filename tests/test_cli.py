@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ FAST_CONFIG = {
     "cutoff": {"mode": "fixed", "n_max": 12},
     "n_levels": 6,
     "workers": 1,
+}
+
+
+PRESET_HASHES = {
+    "fig2": "2a315136955f", "fig3": "aea7c6013df2", "fig4": "590631994535",
+    "fig5": "bc223f00b4ef", "fig6": "4baa3eb0e649", "fig7": "ae161fdb40f8",
+    "fig8": "1ab29e0bd524", "fig9": "1ac81ba169a1", "fig10": "a0de9f5f9a09",
 }
 
 
@@ -44,25 +53,24 @@ class TestPresetCommand:
         assert code == 2
         assert "unknown preset" in err
 
-    @pytest.mark.parametrize(
-        "name, expected",
-        [
-            ("fig2", "f30a413fb218"), ("fig3", "eb3f71c1d63b"), ("fig4", "65464b16c443"),
-            ("fig5", "8ec5abbba096"), ("fig6", "4f4882b48c7d"), ("fig7", "ab51acb32b2e"),
-            ("fig8", "6b7e6f5509e5"), ("fig9", "7e679288c0fc"), ("fig10", "ce97068f4723"),
-        ],
-    )
-    def test_preset_path_keeps_the_config_hash(self, name, expected, monkeypatch):
+    # keyed by preset, so a test keeps its name when its hash moves
+    @pytest.mark.parametrize("name", PRESET_HASHES)
+    def test_preset_path_keeps_the_config_hash(self, name, monkeypatch):
+        expected = PRESET_HASHES[name]
         text = json.dumps(figure_preset(name).resolved_dict())
         assert parse_config(text, environ={}).config_hash() == expected
         for variable in [v for v in os.environ if v.startswith("RABIOTTO_")]:
             monkeypatch.delenv(variable)
         assert _load_config(build_parser().parse_args(["sweep", "--preset", name])).config_hash() == expected
 
-    @pytest.mark.parametrize("section, key, value", [("cutoff", "tol", 1e-6), ("discord", "refine", False)])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("cutoff", "tol", 1e-6), ("discord", "refine", False), ("discord", "n_theta", 16), ("discord", "n_phi", 32)],
+    )
     def test_removed_certificate_keys_are_config_errors(self, section, key, value, tmp_path, capsys):
-        # the cutoff tolerance and the discord refinement are fixed; a document
-        # saved by an older `rabiotto preset` that still sets them is rejected
+        # the cutoff tolerance, the discord refinement and the discord grid are
+        # fixed; a document saved by an older `rabiotto preset` that still sets
+        # them is rejected
         path = tmp_path / "old.json"
         path.write_text(json.dumps({**FAST_CONFIG, section: {key: value}}), encoding="utf-8")
         code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
@@ -357,7 +365,7 @@ class TestDiscordCommand:
     def test_discord_forced_on(self, tmp_path, capsys):
         cfg = dict(FAST_CONFIG)
         cfg["sweep"] = {"start": 0.5, "stop": 1.0, "n_points": 2}
-        cfg["discord"] = {"enabled": False, "n_theta": 8, "n_phi": 16}
+        cfg["discord"] = {"enabled": False}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         code, out, _ = run_cli(["discord", "--config", str(path)], capsys)
@@ -366,15 +374,6 @@ class TestDiscordCommand:
         for column in ("D_rho1", "D_rho3", "D_rho4", "diff_41", "diff_31", "diff_34"):
             assert column in header
 
-    def test_odd_phi_grid_is_config_error(self, tmp_path, capsys):
-        cfg = {**FAST_CONFIG, "discord": {"n_theta": 8, "n_phi": 15}}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        code, out, err = run_cli(["discord", "--config", str(path)], capsys)
-        assert code == 2
-        assert out == ""
-        assert "discord.n_phi: must be even and >= 2" in err
-
     @pytest.mark.parametrize("name, kind", [("fig9", "spectrum"), ("fig3", "levels"), ("fig10", "approx")])
     def test_preset_of_a_kind_without_discord_is_config_error(self, name, kind, capsys, monkeypatch):
         monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
@@ -382,6 +381,27 @@ class TestDiscordCommand:
         assert code == 2
         assert out == ""
         assert f"discord.enabled: only cycle sweeps compute discord, got kind {kind}" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["sweep", "--out", "{missing}/x.csv"], ["preset", "fig2", "--out", "{missing}/x.json"],
+     ["cycle", "--per-level", "{missing}/p.csv"]],
+    ids=["sweep-out", "preset-out", "cycle-per-level"],
+)
+def test_unwritable_output_is_config_error(args, fast_config_path, tmp_path, capsys):
+    # the run comes first, so the directory's absence is found only when the file is written
+    missing = tmp_path / "missing"
+    args = [arg.format(missing=missing) for arg in args]
+    if args[0] != "preset":
+        args += ["--config", fast_config_path]
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    # the last line, after any warnings of the run itself
+    assert err.splitlines()[-1].startswith(
+        f"rabiotto: config error: cannot write output: [Errno 2] No such file or directory: '{missing}/"
+    )
+    assert not missing.exists()
 
 
 class TestApproxCommand:
@@ -443,9 +463,6 @@ class TestEnvOverride:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, fast_config_path, tmp_path):
-        import subprocess
-        import sys
-
         out_path = tmp_path / "w.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "rabiotto.cli", "sweep",
@@ -455,3 +472,46 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert out_path.read_text(encoding="utf-8").startswith("g_over_omega_c,")
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# how each entry point loads the CLI: the console script imports rabiotto.cli
+# and calls main; `python -m rabiotto.cli` runs the module as __main__
+ENTRY_POINTS = {
+    "console-script": "from rabiotto.cli import main",
+    "python-m": (
+        "import runpy\n"
+        "sys.argv = ['rabiotto', 'preset', 'fig2', '--out', os.devnull]\n"
+        "try:\n"
+        "    runpy.run_module('rabiotto.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+    ),
+}
+
+
+def _blas_environment_after(code, **variables):
+    """The BLAS variables, and whether numpy is loaded, after ``code`` runs in a
+    fresh interpreter whose environment has none of them but ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES} | variables
+    probe = f"import os, sys\n{code}\nprint([os.environ.get(v) for v in {BLAS_VARIABLES!r}], 'numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_cli_sets_unset_variables_to_one(self, entry):
+        assert _blas_environment_after(ENTRY_POINTS[entry]) == "['1', '1', '1'] True"
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_a_value_the_user_set_wins(self, entry):
+        assert _blas_environment_after(ENTRY_POINTS[entry], OMP_NUM_THREADS="2") == "['1', '2', '1'] True"
+
+    @pytest.mark.parametrize(
+        "code, numpy_loaded",
+        [("import rabiotto", False), ("from rabiotto import run_cycle", True)],
+    )
+    def test_library_import_leaves_the_environment_alone(self, code, numpy_loaded):
+        assert _blas_environment_after(code) == f"[None, None, None] {numpy_loaded}"

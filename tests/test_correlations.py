@@ -385,12 +385,13 @@ class TestQuantumDiscord:
                 assert abs(a - b) < 1e-12
 
     def test_even_and_odd_phi_grids_agree(self, small_cycle):
-        # two even grids agree; an odd n_phi or a single theta row has no antipodes
+        # two even grids agree; an odd or empty n_phi, or fewer than two theta
+        # rows, has no antipodes
         _, states, _ = small_cycle
         a = quantum_discord(states.hot, states.populations_hot, grid=(16, 32))
         b = quantum_discord(states.hot, states.populations_hot, grid=(15, 30))
         assert abs(a.discord - b.discord) < 1e-7
-        for grid in ((16, 31), (1, 32), (0, 32)):
+        for grid in ((16, 31), (16, 0), (1, 32), (0, 32), (-3, 32)):
             with pytest.raises(ValueError, match="even n_phi"):
                 quantum_discord(states.hot, states.populations_hot, grid=grid)
 
@@ -504,7 +505,7 @@ class TestDiscordDifferences:
         protocol = resonator_frequency_protocol(g=0.7, ratio=1.0)
         states, _ = run_cycle(protocol, cutoff=20)
         assert np.max(np.abs(states.hot.states - states.cold.states)) < 1e-13
-        diffs = discord_differences(states, grid=(16, 32))
+        diffs = discord_differences(states)
         assert abs(diffs.d34) < 2e-9
         assert abs(diffs.d41 - diffs.d31) < 2e-9
 
@@ -513,12 +514,12 @@ class TestDiscordDifferences:
         protocol = coupled_coupling_protocol(g_c=0.9, alpha=1.0)
         states, _ = run_cycle(protocol, cutoff=32)
         assert np.max(np.abs(states.hot.states - states.cold.states)) < 1e-12
-        diffs = discord_differences(states, grid=(16, 32))
+        diffs = discord_differences(states)
         assert abs(diffs.d34) < 2e-9
 
     def test_hot_stage_reduction_positive_in_engine_regime(self, small_cycle):
         _, states, _ = small_cycle
-        diffs = discord_differences(states, grid=(24, 48))
+        diffs = discord_differences(states)
         # g/omega_c = 1 is inside the engine window: correlations drop across
         # the hot bath stage (D(rho4) > D(rho1))
         assert diffs.d41 > 0.0

@@ -53,12 +53,15 @@ class TestParseConfig:
             parse_config("", environ={})
 
     def test_overrides_apply_after_the_environment(self):
-        doc = json.dumps({"workers": 1, "discord": {"n_theta": 8}})
-        environ = {"RABIOTTO_WORKERS": "3", "RABIOTTO_DISCORD__ENABLED": "false", "RABIOTTO_DISCORD__N_PHI": "16"}
-        config = parse_config(doc, environ=environ, overrides={"workers": 2, "discord": {"enabled": True}})
-        assert config.workers == 2
+        doc = json.dumps({"workers": 1, "sweep": {"stop": 1.0}})
+        environ = {
+            "RABIOTTO_WORKERS": "3", "RABIOTTO_DISCORD__ENABLED": "false", "RABIOTTO_SWEEP__N_POINTS": "5",
+        }
+        overrides = {"workers": 2, "discord": {"enabled": True}, "sweep": {"start": 0.5}}
+        config = parse_config(doc, environ=environ, overrides=overrides)
+        assert (config.workers, config.discord.enabled) == (2, True)
         # the nested override keeps the document's and the environment's sibling keys
-        assert (config.discord.enabled, config.discord.n_theta, config.discord.n_phi) == (True, 8, 16)
+        assert (config.sweep.start, config.sweep.stop, config.sweep.n_points) == (0.5, 1.0, 5)
 
     def test_qubit_variant_defaults(self):
         config = parse_config(
@@ -129,22 +132,6 @@ class TestParseConfig:
     def test_approx_is_the_theta_zero_closed_form(self, extra):
         with pytest.raises(ConfigError, match="theta = 0 closed form"):
             parse_config(json.dumps({"kind": "approx", **extra}), environ={})
-
-    @pytest.mark.parametrize(
-        "grid, message",
-        [
-            ({"n_theta": 0}, "discord.n_theta: must be >= 2"),
-            ({"n_theta": -3}, "discord.n_theta: must be >= 2"),
-            ({"n_theta": 1}, "discord.n_theta: must be >= 2"),
-            ({"n_phi": 0}, "discord.n_phi: must be even and >= 2"),
-            ({"n_phi": 31}, "discord.n_phi: must be even and >= 2"),
-        ],
-        ids=["n_theta=0", "n_theta=-3", "n_theta=1", "n_phi=0", "n_phi=31"],
-    )
-    def test_rejects_discord_grid_without_antipodes(self, grid, message):
-        doc = {"discord": {"enabled": True, **grid}}
-        with pytest.raises(ConfigError, match=message):
-            parse_config(json.dumps(doc), environ={})
 
     def test_rejects_ceiling_below_scan_start(self):
         # auto mode scans from max(n_levels, 8); fixed mode never reads the ceiling
@@ -236,11 +223,6 @@ class TestBuiltConfigsAreChecked:
                 "kind: must be one of ('cycle', 'spectrum', 'levels', 'approx'), got 'spectra'",
             ),
             (
-                {"discord": DiscordOptions(enabled=True, n_phi=31)},
-                {"discord": {"enabled": True, "n_phi": 31}},
-                "discord.n_phi: must be even and >= 2, got 31",
-            ),
-            (
                 # only cycle points compute discord
                 {"kind": "spectrum", "discord": DiscordOptions(enabled=True)},
                 {"kind": "spectrum", "discord": {"enabled": True}},
@@ -248,7 +230,7 @@ class TestBuiltConfigsAreChecked:
             ),
         ],
         ids=["misspelled-variant", "alpha-axis", "approx-variant", "spectrum-theta-axis", "unknown-kind",
-             "odd-n_phi", "discord-on-spectrum"],
+             "discord-on-spectrum"],
     )
     def test_invalid_config_fails_when_built(self, fields, document, message):
         base = {"cutoff": CutoffPolicy("fixed", 16), "workers": 1}
@@ -269,7 +251,7 @@ class TestBuiltConfigsAreChecked:
             (SweepConfig, None, "n_levels", 2.5, "an integer"),
             (SweepConfig, None, "omega_c", math.inf, "a finite number"),
             (SweepAxis, "sweep", "n_points", 2.5, "an integer"),
-            (DiscordOptions, "discord", "n_theta", 8.0, "an integer"),
+            (DiscordOptions, "discord", "enabled", 1, "a boolean"),
             (SweepAxis, "sweep", "start", "zero", "a number"),
             (SeriesSpec, "series", "values", "pi", "a list"),
         ],
@@ -482,7 +464,7 @@ class TestRunSweep:
         for extra in (
             {},
             # the discord grid and its Nelder-Mead refinement, on processes
-            {"discord": {"enabled": True, "n_theta": 8, "n_phi": 16}},
+            {"discord": {"enabled": True}},
             {"kind": "spectrum", "n_levels": 5},
             {"kind": "levels"},
             {"kind": "approx"},
@@ -655,7 +637,7 @@ class TestRunSweep:
                 {
                     "sweep": {"start": 0.5, "stop": 1.0, "n_points": 2},
                     "cutoff": {"mode": "fixed", "n_max": 10},
-                    "discord": {"enabled": True, "n_theta": 8, "n_phi": 16},
+                    "discord": {"enabled": True},
                     "workers": 1,
                 }
             ),
