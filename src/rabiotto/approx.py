@@ -27,9 +27,13 @@ __all__ = ["approx_levels", "approx_w1", "laguerre", "positive_work_bound"]
 
 
 def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the stable three-term recurrence."""
+    """Laguerre polynomial L_n(x) by the stable three-term recurrence.
+
+    An integer-valued float order such as 2.0 is taken as that integer.
+    """
     if n < 0 or int(n) != n:
         raise ValueError(f"order must be a nonnegative integer, got {n}")
+    n = int(n)
     if n == 0:
         return 1.0
     prev, cur = 1.0, 1.0 - x
@@ -49,6 +53,7 @@ def approx_levels(omega: float, big_omega: float, g: float, n: int) -> tuple[flo
         raise ValueError(f"omega must be > 0, got {omega}")
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = int(n)
     ratio2 = (g / omega) ** 2
     base = -omega * n - g**2 / omega
     gap_term = 0.5 * big_omega * math.exp(-2.0 * ratio2) * laguerre(n, 4.0 * ratio2)

@@ -164,8 +164,10 @@ class _BlockEvaluator:
     """The "+" outcome term f = p_+ S(rho_B | +n) of one state, batched over angles.
 
     The state is sum_n p_n |v_n><v_n| over the decomposition's eigenvectors;
-    ``rho_a`` is its reduced qubit state. The weights depend only on the
-    Bloch vector of (theta, phi), so any real angles are valid.
+    ``rho_a`` is its reduced qubit state. Along (theta, phi) the k x k block
+    is the rows of ``basis``, [b00, b01, b01^T, b11], weighted by (c^2, w,
+    conj(w), s^2), c = cos(theta/2), s = sin(theta/2), w = c s exp(i phi).
+    The weights depend only on the Bloch vector, so any real angles are valid.
     """
 
     def __init__(self, decomposition: SpectralDecomposition, populations: np.ndarray):
@@ -174,74 +176,86 @@ class _BlockEvaluator:
         x = decomposition.states[:, keep] * np.sqrt(populations[keep])
         x0, x1 = x[:n], x[n:]
         # b_ab = X_b^T X_a, so that sum_ab conj(v_a) v_b b_ab = Y^dag Y
-        self.b00 = x0.T @ x0
-        self.b01 = x1.T @ x0  # b10 = b01^T
-        self.b11 = x1.T @ x1
-        self.rho_a = np.array([[np.trace(self.b00), np.trace(self.b01)],
-                               [np.trace(self.b01), np.trace(self.b11)]])
+        b00, b01, b11 = x0.T @ x0, x1.T @ x0, x1.T @ x1  # b10 = b01^T
+        self.k = b00.shape[0]
+        self.basis = np.stack([b00, b01, b01.T, b11]).reshape(4, -1).astype(complex)
+        self.rho_a = np.array([[np.trace(b00), np.trace(b01)], [np.trace(b01), np.trace(b11)]])
 
     def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+        w = c * s * np.exp(1j * phis)
+        weights = np.stack([c * c, w, w.conj(), s * s], axis=-1)
         out = np.empty(thetas.shape[0])
-        k = self.b00.shape[0]
-        step = max(1, BLOCK_BYTES // (16 * k * k))
+        step = max(1, BLOCK_BYTES // (16 * self.k * self.k))
         for i in range(0, thetas.shape[0], step):
-            out[i : i + step] = self._batch(thetas[i : i + step], phis[i : i + step])
+            out[i : i + step] = self._terms(weights[i : i + step])
         return out
 
-    def _batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        w00 = np.cos(thetas / 2.0) ** 2
-        w01 = np.cos(thetas / 2.0) * np.sin(thetas / 2.0) * np.exp(1j * phis)
-        m = (
-            w00[:, None, None] * self.b00
-            + w01[:, None, None] * self.b01
-            + np.conj(w01)[:, None, None] * self.b01.T
-            + (1.0 - w00)[:, None, None] * self.b11
-        )
-        p = np.einsum("bii->b", m).real
-        lam = np.linalg.eigvalsh(m)
-        norm = np.where(p[:, None] > OUTCOME_FLOOR, lam / p[:, None], 0.0)
-        return np.where(p > OUTCOME_FLOOR, p * _entropy_from_eigenvalues(norm), 0.0)
+    def pair(self, t: float, q: float) -> float:
+        """f(t, q) + f(pi - t, pi - q): S along (t, q) for a real state, as one 2-block batch.
+
+        The antipode's half angle is the complement of t's, and its phase
+        the mirror of q's, so its weights are (s^2, -conj(w), -w, c^2).
+        """
+        c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+        w = complex(c * s * math.cos(q), c * s * math.sin(q))
+        weights = np.array([[c * c, w, w.conjugate(), s * s], [s * s, -w.conjugate(), -w, c * c]])
+        return float(self._terms(weights).sum())
+
+    def _terms(self, weights: np.ndarray) -> np.ndarray:
+        """f per row of (b, 4) weights from the block's eigenvalues lam and p = sum lam.
+
+        f = -sum lam ln(lam/p) over lam/p > EIG_FLOOR, and 0 where p <= OUTCOME_FLOOR.
+        """
+        lam = np.linalg.eigvalsh((weights @ self.basis).reshape(-1, self.k, self.k))
+        p = lam.sum(axis=1, keepdims=True)
+        ratio = lam / np.maximum(p, OUTCOME_FLOOR)
+        terms = lam * np.log(np.where(ratio > EIG_FLOOR, ratio, 1.0))
+        return np.where(p[:, 0] > OUTCOME_FLOOR, -terms.sum(axis=1), 0.0)
 
 
 def nelder_mead(
-    func: Callable[[np.ndarray], float], x0: tuple[float, float], step: tuple[float, float]
+    func: Callable[[tuple[float, float]], float], x0: tuple[float, float], step: tuple[float, float]
 ) -> tuple[np.ndarray, float]:
     """Nelder-Mead over the two measurement angles from x0; returns (x_best, f_best).
 
     The objective is smooth, periodic and defined for all real angles, so no
-    bounds are needed. The search stops when the simplex spans no more than
-    REFINE_FTOL in f, or after REFINE_MAX_ITER iterations.
+    bounds are needed. ``func`` is called once per point, with the point as
+    a (theta, phi) tuple of floats. The search stops when the simplex spans
+    no more than REFINE_FTOL in f, or after REFINE_MAX_ITER iterations.
     """
-    x0 = np.array(x0, dtype=float)
-    simplex = [x0, x0 + (step[0], 0.0), x0 + (0.0, step[1])]
+    t0, q0 = float(x0[0]), float(x0[1])
+    simplex = [(t0, q0), (t0 + step[0], q0), (t0, q0 + step[1])]
     values = [func(v) for v in simplex]
     for _ in range(REFINE_MAX_ITER):
-        order = np.argsort(values, kind="stable")
+        order = sorted(range(3), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if abs(values[-1] - values[0]) <= REFINE_FTOL:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
+        (bt, bq), (mt, mq), (wt, wq) = simplex
+        ct, cq = (bt + mt) / 2.0, (bq + mq) / 2.0  # centroid of the two best
+        reflected = (ct + (ct - wt), cq + (cq - wq))
         f_r = func(reflected)
         if values[0] <= f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
             continue
         if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            expanded = (ct + 2.0 * (ct - wt), cq + 2.0 * (cq - wq))
             f_e = func(expanded)
             simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
             continue
-        contracted = centroid + 0.5 * (simplex[-1] - centroid)
+        contracted = (ct + 0.5 * (wt - ct), cq + 0.5 * (wq - cq))
         f_c = func(contracted)
         if f_c < values[-1]:
             simplex[-1], values[-1] = contracted, f_c
             continue
         for i in (1, 2):  # shrink toward the best vertex
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+            t, q = simplex[i]
+            simplex[i] = (bt + 0.5 * (t - bt), bq + 0.5 * (q - bq))
             values[i] = func(simplex[i])
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best]
+    i_best = values.index(min(values))
+    return np.array(simplex[i_best]), values[i_best]
 
 
 def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -305,12 +319,8 @@ def quantum_discord(
     best_val = float(values[i_t, i_p])
     best_angles = (float(thetas[i_t]), float(phis[i_p]))
 
-    def objective(x: np.ndarray) -> float:
-        t, p = float(x[0]), float(x[1])
-        return float(evaluator(np.array([t, math.pi - t]), np.array([p, math.pi - p])).sum())
-
     step = (math.pi / (n_theta - 1), 2.0 * math.pi / n_phi)
-    x_opt, f_opt = nelder_mead(objective, best_angles, step)
+    x_opt, f_opt = nelder_mead(lambda x: evaluator.pair(*x), best_angles, step)
     if f_opt < best_val:  # refinement is monotone against the grid
         best_val = float(f_opt)
         best_angles = (float(x_opt[0]), float(x_opt[1]))

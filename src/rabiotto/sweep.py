@@ -607,11 +607,16 @@ def _available_cpus() -> int:
 def _executor(config: SweepConfig, n_tasks: int):
     """The sweep's one executor, or a null context when it runs serially.
 
-    Threads, since the points are almost all LAPACK, which releases the GIL;
-    processes when the points compute discord, whose batched small eigensolves
-    and Nelder-Mead steps hold it: on the 16 x 32 discord grid, fig4 at 4
-    points per series ran 46-48 points/s on two processes against 30-32 on
-    two threads, with 39 against 51 MiB peak RSS (2 vCPUs, one BLAS thread).
+    Processes when the points compute discord, whose batched small eigensolves
+    and Nelder-Mead steps hold the GIL: fig4 at 4 points per series ran
+    46-51 points/s on two processes against 32-36 on two threads, with 39
+    against 51 MiB peak RSS (2 vCPUs, one BLAS thread). Threads otherwise,
+    though not every LAPACK call releases the GIL: numpy's eigvalsh holds it
+    (two threads looping it on a 96 x 96 matrix took as long as one thread
+    running both loops, two processes half that), while eigh overlapped on
+    threads about as well as on processes. On sweeps this small a process
+    pool costs more than it saves: the fig2 benchmark sweep ran 203-216
+    points/s on two threads against 159-169 on two processes.
     """
     workers = min(config.workers or _available_cpus(), n_tasks)
     if workers <= 1:

@@ -51,6 +51,12 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             laguerre(-1, 1.0)
 
+    def test_integer_valued_float_order(self):
+        for n in range(5):
+            assert laguerre(float(n), 0.5) == laguerre(n, 0.5)
+        with pytest.raises(ValueError):
+            laguerre(1.5, 0.5)
+
 
 class TestApproxLevels:
     def test_bare_qubit_at_zero_coupling(self):
@@ -66,6 +72,11 @@ class TestApproxLevels:
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         # gap = Omega exp(-2 g^2 / omega^2)
         assert abs(gaps[1] - math.exp(-2.0)) < 1e-14
+
+    def test_integer_valued_float_level(self):
+        assert approx_levels(1.0, 0.8, 1.2, 2.0) == approx_levels(1.0, 0.8, 1.2, 2)
+        with pytest.raises(ValueError):
+            approx_levels(1.0, 0.8, 1.2, 0.5)
 
     def test_gap_value_at_unit_coupling(self):
         e_plus, e_minus = approx_levels(1.0, 1.0, 1.0, 0)

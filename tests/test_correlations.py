@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rabiotto.correlations import (
     AXIS_TOL,
     DEFAULT_GRID,
     FLAT_TOL,
+    OUTCOME_FLOOR,
     REFINE_MAX_ITER,
     _BlockEvaluator,
     _bloch,
@@ -197,6 +199,45 @@ class TestConditionalEntropy:
         np.testing.assert_allclose(grid, scalars, rtol=0.0, atol=1e-14)
 
 
+class TestBlockEvaluator:
+    """The refinement's scalar pair(t, q) against the batched grid path and the reference."""
+
+    def test_pair_matches_the_batched_antipode_sum(self, cycles):
+        rng = np.random.default_rng(11)
+        for states in cycles.values():
+            for name in ("rho1", "rho3", "rho4"):
+                evaluator = _BlockEvaluator(*cycle_state(states, name))
+                for t, q in rng.uniform(-math.pi, 2.0 * math.pi, size=(10, 2)):
+                    batched = evaluator(np.array([t, math.pi - t]), np.array([q, math.pi - q])).sum()
+                    assert abs(evaluator.pair(t, q) - batched) < 1e-14, (name, t, q)
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_pair_matches_the_reference_at_every_rank(self, k):
+        # k populations on the eigenvectors of a random real 2 x 7 state: the
+        # Gram blocks are k x k, from a pure state (k = 1) to rank 13 of 14
+        rng = np.random.default_rng(100 + k)
+        decomposition, _ = spectral_form(OperatorMatrix(random_density(rng, 14), subsystem_dims=(2, 7)))
+        populations = np.zeros(14)
+        populations[rng.choice(14, size=k, replace=False)] = rng.dirichlet(np.ones(k))
+        evaluator = _BlockEvaluator(decomposition, populations)
+        assert evaluator.k == k
+        rho = dense_state(decomposition, populations)
+        for t, q in zip(rng.uniform(0.0, math.pi, 6), rng.uniform(0.0, 2.0 * math.pi, 6)):
+            assert abs(evaluator.pair(t, q) - conditional_entropy(rho, t, q)) < 1e-12, (t, q)
+
+    def test_an_outcome_at_the_probability_floor_contributes_exactly_zero(self, rng):
+        # qubit up (x) a mixed oscillator state: the "+" outcome along -z has
+        # p = cos^2(pi/2) ~ 4e-33, and -sum lam ln(lam/p) would not be 0
+        rho_b = random_density(rng, 4)
+        rho = OperatorMatrix(np.kron(np.diag([1.0, 0.0]), rho_b), subsystem_dims=(2, 4))
+        evaluator = _BlockEvaluator(*spectral_form(rho))
+        assert evaluator(np.array([math.pi]), np.array([0.3]))[0] == 0.0
+        s_b = von_neumann_entropy(OperatorMatrix(rho_b))
+        below, above = evaluator._terms(np.array([[0.9 * OUTCOME_FLOOR, 0, 0, 0], [2 * OUTCOME_FLOOR, 0, 0, 0]]))
+        assert below == 0.0
+        assert above == pytest.approx(2 * OUTCOME_FLOOR * s_b, rel=1e-6)
+
+
 def bumpy(x):
     """Smooth, periodic and with many local minima, like the discord objective."""
     return math.sin(3.0 * x[0]) * math.cos(2.0 * x[1]) + 0.3 * math.cos(5.0 * x[0] + x[1])
@@ -219,6 +260,25 @@ class TestNelderMead:
         x_b, f_b = nelder_mead(bumpy, (0.4, 1.1), (math.pi / 7, math.pi / 8))
         assert x_a.tobytes() == x_b.tobytes()
         assert np.float64(f_a).tobytes() == np.float64(f_b).tobytes()
+
+    def test_trajectory_is_pinned(self):
+        # every point nelder_mead evaluates on bumpy from (0.4, 1.1), recorded
+        # from the implementation that kept its simplex in numpy 2-vectors:
+        # 106 points, their float64 bytes hashed, and the exact best point
+        points = []
+
+        def recorded(x):
+            points.append((float(x[0]), float(x[1])))
+            return bumpy(x)
+
+        x, f = nelder_mead(recorded, (0.4, 1.1), (math.pi / 7, math.pi / 8))
+        assert len(points) == 106
+        digest = hashlib.sha256(np.array(points).tobytes()).hexdigest()
+        assert digest == "9a81240ccda8b8fcfa05270bf5d2dc42775549fc923579465760f6ce039a791e"
+        assert isinstance(x, np.ndarray) and x.dtype == float and x.shape == (2,)
+        assert (x[0].hex(), x[1].hex(), f.hex()) == (
+            "0x1.bc67173cb116ep-2", "0x1.879187800d2bap+0", "-0x1.371ed658cf34ap+0"
+        )
 
     def test_iteration_cap_ends_an_unbounded_search(self):
         calls = []
