@@ -1,10 +1,10 @@
 """Quantum Otto heat engine with a generalized-Rabi working substance.
 
 Library layout:
-  hilbert       dense operators on the qubit (x) oscillator space, the cutoff check
+  hilbert       the real-array rule, the cutoff check, the dense OperatorMatrix
   hamiltonian   the generalized quantum Rabi Hamiltonian and its parity sectors
-  spectral      LAPACK eigendecomposition behind a residual/orthonormality
-                certificate, and cutoff convergence
+  spectral      the certified solve of a Rabi Hamiltonian (LAPACK behind a
+                residual/orthonormality certificate), and cutoff convergence
   cycle         Otto-cycle states, heat, work, per-level work, efficiency
   correlations  von Neumann entropy and quantum discord
   approx        displaced-oscillator closed forms and the positive-work bound
@@ -21,18 +21,18 @@ import importlib
 _EXPORTS = {
     "approx": ("approx_levels", "approx_w1", "laguerre", "positive_work_bound"),
     "correlations": (
-        "DiscordDifferences", "DiscordResult", "MeasurementBasis", "conditional_entropy",
-        "discord_differences", "quantum_discord", "von_neumann_entropy",
+        "DiscordDifferences", "DiscordResult", "MeasurementBasis", "discord_differences",
+        "quantum_discord", "von_neumann_entropy",
     ),
     "cycle": (
         "CycleProtocol", "CycleReport", "CycleStates", "ReservoirSpec", "classify_regime",
         "coupled_coupling_protocol", "qubit_frequency_protocol", "resonator_frequency_protocol",
         "run_cycle", "thermal_populations",
     ),
-    "hamiltonian": ("RabiParams", "build_hamiltonian", "conserves_parity", "parity_operator", "parity_sectors"),
+    "hamiltonian": ("RabiParams", "build_hamiltonian", "conserves_parity", "parity_sectors"),
     "hilbert": ("OperatorMatrix",),
     "spectral": (
-        "ConvergenceError", "SpectralDecomposition", "converged_cutoff", "eigendecompose",
+        "ConvergenceError", "SpectralDecomposition", "converged_cutoff",
         "relative_spectrum", "solve_hamiltonian", "symmetric_eigh",
     ),
     "sweep": ("ConfigError", "SweepConfig", "figure_preset", "parse_config", "run_sweep", "write_output"),

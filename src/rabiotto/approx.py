@@ -31,7 +31,7 @@ def laguerre(n: int, x: float) -> float:
 
     An integer-valued float order such as 2.0 is taken as that integer.
     """
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"order must be a nonnegative integer, got {n}")
     n = int(n)
     if n == 0:
@@ -51,7 +51,7 @@ def approx_levels(omega: float, big_omega: float, g: float, n: int) -> tuple[flo
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
     ratio2 = (g / omega) ** 2

@@ -34,14 +34,8 @@ unnormalized post-measurement oscillator state for outcome |v> is Y Y^dag
 with Y = sum_a conj(v_a) X_a, which shares its nonzero eigenvalues with
 Y^dag Y = sum_ab conj(v_a) v_b b_ab. So all angles are batched through
 numpy's eigvalsh on k x k blocks, k being the number of thermally occupied
-levels.
-
-``conditional_entropy`` is the independent reference path: it applies full
-projectors (Pi (x) I) rho (Pi (x) I) to a dense structured matrix for both
-outcomes and partial-traces, with no spectral form and no antipode or parity
-identity, and is what the vectorized path is tested against. Its projectors
-are complex, since a measurement along phi_m needs the phase; its state is
-real like every other. It is batched over angle arrays only.
+levels. The tests check this path against a dense full-projector reference
+that lives beside them.
 """
 
 from __future__ import annotations
@@ -53,14 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import CycleStates
-from .hilbert import OperatorMatrix
+from .hilbert import frozen_copy, is_hermitian_matrix
 from .spectral import SpectralDecomposition
 
 __all__ = [
     "DiscordDifferences",
     "DiscordResult",
     "MeasurementBasis",
-    "conditional_entropy",
     "discord_differences",
     "quantum_discord",
     "von_neumann_entropy",
@@ -119,41 +112,14 @@ def _check_spectrum(lam: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {lam.min():.3e}")
 
 
-def von_neumann_entropy(rho: OperatorMatrix | np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -tr(rho ln rho) of a real state; rejects inputs that are not density matrices."""
-    op = rho if isinstance(rho, OperatorMatrix) else OperatorMatrix(rho)
-    if not op.is_hermitian():
-        raise ValueError("entropy requires a Hermitian density matrix")
-    lam = np.linalg.eigvalsh(op.matrix)
+    m = frozen_copy(rho)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not is_hermitian_matrix(m):
+        raise ValueError(f"entropy requires a square Hermitian density matrix, got shape {m.shape}")
+    lam = np.linalg.eigvalsh(m)
     _check_spectrum(lam)
     return float(_entropy_from_eigenvalues(lam))
-
-
-def conditional_entropy(rho: OperatorMatrix, theta_m, phi_m):
-    """sum_j p_j S(rho_B^j) along (theta_m, phi_m) via full-space projection (reference path).
-
-    The angles broadcast against each other; two scalars give a float. Angles
-    are evaluated in batches of about BLOCK_BYTES of full-space matrices.
-    """
-    if not isinstance(rho, OperatorMatrix) or rho.subsystem_dims is None:
-        raise ValueError("conditional_entropy requires qubit (x) oscillator structure")
-    thetas, phis = np.broadcast_arrays(np.asarray(theta_m, dtype=float), np.asarray(phi_m, dtype=float))
-    _, n = rho.subsystem_dims
-    t_all, p_all = thetas.ravel(), phis.ravel()
-    out = np.zeros(t_all.shape)
-    step = max(1, BLOCK_BYTES // (16 * rho.dim**2))
-    for i in range(0, t_all.size, step):
-        c, s = np.cos(t_all[i : i + step] / 2.0), np.sin(t_all[i : i + step] / 2.0)
-        phase = np.exp(1j * p_all[i : i + step])
-        for v in (np.stack([c, s * phase], -1), np.stack([-s * phase.conj(), c], -1)):
-            proj = v[:, :, None] * v[:, None, :].conj()  # Pi_j per angle
-            full = np.einsum("bac,xy->baxcy", proj, np.eye(n)).reshape(-1, rho.dim, rho.dim)
-            projected = full @ rho.matrix @ full
-            p = np.einsum("bii->b", projected).real
-            rho_b = np.einsum("baxay->bxy", projected.reshape(-1, 2, n, 2, n))  # unnormalized
-            lam = np.linalg.eigvalsh(rho_b) / np.where(p > OUTCOME_FLOOR, p, 1.0)[:, None]
-            out[i : i + step] += np.where(p > OUTCOME_FLOOR, p * _entropy_from_eigenvalues(lam), 0.0)
-    return float(out[0]) if thetas.ndim == 0 else out.reshape(thetas.shape)
 
 
 # ---------------------------------------------------------------------------

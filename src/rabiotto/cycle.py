@@ -34,6 +34,7 @@ changes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,8 @@ import numpy as np
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .hilbert import frozen_copy
 from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonian
-from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF, thermal_energy
+eigendecompose = None  # never called: bench/tracing.py TARGETS sets this name until ROADMAP item 13
 
 __all__ = [
     "CycleProtocol",
@@ -73,12 +74,12 @@ class ReservoirSpec:
     omega_ref: float = DEFAULT_OMEGA_REF
 
     def __post_init__(self):
-        if not 0.0 < self.t_cold < self.t_hot:
+        if not 0.0 < self.t_cold < self.t_hot < math.inf:
             raise ValueError(
-                f"require 0 < T_c < T_h, got T_c={self.t_cold}, T_h={self.t_hot}"
+                f"require 0 < T_c < T_h < inf, got T_c={self.t_cold}, T_h={self.t_hot}"
             )
-        if self.omega_ref <= 0.0:
-            raise ValueError(f"omega_ref must be > 0, got {self.omega_ref}")
+        if not 0.0 < self.omega_ref < math.inf:
+            raise ValueError(f"omega_ref must be finite and > 0, got {self.omega_ref}")
 
     @property
     def kt_cold(self) -> float:

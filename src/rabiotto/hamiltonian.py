@@ -31,7 +31,6 @@ __all__ = [
     "RabiParams",
     "build_hamiltonian",
     "conserves_parity",
-    "parity_operator",
     "parity_sectors",
 ]
 
@@ -122,9 +121,3 @@ def parity_sectors(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.
         sectors.append((np.where(up, 0, n_max) + k, block))
     return sectors
 
-
-def parity_operator(n_max: int) -> OperatorMatrix:
-    """P = sigma_z (x) (-1)^(a^dag a); commutes with H exactly where g sin(theta) == 0."""
-    n_max = check_cutoff(n_max)
-    sign = (-1.0) ** np.arange(n_max)
-    return OperatorMatrix(np.diag(np.concatenate([sign, -sign])), subsystem_dims=(2, n_max))

@@ -1,4 +1,4 @@
-"""Dense operators on the truncated qubit (x) oscillator Hilbert space.
+"""Arrays and the cutoff on the truncated qubit (x) oscillator Hilbert space.
 
 Tensor-product convention, fixed package-wide: the qubit is the FIRST factor
 and the oscillator the second, so a composite basis index is q * n_max + n and
@@ -10,10 +10,10 @@ eigenvector and cycle state, so operators and states are float64 only:
 A Fock cutoff is a plain int n_max, the dimension of the truncated oscillator
 space with basis |0> ... |n_max - 1>. ``check_cutoff`` is its one check, made
 wherever a Fock basis is built: n_max must be an integer >= 2, and a value
-such as 8.7 raises rather than truncating.
+such as 8.7, inf or nan raises ValueError rather than truncating.
 
-All operator values are immutable after construction and safe to share across
-parallel workers; every record that holds arrays keeps a ``frozen_copy``.
+``OperatorMatrix`` is the dense record ``build_hamiltonian`` returns. It and
+every other record that holds arrays keep a read-only ``frozen_copy``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ HERMITICITY_TOL = 1e-12  # relative to max(1, max|M|)
 
 
 def check_cutoff(n_max: int) -> int:
-    """The Fock cutoff as an int; ValueError unless it is an integer >= 2."""
-    if int(n_max) != n_max or n_max < 2:
+    """The Fock cutoff as an int; ValueError unless it is an integer >= 2 (inf and nan included)."""
+    if not 2 <= n_max < np.inf or int(n_max) != n_max:
         raise ValueError(f"n_max must be an integer >= 2, got {n_max}")
     return int(n_max)
 

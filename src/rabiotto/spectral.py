@@ -13,9 +13,8 @@ parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
 Where H conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0)
 it builds and solves the two tridiagonal parity sectors of
 ``hamiltonian.parity_sectors``, each half the dimension; otherwise it builds
-and solves the whole matrix. ``eigendecompose`` solves any real symmetric
-matrix whole, with the same certificates. Every matrix and vector here is
-float64: the one LAPACK path is ``symmetric_eigh``.
+and solves the whole matrix. It is the package's one certified solve. Every
+matrix and vector here is float64: the one LAPACK path is ``symmetric_eigh``.
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_sectors
-from .hilbert import OperatorMatrix, check_cutoff, frozen_copy
+from .hilbert import check_cutoff, frozen_copy
 
 __all__ = [
     "ConvergenceError",
     "SpectralDecomposition",
     "converged_cutoff",
-    "eigendecompose",
     "relative_spectrum",
     "solve_hamiltonian",
     "symmetric_eigh",
@@ -129,25 +127,6 @@ def _certified(pairs: list[tuple[np.ndarray, np.ndarray]], cutoff_used: int | No
     )
 
 
-def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectralDecomposition:
-    """Full decomposition of a real symmetric matrix, solved whole, with certified residuals.
-
-    A bare array goes through ``OperatorMatrix``, so complex or non-square
-    input raises ValueError. Inside an exactly degenerate eigenvalue cluster
-    the basis is the one LAPACK returns. ``cutoff_used`` is n_max for an
-    OperatorMatrix with subsystem_dims (2, n_max), else None. Non-Hermitian
-    input raises ValueError; a LAPACK failure raises
-    numpy.linalg.LinAlgError; a failed or NaN residual or orthonormality
-    gate raises ConvergenceError. The gates are fixed at RESIDUAL_TOL (1e-9)
-    and ORTHONORMALITY_TOL (1e-10).
-    """
-    op = h if isinstance(h, OperatorMatrix) else OperatorMatrix(h)
-    if not op.is_hermitian():
-        raise ValueError("eigendecompose requires a Hermitian matrix")
-    cutoff = op.subsystem_dims[1] if op.subsystem_dims is not None else None
-    return _certified([(np.arange(op.dim), op.matrix)], cutoff)
-
-
 def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(indices, block) pairs holding every entry of H(params) at cutoff n_max.
 
@@ -165,8 +144,11 @@ def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
 
     Where g sin(theta) == 0 the two parity sectors are solved apart: each
     vector lies in one sector, exactly zero off it, and a tie between sectors
-    lists the +1 sector's level first. Gates and errors as ``eigendecompose``;
-    a cutoff that is not an integer >= 2 raises ValueError.
+    lists the +1 sector's level first. Inside an exactly degenerate cluster
+    the basis is the one LAPACK returns. A LAPACK failure raises
+    numpy.linalg.LinAlgError; a failed or NaN residual (RESIDUAL_TOL, 1e-9)
+    or orthonormality (ORTHONORMALITY_TOL, 1e-10) gate raises
+    ConvergenceError; a cutoff that is not an integer >= 2 raises ValueError.
     """
     n_max = check_cutoff(n_max)
     return _certified(_hamiltonian_blocks(params, n_max), n_max)

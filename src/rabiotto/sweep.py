@@ -61,8 +61,8 @@ from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tra
 from .spectral import (
     CUTOFF_CEILING, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonian,
 )
-from .spectral import eigendecompose  # noqa: F401  (bench/tracing.py wraps this name)
 from .units import DEFAULT_OMEGA_REF
+eigendecompose = None  # never called: bench/tracing.py TARGETS sets this name until ROADMAP item 13
 
 __all__ = [
     "ConfigError",

@@ -8,11 +8,10 @@ from rabiotto import (
     RabiParams,
     approx_levels,
     approx_w1,
-    build_hamiltonian,
-    eigendecompose,
     laguerre,
     positive_work_bound,
     relative_spectrum,
+    solve_hamiltonian,
 )
 from rabiotto.units import DEFAULT_OMEGA_REF, thermal_energy
 
@@ -57,6 +56,12 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             laguerre(1.5, 0.5)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_rejects_non_finite_order(self, n):
+        # int(inf) would raise OverflowError, and int(nan) its own ValueError
+        with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+            laguerre(n, 0.5)
+
 
 class TestApproxLevels:
     def test_bare_qubit_at_zero_coupling(self):
@@ -78,6 +83,11 @@ class TestApproxLevels:
         with pytest.raises(ValueError):
             approx_levels(1.0, 0.8, 1.2, 0.5)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_rejects_non_finite_level(self, n):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            approx_levels(1.0, 0.8, 1.2, n)
+
     def test_gap_value_at_unit_coupling(self):
         e_plus, e_minus = approx_levels(1.0, 1.0, 1.0, 0)
         assert abs((e_minus - e_plus) - 0.1353352832366127) < 1e-12
@@ -85,7 +95,7 @@ class TestApproxLevels:
     def test_matches_exact_gap_in_asymptotic_regime(self):
         # approximate n=0 gap within 15% of the exact theta=0 gap for g >= 1.5
         for g in (1.5, 2.0, 2.5, 3.0):
-            d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=g), 110))
+            d = solve_hamiltonian(RabiParams.resonant(1.0, g=g), 110)
             exact = relative_spectrum(d, 2)[1]
             e_plus, e_minus = approx_levels(1.0, 1.0, g, 0)
             approx_gap = e_minus - e_plus

@@ -11,7 +11,6 @@ from rabiotto import (
     MeasurementBasis,
     OperatorMatrix,
     SpectralDecomposition,
-    conditional_entropy,
     coupled_coupling_protocol,
     discord_differences,
     quantum_discord,
@@ -32,7 +31,7 @@ from rabiotto.correlations import (
 )
 from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
-from conftest import dense_state, random_density, spectral_form
+from conftest import conditional_entropy, dense_state, random_density, spectral_form
 
 
 def bell_state(dim_b=2):
@@ -104,21 +103,21 @@ def both_outcomes(evaluator, t, p):
 
 class TestVonNeumannEntropy:
     def test_pure_state(self):
-        assert abs(von_neumann_entropy(bell_state())) < 1e-12
+        assert abs(von_neumann_entropy(bell_state().matrix)) < 1e-12
 
     def test_maximally_mixed_qubit(self):
-        rho = OperatorMatrix(np.eye(2) / 2.0)
-        assert abs(von_neumann_entropy(rho) - math.log(2.0)) < 1e-14
+        assert abs(von_neumann_entropy(np.eye(2) / 2.0) - math.log(2.0)) < 1e-14
 
     def test_maximally_mixed_two_qubits(self):
-        rho = OperatorMatrix(np.eye(4) / 4.0)
-        assert abs(von_neumann_entropy(rho) - math.log(4.0)) < 1e-14
+        assert abs(von_neumann_entropy(np.eye(4) / 4.0) - math.log(4.0)) < 1e-14
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
             von_neumann_entropy(np.eye(3))  # trace 3
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0.5, 0.4], [0.6, 0.5]]))  # not Hermitian
+        with pytest.raises(ValueError, match="square"):
+            von_neumann_entropy(np.full((2, 3), 1.0 / 6.0))
 
     def test_unitary_invariance(self, rng):
         # every state is real, so the rotations are the real unitaries: orthogonal ones
@@ -138,7 +137,7 @@ class TestMeasurementBasis:
 class TestConditionalEntropy:
     def test_product_state_gives_marginal_entropy(self, rng):
         rho, _, rho_b = product_thermalish(rng)
-        s_b = von_neumann_entropy(OperatorMatrix(rho_b))
+        s_b = von_neumann_entropy(rho_b)
         for theta_m, phi_m in ((0.0, 0.0), (1.1, 0.7), (math.pi / 2, math.pi)):
             value = conditional_entropy(rho, theta_m, phi_m)
             assert abs(value - s_b) < 1e-10
@@ -172,7 +171,7 @@ class TestConditionalEntropy:
         # sum_j p_j S(rho_B^j) >= S(AB) - S(A)
         for _ in range(10):
             rho = OperatorMatrix(random_density(rng, 12), subsystem_dims=(2, 6))
-            s_ab = von_neumann_entropy(rho)
+            s_ab = von_neumann_entropy(rho.matrix)
             s_a = von_neumann_entropy(reduced_qubit(rho))
             theta_m, phi_m = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
             assert conditional_entropy(rho, theta_m, phi_m) >= s_ab - s_a - 1e-9
@@ -232,7 +231,7 @@ class TestBlockEvaluator:
         rho = OperatorMatrix(np.kron(np.diag([1.0, 0.0]), rho_b), subsystem_dims=(2, 4))
         evaluator = _BlockEvaluator(*spectral_form(rho))
         assert evaluator(np.array([math.pi]), np.array([0.3]))[0] == 0.0
-        s_b = von_neumann_entropy(OperatorMatrix(rho_b))
+        s_b = von_neumann_entropy(rho_b)
         below, above = evaluator._terms(np.array([[0.9 * OUTCOME_FLOOR, 0, 0, 0], [2 * OUTCOME_FLOOR, 0, 0, 0]]))
         assert below == 0.0
         assert above == pytest.approx(2 * OUTCOME_FLOOR * s_b, rel=1e-6)

@@ -62,6 +62,21 @@ class TestReservoirSpec:
         with pytest.raises(ValueError):
             ReservoirSpec(0.0, 0.05)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(t_cold=0.019, t_hot=math.inf),
+            dict(t_cold=math.nan, t_hot=0.171),
+            dict(t_cold=0.019, t_hot=math.nan),
+            dict(t_cold=0.019, t_hot=0.171, omega_ref=math.inf),
+            dict(t_cold=0.019, t_hot=0.171, omega_ref=math.nan),
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        # an infinite T_h made uniform hot populations, whose work the cutoff set
+        with pytest.raises(ValueError, match="finite|inf"):
+            ReservoirSpec(**kwargs)
+
     def test_energy_scale(self):
         r = ReservoirSpec(0.019, 0.171)
         # k_B * 19 mK at omega_ref = 2*pi*10 GHz is about 0.0396 quanta

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabiotto import RabiParams, build_hamiltonian, parity_operator, parity_sectors
-from rabiotto.spectral import eigendecompose
+from rabiotto import RabiParams, build_hamiltonian, parity_sectors, solve_hamiltonian
+
+from conftest import parity_diagonal
 
 
 class TestRabiParams:
@@ -43,20 +44,19 @@ class TestBuildHamiltonian:
 
     def test_decoupled_spectrum(self):
         # g = 0, resonance: eigenvalues n*omega +/- omega/2
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=0.0), 16)
-        rel = eigendecompose(h).energies
+        rel = solve_hamiltonian(RabiParams.resonant(1.0, g=0.0), 16).energies
         rel = rel - rel[0]
         np.testing.assert_allclose(rel[:4], [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
     def test_parity_commutes_at_theta_zero(self):
         for g in (0.0, 0.5, 1.5, 3.0):
             h = build_hamiltonian(RabiParams.resonant(1.0, g=g), 20).matrix
-            p = parity_operator(20).matrix
+            p = np.diag(parity_diagonal(20))
             assert np.max(np.abs(h @ p - p @ h)) < 1e-12
 
     def test_parity_broken_off_theta_zero(self):
         h = build_hamiltonian(RabiParams.resonant(1.0, g=0.5, theta=0.3), 20).matrix
-        p = parity_operator(20).matrix
+        p = np.diag(parity_diagonal(20))
         assert np.max(np.abs(h @ p - p @ h)) > 1e-3
 
     def test_sigma_z_coupling_block_diagonalizes(self):
@@ -137,7 +137,7 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("n", [2, 3, 24])
     def test_indices_are_the_parity_eigenspaces(self, n):
-        p = np.diag(parity_operator(n).matrix)
+        p = parity_diagonal(n)
         (plus, _), (minus, _) = parity_sectors(RabiParams.resonant(1.0, g=0.7), n)
         assert np.array_equal(np.sort(plus), np.flatnonzero(p == 1.0))
         assert np.array_equal(np.sort(minus), np.flatnonzero(p == -1.0))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from rabiotto import CycleReport, CycleStates, OperatorMatrix, SpectralDecomposition, eigendecompose
+from rabiotto import CycleReport, CycleStates, OperatorMatrix, SpectralDecomposition, solve_hamiltonian
 from rabiotto import von_neumann_entropy
-from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_operator, parity_sectors
+from rabiotto.hamiltonian import RabiParams, build_hamiltonian, parity_sectors
 from rabiotto.hilbert import check_cutoff
 from rabiotto.cycle import resonator_frequency_protocol, run_cycle
+from rabiotto.sweep import build_protocol, figure_preset
 
 
 class TestCutoffCheck:
@@ -19,12 +20,12 @@ class TestCutoffCheck:
         assert check_cutoff(2) == 2
         assert type(check_cutoff(np.int64(3))) is int
 
-    @pytest.mark.parametrize("n_max", [8.7, 16.9])
+    @pytest.mark.parametrize("n_max", [8.7, 16.9, float("inf"), float("nan")])
     def test_non_integer_cutoff_raises_rather_than_truncating(self, n_max):
         builders = [
-            parity_operator,
             lambda n: build_hamiltonian(RabiParams.resonant(1.0, g=0.5), n),
             lambda n: parity_sectors(RabiParams.resonant(1.0, g=0.5), n),
+            lambda n: solve_hamiltonian(RabiParams.resonant(1.0, g=0.5, theta=0.3), n),
             lambda n: run_cycle(resonator_frequency_protocol(g=0.5), cutoff=n),
         ]
         for build in builders:
@@ -45,6 +46,15 @@ class TestOperatorMatrix:
         skewed[0, 1] += 1e-6
         assert not OperatorMatrix(skewed).is_hermitian()
 
+    @pytest.mark.parametrize("skew, accepted", [(5e-11, True), (1e-6, False)])
+    def test_hermitian_rule_is_relative(self, skew, accepted):
+        # fig2's cold Hamiltonian at its cutoff, 96, has max|H| = 95.5, so the
+        # relative rule accepts a skew below 9.55e-11
+        cold = build_protocol(figure_preset("fig2"), None, 1.0).cold
+        h = build_hamiltonian(cold, 96).matrix.copy()
+        h[3, 100] += skew
+        assert OperatorMatrix(h, subsystem_dims=(2, 96)).is_hermitian() is accepted
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.eye(5), subsystem_dims=(2, 3))
@@ -55,7 +65,7 @@ def _spectral(states):
 
 
 def _cycle_states(populations):
-    d = eigendecompose(np.eye(2))
+    d = _spectral(np.eye(2))
     return CycleStates(d, d, populations, populations)
 
 
@@ -68,9 +78,9 @@ class TestRealArrayRule:
 
     @pytest.mark.parametrize(
         "build",
-        [OperatorMatrix, _spectral, eigendecompose, lambda m: von_neumann_entropy(m / 2.0),
+        [OperatorMatrix, _spectral, lambda m: von_neumann_entropy(m / 2.0),
          lambda m: _cycle_states(np.diag(m) / 2.0), lambda m: _report(np.diag(m))],
-        ids=["OperatorMatrix", "SpectralDecomposition", "eigendecompose", "von_neumann_entropy",
+        ids=["OperatorMatrix", "SpectralDecomposition", "von_neumann_entropy",
              "CycleStates", "CycleReport"],
     )
     @pytest.mark.parametrize("imag", [0.0, 1e-3])

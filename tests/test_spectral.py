@@ -10,14 +10,14 @@ from rabiotto import (
     RabiParams,
     build_hamiltonian,
     converged_cutoff,
-    eigendecompose,
-    parity_operator,
     relative_spectrum,
     solve_hamiltonian,
 )
 from rabiotto.hamiltonian import conserves_parity
 from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL, symmetric_eigh
 from rabiotto.sweep import build_protocol, figure_preset
+
+from conftest import parity_diagonal, spectral_form
 
 
 def charpoly_roots(m):
@@ -40,179 +40,210 @@ def random_symmetric(rng, n):
 
 
 class TestEigendecompose:
+    """The certified eigendecomposition, through ``solve_hamiltonian``, the package's one certified solve."""
+
     def test_diagonal(self):
-        d = eigendecompose(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(d.energies, [1.0, 2.0, 3.0], atol=1e-14)
-        # eigenvectors are the permuted standard basis
-        np.testing.assert_allclose(np.abs(d.states), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+        # g = 0, omega_q = 0.5: H is diagonal with levels k +/- 0.25, q = 0 taking +
+        d = solve_hamiltonian(RabiParams(omega_cav=1.0, omega_q=0.5), 3)
+        np.testing.assert_allclose(d.energies, [-0.25, 0.25, 0.75, 1.25, 1.75, 2.25], atol=1e-14)
+        # eigenvectors are the permuted standard basis |q k> at index 3 q + k
+        np.testing.assert_allclose(np.abs(d.states), np.eye(6)[:, [3, 0, 4, 1, 5, 2]], atol=1e-14)
 
     def test_two_by_two_offdiagonal(self):
-        d = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(d.energies, [-1.0, 1.0], atol=1e-15)
-        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        v = d.states[:, 0]
+        # cutoff 2 at resonance: the +1 sector (|up,0>, |down,1>) is [[0.5, g], [g, 0.5]],
+        # levels 0.5 -/+ g; the -1 sector (|down,0>, |up,1>) has levels 0.5 -/+ sqrt(1 + g^2)
+        g = 0.3
+        d = solve_hamiltonian(RabiParams.resonant(1.0, g=g), 2)
+        outer = math.sqrt(1.0 + g * g)
+        np.testing.assert_allclose(d.energies, [0.5 - outer, 0.5 - g, 0.5 + g, 0.5 + outer], atol=1e-14)
+        expected = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+        v = d.states[:, 1]
         assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-14
 
-    def test_diagonal_sorted(self):
-        d = eigendecompose(OperatorMatrix(np.diag([3.0, 1.0, 2.0])))
-        np.testing.assert_allclose(d.energies, [1.0, 2.0, 3.0])
-        assert d.residual_norm < 1e-9
-
-    def test_two_level(self):
-        d = eigendecompose(OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        np.testing.assert_allclose(d.energies, [-1.0, 1.0])
-        expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        v = d.states[:, 0]
-        assert min(np.max(np.abs(v - s * expected)) for s in (1, -1)) < 1e-12
-
     def test_one_by_one(self):
-        d = eigendecompose(np.array([[4.0]]))
-        assert d.energies[0] == 4.0 and abs(d.states[0, 0]) == 1.0
+        # symmetric_eigh, the one LAPACK path, on the smallest matrix
+        w, v = symmetric_eigh(np.array([[4.0]]))
+        assert w[0] == 4.0 and abs(v[0, 0]) == 1.0
 
     def test_against_charpoly_oracle(self, rng):
         for n in (3, 5, 7):
             m = random_symmetric(rng, n)
-            np.testing.assert_allclose(eigendecompose(m).energies, charpoly_roots(m), atol=1e-8)
-            w, _ = symmetric_eigh(m, vectors=False)
-            np.testing.assert_allclose(w, charpoly_roots(m), atol=1e-8)
+            for vectors in (True, False):
+                w, _ = symmetric_eigh(m, vectors=vectors)
+                np.testing.assert_allclose(w, charpoly_roots(m), atol=1e-8)
 
-    def test_residuals_and_orthonormality(self, rng):
-        for n in (2, 11, 60):
-            m = random_symmetric(rng, n)
-            d = eigendecompose(m)
-            w, v = d.energies, d.states
-            assert np.all(np.diff(w) >= 0)
-            residual = np.linalg.norm(m @ v - v * w, axis=0).max()
-            assert residual < 1e-12 * max(1, n)
-            assert d.residual_norm == pytest.approx(residual, rel=1e-6, abs=1e-15)
-            ortho_err = np.max(np.abs(v.T @ v - np.eye(n)))
-            assert ortho_err < 1e-13 * max(1, n)
-            assert d.orthonormality_error == pytest.approx(ortho_err, rel=1e-6, abs=1e-15)
+    def test_residuals_and_orthonormality(self):
+        # the certificate's values are those of the returned vectors against
+        # the dense H, the scatter of the sector vectors included
+        for theta in (0.0, 0.3):
+            for n in (2, 11, 60):
+                params = RabiParams.resonant(1.0, g=1.2, theta=theta)
+                d = solve_hamiltonian(params, n)
+                h = build_hamiltonian(params, n).matrix
+                w, v = d.energies, d.states
+                assert np.all(np.diff(w) >= 0)
+                residual = np.linalg.norm(h @ v - v * w, axis=0).max()
+                assert residual < 1e-12 * n
+                assert d.residual_norm == pytest.approx(residual, abs=1e-13)
+                ortho_err = np.max(np.abs(v.T @ v - np.eye(2 * n)))
+                assert ortho_err < 1e-13 * n
+                assert d.orthonormality_error == pytest.approx(ortho_err, abs=1e-15)
 
-    def test_matches_lapack(self, rng):
+    def test_matches_lapack(self):
         # the real-arithmetic path agrees with LAPACK's complex Hermitian routine
-        m = random_symmetric(rng, 40)
-        w_complex = np.linalg.eigvalsh(m.astype(complex))
-        np.testing.assert_allclose(eigendecompose(m).energies, w_complex, atol=1e-11)
+        for theta in (0.0, 0.3):
+            params = RabiParams.resonant(1.0, g=1.2, theta=theta)
+            w_complex = np.linalg.eigvalsh(build_hamiltonian(params, 20).matrix.astype(complex))
+            np.testing.assert_allclose(solve_hamiltonian(params, 20).energies, w_complex, atol=1e-11)
 
     def test_eigenvalues_only_path(self, rng):
         # converged_cutoff's eigenvalues-only solve agrees with the full decomposition
-        m = random_symmetric(rng, 25)
-        w_only, v = symmetric_eigh(m, vectors=False)
-        assert v is None
-        np.testing.assert_allclose(w_only, eigendecompose(m).energies, atol=1e-12)
+        w_only, v = symmetric_eigh(random_symmetric(rng, 25), vectors=False)
+        assert v is None and w_only.shape == (25,)
+        for theta in (0.0, 0.3):
+            params = RabiParams.resonant(1.0, g=1.5, theta=theta)
+            full = relative_spectrum(solve_hamiltonian(params, 25), 12)
+            np.testing.assert_allclose(spectral._relative_levels(params, 25, 12), full, atol=1e-12)
 
     def test_degenerate_spectrum(self):
-        # fourfold-degenerate eigenvalue; vectors must still be orthonormal
-        m = np.diag([2.0, 2.0, 2.0, 2.0, 5.0])
-        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
-        m = q @ m @ q.T
-        d = eigendecompose(m)
+        # theta = pi/2, omega_q = 0: the blocks k + g x and k - g x share their
+        # spectrum, so every level is a doublet, solved whole; the vectors
+        # must still be orthonormal
+        params = RabiParams(omega_cav=1.0, omega_q=0.0, g=0.8, theta=math.pi / 2)
+        h = build_hamiltonian(params, 20).matrix
+        d = solve_hamiltonian(params, 20)
         w, v = d.energies, d.states
-        np.testing.assert_allclose(w, [2, 2, 2, 2, 5], atol=1e-12)
-        assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-12
-        assert np.linalg.norm(m @ v - v * w, axis=0).max() < 1e-12
+        np.testing.assert_allclose(w[0::2], w[1::2], atol=1e-12)
+        assert np.max(np.abs(v.T @ v - np.eye(40))) < 1e-12
+        assert np.linalg.norm(h @ v - v * w, axis=0).max() < 1e-12
 
-    def test_trace_equals_eigenvalue_sum(self, rng):
-        m = random_symmetric(rng, 30)
-        assert abs(eigendecompose(m).energies.sum() - np.trace(m)) < 1e-10
+    def test_trace_equals_eigenvalue_sum(self):
+        # at theta = 0 the two sectors' levels together hold the whole trace
+        params = RabiParams.resonant(1.0, g=2.0)
+        h = build_hamiltonian(params, 40).matrix
+        assert abs(solve_hamiltonian(params, 40).energies.sum() - np.trace(h)) < 1e-8
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            eigendecompose(np.ones((2, 3)))
-
-    def test_non_finite_input_never_passes_the_certificate(self):
-        # OpenBLAS's LAPACK returns NaN eigenpairs here without raising; the
+    def test_non_finite_input_never_passes_the_certificate(self, monkeypatch):
+        # OpenBLAS's LAPACK can return NaN eigenpairs without raising; the
         # NaN residual must fail the gate, not compare False against it
-        m = np.array([[1.0, np.inf], [np.inf, 1.0]])
-        with np.errstate(invalid="ignore"):
-            with pytest.raises((ConvergenceError, np.linalg.LinAlgError)):
-                eigendecompose(m)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        monkeypatch.setattr(spectral, "symmetric_eigh", changed_eigenpairs(nan=True))
+        for theta in (0.0, 0.3):  # two parity sectors, then the whole matrix
+            with pytest.raises(ConvergenceError, match="residual nan"):
+                solve_hamiltonian(RabiParams.resonant(1.0, g=1.2, theta=theta), 16)
 
     def test_rabi_against_charpoly_oracle(self):
         # tiny cutoff-4 instance solved independently through the
         # characteristic polynomial of each parity block
         params = RabiParams.resonant(1.0, g=1.0)
         h = build_hamiltonian(params, 4)
-        d = eigendecompose(h)
+        d = solve_hamiltonian(params, 4)
         np.testing.assert_allclose(d.energies, charpoly_roots(h.matrix), atol=1e-8)
         # blocked variant: project onto the two parity sectors and solve 4x4 blocks
-        p = parity_operator(4).matrix
-        w_par, v_par = np.linalg.eigh(p)
-        blocks = []
-        for sign in (-1.0, 1.0):
-            basis = v_par[:, np.isclose(w_par, sign)]
-            blocks.append(basis.T @ h.matrix @ basis)
+        p = parity_diagonal(4)
+        blocks = [h.matrix[np.ix_(p == sign, p == sign)] for sign in (-1.0, 1.0)]
         oracle = np.sort(np.concatenate([charpoly_roots(b) for b in blocks]))
         np.testing.assert_allclose(d.energies, oracle, atol=1e-8)
 
     def test_residual_certificate_at_large_cutoff(self):
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=1.0), 60)
-        d = eigendecompose(h)
+        d = solve_hamiltonian(RabiParams.resonant(1.0, g=1.0), 60)
         assert d.residual_norm < 1e-9
         gram = d.states.T @ d.states
         assert np.max(np.abs(gram - np.eye(d.dim))) < 1e-10
         assert d.cutoff_used == 60
 
     def test_eigenvalue_sum_equals_trace(self):
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=2.0, theta=0.3), 40)
-        d = eigendecompose(h)
+        params = RabiParams.resonant(1.0, g=2.0, theta=0.3)
+        h = build_hamiltonian(params, 40)
+        d = solve_hamiltonian(params, 40)
         assert abs(d.energies.sum() - np.trace(h.matrix)) < 1e-8
 
     def test_definite_parity_at_theta_zero(self):
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=1.3), 30)
-        d = eigendecompose(h)
-        p = parity_operator(30).matrix
-        expect = np.einsum("ij,ji->i", d.states.T, p @ d.states)
+        d = solve_hamiltonian(RabiParams.resonant(1.0, g=1.3), 30)
+        expect = parity_diagonal(30) @ d.states**2
         np.testing.assert_allclose(np.abs(expect), 1.0, atol=1e-8)
 
 
-class TestHermiticityRule:
-    @pytest.mark.parametrize("skew, accepted", [(5e-11, True), (1e-6, False)])
-    def test_operator_and_eigensolver_agree(self, skew, accepted):
-        # fig2's cold Hamiltonian at its cutoff, 96, has max|H| = 95.5, so the
-        # relative rule accepts a skew below 9.55e-11
-        cold = build_protocol(figure_preset("fig2"), None, 1.0).cold
-        h = build_hamiltonian(cold, 96).matrix.copy()
-        h[3, 100] += skew
-        op = OperatorMatrix(h, subsystem_dims=(2, 96))
-        assert op.is_hermitian() is accepted
-        if accepted:
-            eigendecompose(op)
-        else:
-            with pytest.raises(ValueError, match="Hermitian"):
-                eigendecompose(op)
+def changed_eigenpairs(nan=False, residual=0.0, stretch=0.0):
+    """A symmetric_eigh whose eigenpairs are changed before the gates see them.
+
+    ``nan`` makes every value NaN. ``residual`` rotates columns 0 and 1 by
+    the angle that leaves ||H v_0 - E_0 v_0|| = residual, orthonormal to
+    round-off; ``stretch`` then scales column 0 by 1 + stretch, an
+    orthonormality error of about 2 stretch.
+    """
+    original = spectral.symmetric_eigh
+
+    def changed(matrix, vectors=True):
+        w, v = original(matrix, vectors)
+        if nan:
+            return np.full_like(w, np.nan), np.full_like(v, np.nan)
+        s = residual / (w[1] - w[0])
+        c = math.sqrt(1.0 - s * s)
+        v = v.copy()
+        v[:, 0], v[:, 1] = c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]
+        v[:, 0] *= 1.0 + stretch
+        return w, v
+
+    return changed
+
+
+class TestCertificateGates:
+    """Each gate, on both paths: theta = 0 solves two parity sectors, theta != 0 the whole matrix."""
+
+    @pytest.fixture(params=[0.0, 0.3], ids=["sectors", "whole"])
+    def params(self, request):
+        return RabiParams.resonant(1.0, g=1.2, theta=request.param)
+
+    def test_residual_gate(self, params, monkeypatch):
+        monkeypatch.setattr(spectral, "symmetric_eigh", changed_eigenpairs(residual=1e-6))
+        with pytest.raises(ConvergenceError, match=r"residual 1\.0+e-06 exceeds"):
+            solve_hamiltonian(params, 16)
+
+    def test_orthonormality_gate(self, params, monkeypatch):
+        monkeypatch.setattr(spectral, "symmetric_eigh", changed_eigenpairs(stretch=1e-8))
+        with pytest.raises(ConvergenceError, match="orthonormality error 2"):
+            solve_hamiltonian(params, 16)
+
+    def test_values_are_those_against_the_dense_hamiltonian(self, params, monkeypatch):
+        # changes below the gates but far above round-off: the reported values
+        # are what the dense H and the scattered vectors give
+        monkeypatch.setattr(spectral, "symmetric_eigh", changed_eigenpairs(residual=1e-11, stretch=1e-12))
+        d = solve_hamiltonian(params, 16)
+        h = build_hamiltonian(params, 16).matrix
+        residual = np.linalg.norm(h @ d.states - d.states * d.energies, axis=0).max()
+        ortho_err = np.max(np.abs(d.states.T @ d.states - np.eye(d.dim)))
+        assert d.residual_norm == pytest.approx(residual, rel=1e-3)
+        assert d.orthonormality_error == pytest.approx(ortho_err, rel=1e-3)
+        assert d.residual_norm == pytest.approx(1e-11, rel=1e-2)
+        assert d.orthonormality_error == pytest.approx(2e-12, rel=1e-2)
 
 
 class TestRelativeSpectrum:
     def test_decoupled(self):
-        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0), 16))
+        d = solve_hamiltonian(RabiParams.resonant(1.0), 16)
         np.testing.assert_allclose(relative_spectrum(d, 4), [0, 1, 1, 2], atol=1e-12)
 
     def test_first_element_exactly_zero(self):
-        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.8), 24))
+        d = solve_hamiltonian(RabiParams.resonant(1.0, g=0.8), 24)
         assert relative_spectrum(d, 6)[0] == 0.0
 
     def test_quasi_degenerate_ground_doublet(self):
         # deep-strong coupling collapses the lowest pair
-        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=2.0), 60))
+        d = solve_hamiltonian(RabiParams.resonant(1.0, g=2.0), 60)
         rel = relative_spectrum(d, 2)
         assert 0.0 < rel[1] < 0.05
 
     def test_shift_invariance(self):
-        h = build_hamiltonian(RabiParams.resonant(1.0, g=0.5), 20)
-        d0 = eigendecompose(h)
-        d1 = eigendecompose(OperatorMatrix(h.matrix + 7.3 * np.eye(40), subsystem_dims=(2, 20)))
+        params = RabiParams.resonant(1.0, g=0.5)
+        d0 = solve_hamiltonian(params, 20)
+        shifted = build_hamiltonian(params, 20).matrix + 7.3 * np.eye(40)
+        d1, _ = spectral_form(OperatorMatrix(shifted, subsystem_dims=(2, 20)))
         np.testing.assert_allclose(
             relative_spectrum(d0, 10), relative_spectrum(d1, 10), atol=1e-10
         )
 
     def test_out_of_range(self):
-        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0), 4))
+        d = solve_hamiltonian(RabiParams.resonant(1.0), 4)
         with pytest.raises(ValueError):
             relative_spectrum(d, 9)
 
@@ -237,8 +268,8 @@ class TestConvergedCutoff:
         params = RabiParams.resonant(1.0, g=1.5)
         tol = 1e-8
         found = converged_cutoff(params, n_levels=10, tol=tol)
-        d1 = eigendecompose(build_hamiltonian(params, found))
-        d2 = eigendecompose(build_hamiltonian(params, 2 * found))
+        d1 = solve_hamiltonian(params, found)
+        d2 = solve_hamiltonian(params, 2 * found)
         delta = np.abs(relative_spectrum(d1, 10) - relative_spectrum(d2, 10)).max()
         assert delta < tol
 
@@ -296,7 +327,7 @@ class TestParitySectors:
         dense = np.linalg.eigvalsh(h.matrix)
         assert np.all(np.abs(d.energies - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
         # each vector lies in one sector, so P v = +v or -v bit for bit
-        p = np.diag(parity_operator(n).matrix)[:, None]
+        p = parity_diagonal(n)[:, None]
         signs = np.sign(np.sum(p * d.states**2, axis=0))
         assert np.array_equal(p * d.states, signs * d.states)
         np.testing.assert_allclose(np.einsum("ij,ij->j", d.states, p * d.states), signs, atol=1e-13)
@@ -334,11 +365,6 @@ class TestParitySectors:
         assert solver_calls["sectors" if per_scan == 2 else "build"] == steps
         assert solver_calls["eigh"] == per_scan * steps
 
-    def test_a_matrix_is_solved_whole(self, solver_calls):
-        # eigendecompose takes no split from subsystem_dims, even where H conserves parity
-        d = eigendecompose(build_hamiltonian(RabiParams.resonant(1.0, g=0.7), 12))
-        assert (solver_calls["eigh"], solver_calls["sectors"], d.cutoff_used) == (1, 0, 12)
-
     def test_cross_sector_ties_are_ordered_the_same_every_time(self):
         # g = 0 and omega_q = 2 omega_cav: |up,n> and |down,n+2> have opposite
         # parity and the same energy n + 1, bit for bit at some n
@@ -349,7 +375,7 @@ class TestParitySectors:
         assert first.states.tobytes() == second.states.tobytes()
         ties = np.flatnonzero(np.diff(first.energies) == 0.0)
         assert len(ties) > 0
-        p = np.diag(parity_operator(16).matrix)
+        p = parity_diagonal(16)
         for k in ties:  # the +1 sector's level comes first
             assert p @ first.states[:, k] ** 2 > 0.0 > p @ first.states[:, k + 1] ** 2
 
