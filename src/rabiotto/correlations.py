@@ -21,7 +21,11 @@ outcome along n is the "+" outcome along -n, so the sum over outcomes is
 S(n) = f(n) + f(-n). Every state is real (a ``SpectralDecomposition`` holds
 float64 vectors), so f is even in phi_m, f(-n) = f(pi - theta_m, pi - phi_m),
 and with an even number of phi_m steps the half grid phi_m = 0 ... pi holds
-every antipode: S is f plus f with both grid axes reversed.
+every antipode: S is f plus f with both grid axes reversed. The grid's two
+pole rows, theta_m = 0 and theta_m = pi, are one point on the sphere each,
+so each is evaluated once and fills its row. The grid goes through numpy in
+batches; the refinement's objective, one angle pair at a time, makes one
+2-block ``eigvalsh`` call and sums f over its eigenvalues in Python floats.
 
 ``quantum_discord`` takes a state in its spectral form, the eigenpairs of a
 ``SpectralDecomposition`` and a population vector p: rho = sum_n p_n
@@ -105,7 +109,9 @@ def _entropy_from_eigenvalues(lam: np.ndarray) -> np.ndarray:
 
 
 def _check_spectrum(lam: np.ndarray) -> None:
-    """Reject a state's eigenvalues or populations unless they sum to 1 with none below -1e-10."""
+    """Reject eigenvalues or populations unless finite, summing to 1 and none below -1e-10."""
+    if not np.isfinite(lam).all():
+        raise ValueError(f"density matrix has a non-finite eigenvalue {lam[~np.isfinite(lam)][0]}")
     if abs(lam.sum() - 1.0) > 1e-10:
         raise ValueError(f"density matrix must have unit trace, got {lam.sum()}")
     if lam.min() < -1e-10:
@@ -113,8 +119,14 @@ def _check_spectrum(lam: np.ndarray) -> None:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -tr(rho ln rho) of a real state; rejects inputs that are not density matrices."""
+    """S(rho) = -tr(rho ln rho) of a real state; rejects inputs that are not density matrices.
+
+    ValueError for a non-finite entry, a matrix that is not square and
+    Hermitian, or eigenvalues that do not sum to 1 or fall below -1e-10.
+    """
     m = frozen_copy(rho)
+    if not np.isfinite(m).all():  # LAPACK can return finite eigenvalues for a NaN entry
+        raise ValueError(f"density matrix has a non-finite entry {m[~np.isfinite(m)][0]}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not is_hermitian_matrix(m):
         raise ValueError(f"entropy requires a square Hermitian density matrix, got shape {m.shape}")
     lam = np.linalg.eigvalsh(m)
@@ -161,12 +173,26 @@ class _BlockEvaluator:
         """f(t, q) + f(pi - t, pi - q): S along (t, q) for a real state, as one 2-block batch.
 
         The antipode's half angle is the complement of t's, and its phase
-        the mirror of q's, so its weights are (s^2, -conj(w), -w, c^2).
+        the mirror of q's, so its weights are (s^2, -conj(w), -w, c^2). The
+        sum over the 2 k eigenvalues is the rule of ``_terms`` in Python
+        floats and ``math.log``: for blocks this small, numpy's per-call
+        overhead costs more than the arithmetic.
         """
         c, s = math.cos(t / 2.0), math.sin(t / 2.0)
         w = complex(c * s * math.cos(q), c * s * math.sin(q))
-        weights = np.array([[c * c, w, w.conjugate(), s * s], [s * s, -w.conjugate(), -w, c * c]])
-        return float(self._terms(weights).sum())
+        # both rows of weights as one flat list, which numpy converts faster than nested lists
+        weights = np.array([c * c, w, w.conjugate(), s * s, s * s, -w.conjugate(), -w, c * c])
+        blocks = (weights.reshape(2, 4) @ self.basis).reshape(2, self.k, self.k)
+        total = 0.0
+        for lam in np.linalg.eigvalsh(blocks).tolist():
+            p = sum(lam)
+            if p > OUTCOME_FLOOR:
+                f = 0.0
+                for x in lam:
+                    if x / p > EIG_FLOOR:
+                        f += x * math.log(x / p)
+                total -= f
+        return total
 
     def _terms(self, weights: np.ndarray) -> np.ndarray:
         """f per row of (b, 4) weights from the block's eigenvalues lam and p = sum lam.
@@ -245,6 +271,21 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return t, (p if p > -math.pi else math.pi)
 
 
+def _half_grid(evaluator: _BlockEvaluator, n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
+    """(thetas, phis, f) on the real-state half grid, f[i, j] the "+" term at (thetas[i], phis[j]).
+
+    thetas = linspace(0, pi, n_theta) and phis_j = 2 pi j / n_phi for j = 0 ... n_phi/2.
+    Each pole row (theta_m = 0 or pi) is one point on the sphere, so it is
+    evaluated once, at phi_m = 0, and that value fills the row.
+    """
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[: n_phi // 2 + 1]
+    tt, pp = np.meshgrid(thetas[1:-1], phis, indexing="ij")
+    f = evaluator(np.r_[0.0, math.pi, tt.ravel()], np.r_[0.0, 0.0, pp.ravel()])
+    north, south = np.full(len(phis), f[0]), np.full(len(phis), f[1])
+    return thetas, phis, np.vstack([north, f[2:].reshape(tt.shape), south])
+
+
 def quantum_discord(
     decomposition: SpectralDecomposition,
     populations: np.ndarray,
@@ -253,9 +294,9 @@ def quantum_discord(
     """Quantum discord D_A of sum_n p_n |v_n><v_n| over real, structured eigenvectors.
 
     ``decomposition`` must carry a Fock cutoff, and ``populations`` (one per
-    level) must sum to 1 with no entry below -1e-10. ``grid = (n_theta,
-    n_phi)`` sets the coarse search over theta_m in [0, pi] and phi_m in
-    [0, 2 pi); it needs n_theta >= 2 and an even n_phi >= 2. Nelder-Mead
+    level) must be finite and sum to 1 with no entry below -1e-10. ``grid =
+    (n_theta, n_phi)`` sets the coarse search over theta_m in [0, pi] and
+    phi_m in [0, 2 pi); it needs n_theta >= 2 and an even n_phi >= 2. Nelder-Mead
     then always refines the best grid point, and its result is kept only
     where it lies below the grid's. The reported ``optimal_basis`` is one
     representative of the axis pair n, -n, or (0, 0) when the grid values
@@ -275,10 +316,7 @@ def quantum_discord(
 
     evaluator = _BlockEvaluator(decomposition, populations)
     entropy_a = von_neumann_entropy(evaluator.rho_a)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[: n_phi // 2 + 1]
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    f = evaluator(tt.ravel(), pp.ravel()).reshape(tt.shape)
+    thetas, phis, f = _half_grid(evaluator, n_theta, n_phi)
     values = f + f[::-1, ::-1]  # the antipode of (theta_i, phi_j), mirrored in phi
 
     i_t, i_p = np.unravel_index(int(np.argmin(values)), values.shape)

@@ -211,12 +211,13 @@ class CycleReport:
 def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:
     """Boltzmann populations P_n over the given ascending energies.
 
-    ``kt`` is the thermal energy k_B T in the same units as ``energies``.
+    ``kt`` is the thermal energy k_B T in the same units as ``energies``; it
+    must be finite and > 0 (nan and inf raise ValueError).
     Exponents are ground-referenced before exponentiation so arbitrarily cold
     temperatures cannot overflow.
     """
-    if kt <= 0.0:
-        raise ValueError(f"thermal energy kt must be > 0, got {kt}")
+    if not 0.0 < kt < math.inf:
+        raise ValueError(f"thermal energy kt must be finite and > 0, got {kt}")
     e = np.asarray(energies, dtype=float)
     x = -(e - e[0]) / kt
     x -= x.max()  # no-op for sorted input; guards unsorted against overflow

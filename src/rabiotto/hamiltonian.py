@@ -7,9 +7,12 @@ with hbar = 1 and every frequency in units of the reference omega_ref (the
 cold resonator frequency, by default). With the qubit first and x = a^dag + a,
 H is written as its two qubit blocks omega_cav a^dag a +/- (omega_q/2 +
 g sin(theta) x), joined by the sigma_x coupling blocks g cos(theta) x; every
-entry is real (float64). theta = 0 is the standard quantum Rabi model, where
-the parity sigma_z (x) (-1)^(a^dag a) commutes with H; theta = pi/2 leaves two
-uncoupled displaced-oscillator blocks.
+entry is real (float64). x is tridiagonal, so ``build_hamiltonian`` writes
+the 2 n_max x 2 n_max array straight from the blocks' diagonals, with no
+dense operator product, each entry equal bit for bit (signed zeros
+included) to what those products give. theta = 0 is the standard quantum
+Rabi model, where the parity sigma_z (x) (-1)^(a^dag a) commutes with H;
+theta = pi/2 leaves two uncoupled displaced-oscillator blocks.
 
 Wherever g sin(theta) = 0 (every theta = 0 point, and g = 0 at any theta),
 ``parity_sectors`` builds H straight into its two parity sectors, each a real
@@ -72,16 +75,32 @@ class RabiParams:
 
 
 def build_hamiltonian(params: RabiParams, n_max: int) -> OperatorMatrix:
-    """Dense Hamiltonian on the 2*n_max composite space, from its qubit blocks."""
+    """Dense Hamiltonian on the 2*n_max composite space, written entry by entry.
+
+    With x = a^dag + a, c = cos(theta) and s = sin(theta), H couples photon
+    numbers m and m + 1 only, through <m|x|m + 1> = sqrt(m + 1): its 2 x 2
+    qubit block at (m, m) is diag(omega_cav m + omega_q/2, omega_cav m -
+    omega_q/2), and at (m, m + 1) and (m + 1, m) it is g sqrt(m + 1) [[s, c],
+    [c, -s]]. Every entry, signed zeros included, is the one the dense sums
+    omega_cav a^T a +/- (omega_q/2) I + g (+/-s x) and g (c x) give:
+    omega_cav m is omega_cav sqrt(m)**2, not exactly omega_cav m; the down
+    block's off-diagonal is 0.0 + g (-s x), so +0.0 where g s = 0; and the
+    coupling blocks' zeros are g (c 0.0), -0.0 where cos(theta) < 0, just
+    past pi/2.
+    """
     n_max = check_cutoff(n_max)
-    a = np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), k=1)
-    x = a + a.T  # a^dag + a
-    number = params.omega_cav * (a.T @ a)  # its diagonal is sqrt(n)**2, not exactly n
-    half_q = 0.5 * params.omega_q * np.eye(n_max)
     g, c, s = params.g, math.cos(params.theta), math.sin(params.theta)
-    up, down = number + half_q + g * (s * x), number - half_q + g * (-s * x)
-    coupling = g * (c * x)
-    return OperatorMatrix(np.block([[up, coupling], [coupling, down]]), subsystem_dims=(2, n_max))
+    root = np.sqrt(np.arange(n_max, dtype=float))
+    number = params.omega_cav * (root * root)
+    half_q = 0.5 * params.omega_q
+    x = root[1:]  # <m|a^dag + a|m + 1> = sqrt(m + 1)
+    m = np.arange(n_max)
+    h = np.zeros((2, n_max, 2, n_max))  # h[q, m, q', m'] = <q, m|H|q', m'>, qubit up is q = 0
+    h[0, :, 1] = h[1, :, 0] = g * (c * 0.0)  # the coupling blocks
+    h[0, m, 0, m], h[1, m, 1, m] = number + half_q, number - half_q
+    qubit = np.array([[g * (s * x), g * (c * x)], [g * (c * x), 0.0 + g * (-s * x)]])
+    h[:, m[:-1], :, m[1:]] = h[:, m[1:], :, m[:-1]] = qubit.transpose(2, 0, 1)
+    return OperatorMatrix(h.reshape(2 * n_max, 2 * n_max), subsystem_dims=(2, n_max))
 
 
 def conserves_parity(params: RabiParams) -> bool:

@@ -91,9 +91,11 @@ def _certified(pairs: list[tuple[np.ndarray, np.ndarray]], cutoff_used: int | No
     """Decomposition of the matrix whose every entry lies in one of the (indices, block) pairs.
 
     Each block is solved by one ``symmetric_eigh`` call and must pass both
-    gates; its vectors are scattered once into their energy-sorted columns of
-    the full basis, zero off the block. Energies merge by a stable sort, so a
-    tie between blocks lists the earlier block's level first.
+    gates. A single pair is the whole matrix in its own order, so LAPACK's
+    ascending energies and their vectors are the decomposition as they come.
+    Otherwise each block's vectors are scattered once into their energy-sorted
+    columns of the full basis, zero off the block; energies merge by a stable
+    sort, so a tie between blocks lists the earlier block's level first.
     """
     solved = []
     residual = ortho_err = 0.0
@@ -109,17 +111,21 @@ def _certified(pairs: list[tuple[np.ndarray, np.ndarray]], cutoff_used: int | No
             raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
         residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
         solved.append((indices, w, v))
-    energies = np.concatenate([w for _, w, _ in solved])
-    order = np.argsort(energies, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    states = np.zeros((len(energies), len(energies)))
-    start = 0
-    for indices, w, v in solved:
-        states[np.ix_(indices, column[start:start + len(w)])] = v
-        start += len(w)
+    if len(solved) == 1:
+        _, energies, states = solved[0]
+    else:
+        energies = np.concatenate([w for _, w, _ in solved])
+        order = np.argsort(energies, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(len(order))
+        states = np.zeros((len(energies), len(energies)))
+        start = 0
+        for indices, w, v in solved:
+            states[np.ix_(indices, column[start:start + len(w)])] = v
+            start += len(w)
+        energies = energies[order]
     return SpectralDecomposition(
-        energies=energies[order],
+        energies=energies,
         states=states,
         cutoff_used=cutoff_used,
         residual_norm=residual,

@@ -608,13 +608,15 @@ def _executor(config: SweepConfig, n_tasks: int):
     """The sweep's one executor, or a null context when it runs serially.
 
     Processes when the points compute discord, whose batched small eigensolves
-    and Nelder-Mead steps hold the GIL: fig4 at 4 points per series ran
-    46-51 points/s on two processes against 32-36 on two threads, with 39
-    against 51 MiB peak RSS (2 vCPUs, one BLAS thread). Threads otherwise,
-    though not every LAPACK call releases the GIL: numpy's eigvalsh holds it
-    (two threads looping it on a 96 x 96 matrix took as long as one thread
-    running both loops, two processes half that), while eigh overlapped on
-    threads about as well as on processes. On sweeps this small a process
+    and Nelder-Mead steps hold the GIL: fig4 at 4 points per series (the
+    fig4-discord benchmark, seed 1, three 30 s runs each) ran 60.3-64.8
+    points/s on two processes against 45.1-48.9 on two threads, with
+    39.2-39.3 against 49.3-49.6 MiB peak RSS (2 vCPUs, one BLAS thread),
+    measured after the refinement's objective moved to Python floats.
+    Threads otherwise, though not every LAPACK call releases the GIL:
+    numpy's eigvalsh holds it (two threads looping it on a 96 x 96 matrix
+    took as long as one thread running both loops, two processes half that),
+    while eigh overlapped on threads about as well as on processes. On sweeps this small a process
     pool costs more than it saves: the fig2 benchmark sweep ran 203-216
     points/s on two threads against 159-169 on two processes.
     """

@@ -27,6 +27,7 @@ from rabiotto.correlations import (
     _BlockEvaluator,
     _bloch,
     _canonical_angles,
+    _half_grid,
     nelder_mead,
 )
 from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
@@ -118,6 +119,15 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.array([[0.5, 0.4], [0.6, 0.5]]))  # not Hermitian
         with pytest.raises(ValueError, match="square"):
             von_neumann_entropy(np.full((2, 3), 1.0 / 6.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        # a NaN matrix had NaN eigenvalues, which passed both spectrum checks
+        # and gave S = -0.0; LAPACK can also return finite eigenvalues for a
+        # NaN entry, so the entries are checked before the solve
+        for rho in (np.full((2, 2), bad), np.array([[0.5, 0.0], [0.0, bad]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                von_neumann_entropy(rho)
 
     def test_unitary_invariance(self, rng):
         # every state is real, so the rotations are the real unitaries: orthogonal ones
@@ -223,6 +233,24 @@ class TestBlockEvaluator:
         rho = dense_state(decomposition, populations)
         for t, q in zip(rng.uniform(0.0, math.pi, 6), rng.uniform(0.0, 2.0 * math.pi, 6)):
             assert abs(evaluator.pair(t, q) - conditional_entropy(rho, t, q)) < 1e-12, (t, q)
+
+    def test_the_grid_evaluates_each_pole_once(self, cycles):
+        # theta_m = 0 is one point at every phi_m, exactly (w = 0): its row is
+        # the per-phi evaluation bit for bit. theta_m = pi is one point too, but
+        # cos(pi/2) = 6e-17 leaves phi_m in its weights, so per-phi values there
+        # differ by round-off and the row holds the phi_m = 0 one. The rows in
+        # between are the batched evaluation of the same angles
+        for states in cycles.values():
+            for name in ("rho1", "rho3", "rho4"):
+                evaluator = _BlockEvaluator(*cycle_state(states, name))
+                thetas, phis, f = _half_grid(evaluator, *DEFAULT_GRID)
+                assert f.shape == (DEFAULT_GRID[0], DEFAULT_GRID[1] // 2 + 1)
+                assert f[0].tobytes() == evaluator(np.zeros_like(phis), phis).tobytes(), name
+                south = evaluator(np.array([math.pi]), np.zeros(1))[0]
+                assert f[-1].tobytes() == np.full_like(phis, south).tobytes(), name
+                tt, pp = np.meshgrid(thetas[1:-1], phis, indexing="ij")
+                interior = evaluator(tt.ravel(), pp.ravel()).reshape(tt.shape)
+                assert f[1:-1].tobytes() == interior.tobytes(), name
 
     def test_an_outcome_at_the_probability_floor_contributes_exactly_zero(self, rng):
         # qubit up (x) a mixed oscillator state: the "+" outcome along -z has
@@ -349,6 +377,16 @@ class TestQuantumDiscord:
         populations[-2:] += (1e-9, -1e-9)  # still sums to 1
         with pytest.raises(ValueError, match="negative eigenvalue"):
             quantum_discord(states.hot, populations, grid=(8, 16))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_population(self, bad):
+        # a NaN population failed neither the unit-sum nor the sign check and
+        # was dropped from the support: D came out as without it
+        states, _ = run_cycle(resonator_frequency_protocol(g=1.0), cutoff=16)
+        populations = np.array(states.populations_hot)
+        populations[20] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantum_discord(states.hot, populations)
 
     def test_rejects_populations_of_the_wrong_length(self, small_cycle):
         _, states, _ = small_cycle

@@ -47,8 +47,10 @@ class TestThermalPopulations:
         np.testing.assert_allclose(p, 0.2)
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            thermal_populations(np.array([0.0, 1.0]), 0.0)
+        # and a non-finite one: kt = nan gave all-nan populations, kt = inf uniform ones
+        for kt in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                thermal_populations(np.array([0.0, 1.0]), kt)
 
     def test_no_overflow_when_ground_is_large(self):
         p = thermal_populations(np.array([1e6, 1e6 + 1.0]), 0.01)

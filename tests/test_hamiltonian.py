@@ -88,6 +88,31 @@ class TestBuildHamiltonian:
             h = build_hamiltonian(RabiParams(omega_cav, omega_q, g=g, theta=theta), n).matrix
             assert h.tobytes() == expected.tobytes(), (theta, g, omega_cav, omega_q, n)
 
+    def test_equals_the_dense_block_construction_bit_for_bit(self):
+        # the entries, signed zeros included, against the qubit blocks built from
+        # dense operator products and joined by np.block; theta just past pi/2
+        # has cos(theta) < 0, so the coupling blocks' zeros are -0.0 there
+        grid = itertools.product(
+            (0.0, 0.3, math.pi / 4, math.pi / 2, math.pi / 2 + 5e-13),
+            (0.0, 0.7, 3.4),
+            ((1.0, 1.0), (2.0, 0.5), (0.3, 0.0)),
+            (2, 3, 24, 96),
+        )
+        for theta, g, (omega_cav, omega_q), n in grid:
+            params = RabiParams(omega_cav, omega_q, g=g, theta=theta)
+            a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1)
+            x = a + a.T
+            number = omega_cav * (a.T @ a)
+            half_q = 0.5 * omega_q * np.eye(n)
+            c, s = math.cos(theta), math.sin(theta)
+            up, down = number + half_q + g * (s * x), number - half_q + g * (-s * x)
+            coupling = g * (c * x)
+            expected = np.block([[up, coupling], [coupling, down]])
+            h = build_hamiltonian(params, n).matrix
+            assert h.tobytes() == expected.tobytes(), (theta, g, omega_cav, omega_q, n)
+        past_half_pi = build_hamiltonian(RabiParams.resonant(1.0, 0.7, math.pi / 2 + 5e-13), 3).matrix
+        assert np.signbit(past_half_pi[0, 3])
+
     def test_qubit_frequency_shift_is_exact(self):
         # adding delta to omega_q shifts the <e|H|e> - <g|H|g> block by delta
         n = 8

@@ -96,6 +96,16 @@ class TestEigendecompose:
             w_complex = np.linalg.eigvalsh(build_hamiltonian(params, 20).matrix.astype(complex))
             np.testing.assert_allclose(solve_hamiltonian(params, 20).energies, w_complex, atol=1e-11)
 
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 4, math.pi / 2])
+    def test_a_whole_matrix_solve_is_lapacks_output(self, theta):
+        # theta != 0 is solved whole, and LAPACK's energies are already
+        # ascending: the decomposition is its eigh output bit for bit
+        params = RabiParams(omega_cav=1.3, omega_q=0.9, g=1.7, theta=theta)
+        d = solve_hamiltonian(params, 40)
+        w, v = np.linalg.eigh(build_hamiltonian(params, 40).matrix)
+        assert d.energies.tobytes() == w.tobytes()
+        assert d.states.tobytes() == v.tobytes()
+
     def test_eigenvalues_only_path(self, rng):
         # converged_cutoff's eigenvalues-only solve agrees with the full decomposition
         w_only, v = symmetric_eigh(random_symmetric(rng, 25), vectors=False)
