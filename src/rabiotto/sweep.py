@@ -110,10 +110,11 @@ class CutoffPolicy(_Typed):
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
 
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
-        sides, certified to the fixed CUTOFF_TOL (1e-8). Each distinct side is
-        scanned once per call, through ``mapper`` (the builtin ``map``, or an
-        executor's). The policy is checked where the SweepConfig that holds it
-        is built.
+        sides: the smallest cutoff on that scan's 3/2-step ladder (s, 3s/2, 2s,
+        3s, ...) whose doubling moves the lowest n_levels by less than the
+        fixed CUTOFF_TOL (1e-8). Each distinct side is scanned once per call,
+        through ``mapper`` (the builtin ``map``, or an executor's). The policy
+        is checked where the SweepConfig that holds it is built.
         """
         if self.mode == "fixed":
             return [self.n_max] * len(groups)

@@ -38,8 +38,9 @@ from rabiotto import (
     thermal_populations,
 )
 from rabiotto.approx import approx_w1
+from rabiotto.correlations import discord_differences
 from rabiotto.cycle import WORK_REGIME_TOL, _report_from_spectra
-from rabiotto.sweep import _series_cutoffs, figure_preset
+from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
 from conftest import conditional_entropy, dense_state, spectral_form
 
@@ -332,3 +333,45 @@ def test_criterion_10_appendix_comparison(fig2_sweep):
     print(f"CRITERION 10: sign-mismatch window width = {window:.3f}, Pearson r = {pearson:.4f}")
     assert window <= 0.3
     assert pearson > 0.9
+
+
+def test_criterion_11_compression_discord_and_efficiency():
+    """fig6: sign(eta - 0.5) = sign(D(rho3) - D(rho4)) wherever the cold gap exceeds 4 k_B T_c.
+
+    The abstract's second claim: reduced correlations in the compression
+    stage, D(rho3) - D(rho4) > 0, are a resource for efficiency above the
+    Otto value 1 - omega_c/omega_h = 0.5. On the coupled-coupling protocol
+    (alpha = 0.8 and 1.2; alpha = 1 is criterion 3, where rho4 = rho3) the
+    signs agree on the whole grid up to g = 1.1, where the cold ground gap
+    Delta_c is still above 4 k_B T_c, and ground-state discord sets D(rho3).
+    Past that edge the doublet mixes thermally, D(rho3) collapses, and each
+    alpha has one contiguous run of points where the signs disagree
+    (alpha = 0.8 from g = 1.3 to 1.4, alpha = 1.2 from 1.2 to 1.8); they agree
+    again at the grid's end. The edge is not the work sign change: alpha = 1.2
+    refrigerates from g = 1.0 on with the signs still agreeing.
+    """
+    config = figure_preset("fig6")
+    cutoffs = _series_cutoffs(config)
+    grid = np.round(np.arange(0.0, 2.0 + 1e-9, 0.1), 10)
+    disagree, refrigerating_agreement, gapped = {}, [], set()
+    for alpha in (0.8, 1.2):
+        disagree[alpha] = []
+        for g in grid:
+            protocol = build_protocol(config, alpha, float(g))
+            states, report = run_cycle(protocol, cutoff=cutoffs[alpha])
+            d = discord_differences(states)
+            agree = np.sign(report.eta - 0.5) == np.sign(d.rho3.discord - d.rho4.discord)
+            gap = states.cold.ground_referenced()[1] / protocol.reservoirs.t_cold
+            if gap >= 4.0:
+                gapped.add(float(g))
+                assert agree, f"alpha = {alpha}, g = {g}: signs differ with Delta_c = {gap:.2f} k_B T_c"
+                if report.work < -WORK_REGIME_TOL:
+                    refrigerating_agreement.append((alpha, float(g)))
+            elif not agree:
+                disagree[alpha].append(int(round(g * 10)))
+    print(f"CRITERION 11: cutoffs={cutoffs}, disagreeing g x 10 = {disagree}, "
+          f"refrigerating points that agree {refrigerating_agreement}")
+    assert max(gapped) == 1.1 and len(gapped) == 12
+    assert disagree[0.8] == [13, 14]
+    assert disagree[1.2] == list(range(12, 19))
+    assert {alpha for alpha, _ in refrigerating_agreement} == {1.2}

@@ -48,8 +48,9 @@ class TestOperatorMatrix:
 
     @pytest.mark.parametrize("skew, accepted", [(5e-11, True), (1e-6, False)])
     def test_hermitian_rule_is_relative(self, skew, accepted):
-        # fig2's cold Hamiltonian at its cutoff, 96, has max|H| = 95.5, so the
-        # relative rule accepts a skew below 9.55e-11
+        # fig2's cold Hamiltonian at g = 1 and cutoff 96, a stress size above
+        # what its sweeps certify, has max|H| = 95.5, so the relative rule
+        # accepts a skew below 9.55e-11
         cold = build_protocol(figure_preset("fig2"), None, 1.0).cold
         h = build_hamiltonian(cold, 96).matrix.copy()
         h[3, 100] += skew

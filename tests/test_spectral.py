@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -283,20 +284,70 @@ class TestConvergedCutoff:
         delta = np.abs(relative_spectrum(d1, 10) - relative_spectrum(d2, 10)).max()
         assert delta < tol
 
-    def test_ceiling_failure(self, monkeypatch):
-        # each tested n is compared against a solve at 2n, so a failing scan
-        # solves up to twice the ceiling
+    @pytest.fixture
+    def scan_solves(self, monkeypatch):
+        """The cutoffs of converged_cutoff's solves, in order."""
         solved = []
+        relative_levels = spectral._relative_levels
 
         def recorded(params, n_max, n_levels):
             solved.append(n_max)
             return relative_levels(params, n_max, n_levels)
 
-        relative_levels = spectral._relative_levels
         monkeypatch.setattr(spectral, "_relative_levels", recorded)
+        return solved
+
+    def test_ceiling_failure(self, scan_solves):
+        # each tested n (8, 12 and 16 below ceiling 16) is compared against a
+        # solve at 2n, so a failing scan solves up to twice the ceiling; 16 is
+        # solved once, for the test of 8 and its own
         with pytest.raises(ConvergenceError, match="ceiling"):
             converged_cutoff(RabiParams.resonant(1.0, g=3.0), n_levels=8, tol=1e-8, ceiling=16)
-        assert solved == [8, 16, 32]
+        assert scan_solves == [8, 16, 12, 24, 32]
+
+    def test_each_cutoff_is_solved_once_per_scan(self, scan_solves):
+        # fig2's cold side at g = 3.5 tests 24, 36, 48 and 72; each solve
+        # serves as the 2n solve of one test and the n solve of a later one
+        cold = build_protocol(figure_preset("fig2"), None, 3.5).cold
+        assert converged_cutoff(cold, n_levels=24) == 72
+        assert scan_solves == [24, 48, 36, 72, 96, 144]
+
+    @pytest.mark.parametrize(
+        "params, n_levels",
+        [
+            (build_protocol(figure_preset("fig2"), None, 3.5).cold, 24),
+            (RabiParams.resonant(1.0, g=1.5, theta=0.3), 10),
+            (RabiParams.resonant(1.0, g=2.0), 8),
+        ],
+        ids=["fig2-cold", "whole-matrix", "sectors"],
+    )
+    def test_returns_the_smallest_rung_that_passes(self, params, n_levels):
+        # checked by direct solves: every ladder cutoff below the returned one
+        # fails the doubling comparison, and the returned one passes it
+        tol = spectral.CUTOFF_TOL
+        found = converged_cutoff(params, n_levels=n_levels)
+
+        def doubling_delta(n):
+            levels = [relative_spectrum(solve_hamiltonian(params, m), n_levels) for m in (n, 2 * n)]
+            return float(np.max(np.abs(levels[1] - levels[0])))
+
+        rungs = list(itertools.islice(spectral._ladder(spectral.scan_start(n_levels)), 12))
+        below = rungs[:rungs.index(found)]
+        assert below, "the scan should not stop at its start here"
+        assert all(doubling_delta(n) >= tol for n in below)
+        assert doubling_delta(found) < tol
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_odd_scan_start(self, theta, scan_solves):
+        # n_levels = 9 starts the ladder at 9, 13, 18, 26, ...; relative_spectrum
+        # raises unless the returned cutoff holds 9 levels
+        params = RabiParams.resonant(1.0, g=1.0, theta=theta)
+        found = converged_cutoff(params, n_levels=9)
+        assert found == 26
+        assert scan_solves == [9, 18, 13, 26, 36, 52]
+        d1, d2 = solve_hamiltonian(params, found), solve_hamiltonian(params, 2 * found)
+        delta = np.abs(relative_spectrum(d1, 9) - relative_spectrum(d2, 9)).max()
+        assert delta < spectral.CUTOFF_TOL
 
     def test_rejects_ceiling_below_scan_start(self):
         # the scan starts at max(n_levels, 8), so ceiling 4 can certify nothing
@@ -395,12 +446,12 @@ class TestParitySectors:
         "preset, series_value, endpoint, expected",
         [
             ("fig2", None, 0.0, {"cold": 24, "hot": 24}),
-            ("fig2", None, 3.5, {"cold": 96, "hot": 48}),
+            ("fig2", None, 3.5, {"cold": 72, "hot": 48}),
             ("fig6", 0.8, 2.0, {"cold": 48, "hot": 48}),
             ("fig6", 1.0, 2.0, {"cold": 48, "hot": 48}),
-            ("fig6", 1.2, 2.0, {"cold": 48, "hot": 96}),
+            ("fig6", 1.2, 2.0, {"cold": 48, "hot": 72}),
             ("fig9", None, 0.0, {"cold": 10}),
-            ("fig9", None, 3.5, {"cold": 80}),
+            ("fig9", None, 3.5, {"cold": 60}),
         ],
     )
     def test_preset_endpoint_cutoffs_are_unchanged(self, preset, series_value, endpoint, expected):

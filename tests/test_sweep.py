@@ -354,9 +354,9 @@ class TestRunSweep:
         "preset, scans, cutoffs",
         [
             # the cold side does not depend on omega_qh: 2 cold + 3 x 2 hot
-            ("fig7", 8, [96, 96, 96]),
+            ("fig7", 8, [72, 72, 72]),
             # nor on alpha, and g = 0 makes every hot side (2, 2, 0): 2 + 1 + 3
-            ("fig6", 6, [48, 48, 96]),
+            ("fig6", 6, [48, 48, 72]),
         ],
     )
     def test_each_distinct_side_is_scanned_once(self, preset, scans, cutoffs, monkeypatch):
