@@ -25,7 +25,7 @@ _EXPORTS = {
         "quantum_discord", "von_neumann_entropy",
     ),
     "cycle": (
-        "CycleProtocol", "CycleReport", "CycleStates", "ReservoirSpec", "classify_regime",
+        "CycleProtocol", "CycleReport", "CycleStates", "ReservoirSpec", "carry_populations", "classify_regime",
         "coupled_coupling_protocol", "qubit_frequency_protocol", "resonator_frequency_protocol",
         "run_cycle", "thermal_populations",
     ),

@@ -138,7 +138,7 @@ def write_output(result: SweepResult, path: str | None) -> None:
 def _run_single_cycle(args: argparse.Namespace) -> int:
     config = _load_config(args)
     protocol = build_protocol(config, None, getattr(config, config.sweep.parameter))
-    cutoff = config.cutoff.resolve([[protocol.cold, protocol.hot]], config.n_levels)[0]
+    cutoff = tuple(config.cutoff.resolve([[protocol.cold], [protocol.hot]], config.n_levels))
     states, report = run_cycle(protocol, cutoff=cutoff)
     config_hash = config.config_hash()
 

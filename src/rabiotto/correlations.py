@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import CycleStates
+from .cycle import CycleStates, carry_populations
 from .hilbert import frozen_copy, is_hermitian_matrix
 from .spectral import SpectralDecomposition
 
@@ -375,10 +375,11 @@ def discord_differences(states: CycleStates) -> DiscordDifferences:
     """Discords of rho1, rho3, rho4 on DEFAULT_GRID and their pairwise differences.
 
     rho1 is the hot populations on the hot eigenvectors, rho3 the cold ones
-    on the cold eigenvectors and rho4 the cold ones on the hot eigenvectors.
+    on the cold eigenvectors and rho4 the cold ones carried onto the hot
+    eigenvectors (``carry_populations``).
     """
     return DiscordDifferences(
         rho1=quantum_discord(states.hot, states.populations_hot),
         rho3=quantum_discord(states.cold, states.populations_cold),
-        rho4=quantum_discord(states.hot, states.populations_cold),
+        rho4=quantum_discord(states.hot, carry_populations(states.populations_cold, states.hot.dim)),
     )

@@ -10,9 +10,13 @@ quantum adiabatic theorem):
     rho4 = sum_n P_n(T_c) |E_n^h><E_n^h|     after compression
 
 No time evolution is simulated: adiabatic strokes carry the population vector
-onto the other eigenbasis directly. ``CycleStates`` keeps the four states in
-this spectral form: the two eigendecompositions and the two population
-vectors. Heat and work follow from
+onto the other eigenbasis directly, level n onto level n. ``CycleStates``
+keeps the four states in this spectral form: the two eigendecompositions and
+the two population vectors. Each side is solved at its own Fock cutoff, so the
+two bases may differ in size; ``carry_populations`` carries a population
+vector onto the other basis, truncating it or padding it with zeros, and
+raises ValueError if the levels it drops hold more than CARRY_TOL (1e-12).
+Heat and work follow from
 
     Q_h = sum_n E_n^h (P_n(T_h) - P_n(T_c))
     Q_c = sum_n E_n^c (P_n(T_c) - P_n(T_h))
@@ -50,6 +54,7 @@ __all__ = [
     "CycleReport",
     "CycleStates",
     "ReservoirSpec",
+    "carry_populations",
     "classify_regime",
     "coupled_coupling_protocol",
     "qubit_frequency_protocol",
@@ -62,6 +67,7 @@ DEFAULT_N_LEVELS = 24
 DEFAULT_T_COLD = 0.019  # kelvin
 DEFAULT_T_RATIO = 9  # T_h / T_c, except in the qubit-frequency protocol
 TAIL_MASS_TOL = 1e-8
+CARRY_TOL = 1e-12  # population mass carry_populations may drop
 WORK_REGIME_TOL = 1e-12
 
 
@@ -170,14 +176,17 @@ def qubit_frequency_protocol(
 class CycleStates:
     """Both spectra and both population vectors: the four states in spectral form.
 
-    rho1 is (hot, populations_hot), rho2 (cold, populations_hot), rho3
-    (cold, populations_cold) and rho4 (hot, populations_cold).
+    rho1 is (hot, populations_hot) and rho3 (cold, populations_cold); each
+    population vector has one entry per level of its own side. rho2 is
+    (cold, populations_hot) and rho4 (hot, populations_cold), each vector
+    carried onto the other side's basis by ``carry_populations``, since the
+    two sides may be solved at different cutoffs.
     """
 
     hot: SpectralDecomposition
     cold: SpectralDecomposition
-    populations_hot: np.ndarray  # P_n(T_h), full length dim
-    populations_cold: np.ndarray  # P_n(T_c)
+    populations_hot: np.ndarray  # P_n(T_h) over the hot levels
+    populations_cold: np.ndarray  # P_n(T_c) over the cold levels
 
     def __post_init__(self):
         for name in ("populations_hot", "populations_cold"):
@@ -223,6 +232,26 @@ def thermal_populations(energies: np.ndarray, kt: float) -> np.ndarray:
     x -= x.max()  # no-op for sorted input; guards unsorted against overflow
     p = np.exp(x)
     return p / p.sum()
+
+
+def carry_populations(populations: np.ndarray, dim: int) -> np.ndarray:
+    """``populations`` by level index on a basis of ``dim`` levels: truncated, or padded with zeros.
+
+    This is how an adiabatic stroke carries level n onto level n when the two
+    sides were solved at different cutoffs. Raises ValueError if the dropped
+    levels hold more than CARRY_TOL (1e-12) of the mass, far below the 1e-10
+    trace check of ``quantum_discord``.
+    """
+    populations = np.asarray(populations, dtype=float)
+    dropped = float(populations[dim:].sum())
+    if not dropped <= CARRY_TOL:
+        raise ValueError(
+            f"carrying {len(populations)} populations onto {dim} levels drops mass {dropped:.3e}"
+            f" above {CARRY_TOL:.0e}"
+        )
+    carried = np.zeros(dim)
+    carried[: len(populations)] = populations[:dim]
+    return carried
 
 
 def classify_regime(work: float, tol: float = WORK_REGIME_TOL) -> str:
@@ -271,21 +300,23 @@ def _report_from_spectra(
 
 def run_cycle(
     protocol: CycleProtocol,
-    cutoff: int | None = None,
+    cutoff: int | tuple[int, int] | None = None,
 ) -> tuple[CycleStates, CycleReport]:
     """Solve both Hamiltonians; return the cycle states and the heat/work report.
 
-    When ``cutoff`` is omitted, the larger ``converged_cutoff`` of the two
-    sides at the default tolerance and ceiling is used. Populations are
-    normalized over the full truncated spectrum; only the heat/work sums
-    truncate at n_levels.
+    ``cutoff`` is one Fock cutoff for both sides or a (cold, hot) pair. When
+    it is omitted, each side takes its own ``converged_cutoff`` at the
+    default tolerance and ceiling (identical sides are scanned once).
+    Populations are normalized over each side's full truncated spectrum;
+    only the heat/work sums truncate at n_levels.
     """
     if cutoff is None:
-        sides = {protocol.cold, protocol.hot}  # identical sides are scanned once
-        cutoff = max(converged_cutoff(side, protocol.n_levels) for side in sides)
+        scans = {side: converged_cutoff(side, protocol.n_levels) for side in {protocol.cold, protocol.hot}}
+        cutoff = (scans[protocol.cold], scans[protocol.hot])
+    cutoff_cold, cutoff_hot = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
 
-    hot = solve_hamiltonian(protocol.hot, cutoff)
-    cold = solve_hamiltonian(protocol.cold, cutoff)
+    hot = solve_hamiltonian(protocol.hot, cutoff_hot)
+    cold = solve_hamiltonian(protocol.cold, cutoff_cold)
     p_hot = thermal_populations(hot.energies, protocol.reservoirs.kt_hot)
     p_cold = thermal_populations(cold.energies, protocol.reservoirs.kt_cold)
 

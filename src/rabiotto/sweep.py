@@ -112,9 +112,12 @@ class CutoffPolicy(_Typed):
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
         sides: the smallest cutoff on that scan's 3/2-step ladder (s, 3s/2, 2s,
         3s, ...) whose doubling moves the lowest n_levels by less than the
-        fixed CUTOFF_TOL (1e-8). Each distinct side is scanned once per call,
-        through ``mapper`` (the builtin ``map``, or an executor's). The policy
-        is checked where the SweepConfig that holds it is built.
+        fixed CUTOFF_TOL (1e-8). A group holds the sides that are solved at
+        one cutoff: sweeps and ``rabiotto cycle`` pass one group per cycle
+        side, so the cold and hot sides each get their own. Each distinct side
+        is scanned once per call, through ``mapper`` (the builtin ``map``, or
+        an executor's). The policy is checked where the SweepConfig that holds
+        it is built.
         """
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
@@ -475,28 +478,34 @@ def _point_name(config: SweepConfig, series_value: float | None, swept_value: fl
     return point
 
 
-def _series_cutoffs(config: SweepConfig, mapper=map) -> dict[float | None, int]:
-    """Fock cutoff per series value: fixed, or certified at the sweep endpoints.
+def _series_cutoffs(config: SweepConfig, mapper=map) -> dict[float | None, tuple[int, ...]]:
+    """Fock cutoff per series value and side: fixed, or certified at the sweep endpoints.
 
-    Building the endpoint protocols validates the sweep: every protocol
-    constraint is an interval in the swept parameter, and Fock support grows
-    monotonically with (g/omega)^2, so the endpoints cover the whole grid.
-    Only the sides the kind solves are certified; series values that leave a
-    side's RabiParams unchanged share its scan. The scans run through
-    ``mapper``.
+    Each series value maps to one cutoff per side the kind solves, in the
+    order of ``_KINDS``: (cold, hot), or (cold,) for a spectrum. In auto mode
+    a side's cutoff is the larger of its two endpoint scans, so the hot side,
+    at a smaller g/omega, need not take the cold side's cutoff. Building the
+    endpoint protocols validates the sweep: every protocol constraint is an
+    interval in the swept parameter, and Fock support grows monotonically
+    with (g/omega)^2, so the endpoints cover the whole grid. Series values
+    that leave a side's RabiParams unchanged share its scan. The scans run
+    through ``mapper``.
     """
     series_values = _series_values(config)
+    sides = _KINDS[config.kind][2]
     endpoints = (config.sweep.start, config.sweep.stop)
     protocols = [[build_protocol(config, sv, x) for x in endpoints] for sv in series_values]
-    groups = [[getattr(p, side) for p in group for side in _KINDS[config.kind][2]] for group in protocols]
-    return dict(zip(series_values, config.cutoff.resolve(groups, config.n_levels, mapper)))
+    groups = [[getattr(p, side) for p in group] for group in protocols for side in sides]
+    cutoffs = config.cutoff.resolve(groups, config.n_levels, mapper)
+    return {sv: tuple(cutoffs[i * len(sides):(i + 1) * len(sides)]) for i, sv in enumerate(series_values)}
 
 
-# Point functions return the rows of columns they compute and the warnings of
-# the cycle they ran; run_sweep fills the columns that the grid point itself
+# Point functions take the cutoffs of the sides their kind solves (see
+# _series_cutoffs) and return the rows of columns they compute and the warnings
+# of the cycle they ran; run_sweep fills the columns that the grid point itself
 # fixes (_point_columns).
 
-def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
+def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
     states, report = run_cycle(protocol, cutoff=cutoff)
     wn = report.work_per_level
     row = {
@@ -526,13 +535,14 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tu
     return [row], report.warnings
 
 
-def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
-    decomposition = solve_hamiltonian(protocol.cold, cutoff)
+def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
+    (cutoff_cold,) = cutoff
+    decomposition = solve_hamiltonian(protocol.cold, cutoff_cold)
     rel = relative_spectrum(decomposition, config.n_levels)
     return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))], ()
 
 
-def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
+def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
     states, report = run_cycle(protocol, cutoff=cutoff)
     return [{
         "E1_h": float(states.hot.ground_referenced()[1]),
@@ -544,7 +554,7 @@ def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> t
     }], report.warnings
 
 
-def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: int) -> tuple[list[dict], tuple]:
+def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
     _, report = run_cycle(protocol, cutoff=cutoff)
     return [{
         "W1_numeric": float(report.work_per_level[1]),
@@ -617,9 +627,14 @@ def _executor(config: SweepConfig, n_tasks: int):
     Threads otherwise, though not every LAPACK call releases the GIL:
     numpy's eigvalsh holds it (two threads looping it on a 96 x 96 matrix
     took as long as one thread running both loops, two processes half that),
-    while eigh overlapped on threads about as well as on processes. On sweeps this small a process
-    pool costs more than it saves: the fig2 benchmark sweep ran 203-216
-    points/s on two threads against 159-169 on two processes.
+    while eigh overlapped on threads about as well as on processes. So the
+    fig2 benchmark sweep (10 points, seed 1, three 30 s runs each, one cold
+    and one hot side solved per point at cutoffs 72 and 48) gains little
+    from threads over a serial loop, and a process pool costs more than it
+    saves: 389-417 points/s on two threads, 337-392 serial and 248-311 on
+    two processes. Its eigvalsh cutoff scans took 7.4-8.2 ms per request on
+    threads against 5.9-7.9 ms serial, its points 15.3-17.4 ms against
+    18.3-27.2 ms (quartiles of 37 requests each; 2 vCPUs, one BLAS thread).
     """
     workers = min(config.workers or _available_cpus(), n_tasks)
     if workers <= 1:

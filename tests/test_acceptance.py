@@ -85,7 +85,7 @@ def _discord_point(args):
 
 @pytest.fixture(scope="module")
 def fig2_sweep():
-    """The official Fig. 2 sweep: 100 points, auto-resolved cutoff, timed."""
+    """The official Fig. 2 sweep: 100 points, auto-resolved (cold, hot) cutoffs, timed."""
     cutoff = _series_cutoffs(figure_preset("fig2"))[None]
     start = time.time()
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -105,7 +105,7 @@ def coupled_sweep():
 def test_criterion_01_engine_refrigerator_transitions(fig2_sweep):
     """Fig. 2: exactly two work sign changes, near 1.2 and 2.5, under 1 minute."""
     cutoff, elapsed, reports = fig2_sweep
-    assert cutoff <= 128, f"resolved cutoff {cutoff} exceeds 128"
+    assert max(cutoff) <= 128, f"resolved (cold, hot) cutoffs {cutoff}: one exceeds 128"
     assert elapsed < 60.0, f"100-point sweep took {elapsed:.1f}s (limit 60s)"
     work = np.array([r[0] for r in reports])
     flips = np.where(np.sign(work[:-1]) * np.sign(work[1:]) < 0)[0]
@@ -281,12 +281,13 @@ def test_criterion_09_eigensolver_certification(fig2_sweep):
     sectors at theta = 0. Its residual is recomputed against the dense
     H = build_hamiltonian(...).matrix, so the scatter of the sector vectors
     into the full basis is checked too, and compared with its certificate.
+    Each side is solved at the cutoff the sweep used for it.
     """
-    cutoff, _, _ = fig2_sweep
+    (cutoff_cold, cutoff_hot), _, _ = fig2_sweep
     worst_resid, worst_orth, worst_certificate = 0.0, 0.0, 0.0
     for g in np.linspace(0.0, 3.5, 15):
         protocol = resonator_frequency_protocol(g=float(g))
-        for params in (protocol.cold, protocol.hot):
+        for params, cutoff in ((protocol.cold, cutoff_cold), (protocol.hot, cutoff_hot)):
             d = solve_hamiltonian(params, cutoff)
             h = build_hamiltonian(params, cutoff).matrix
             residual = float(np.linalg.norm(h @ d.states - d.states * d.energies, axis=0).max())

@@ -30,6 +30,7 @@ from rabiotto.correlations import (
     _half_grid,
     nelder_mead,
 )
+from rabiotto.cycle import carry_populations
 from rabiotto.sweep import _series_cutoffs, build_protocol, figure_preset
 
 from conftest import conditional_entropy, dense_state, random_density, spectral_form
@@ -87,7 +88,7 @@ def cycle_state(states, name):
     return {
         "rho1": (states.hot, states.populations_hot),
         "rho3": (states.cold, states.populations_cold),
-        "rho4": (states.hot, states.populations_cold),
+        "rho4": (states.hot, carry_populations(states.populations_cold, states.hot.dim)),
     }[name]
 
 

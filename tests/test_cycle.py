@@ -15,19 +15,19 @@ from rabiotto import (
     thermal_energy,
     thermal_populations,
 )
-from rabiotto.cycle import CycleProtocol, CycleReport, CycleStates, _report_from_spectra
-from rabiotto.spectral import SpectralDecomposition
+from rabiotto.cycle import CARRY_TOL, CycleProtocol, CycleReport, CycleStates, _report_from_spectra, carry_populations
+from rabiotto.spectral import SpectralDecomposition, converged_cutoff
 
 from conftest import default_reservoirs, dense_state
 
 
 def all_states(states):
-    """The dense rho1, rho2, rho3 and rho4 of a cycle."""
+    """The dense rho1, rho2, rho3 and rho4 of a cycle; rho2 and rho4 carry their populations."""
     return (
         dense_state(states.hot, states.populations_hot),
-        dense_state(states.cold, states.populations_hot),
+        dense_state(states.cold, carry_populations(states.populations_hot, states.cold.dim)),
         dense_state(states.cold, states.populations_cold),
-        dense_state(states.hot, states.populations_cold),
+        dense_state(states.hot, carry_populations(states.populations_cold, states.hot.dim)),
     )
 
 
@@ -169,6 +169,29 @@ class TestRunCycle:
         assert states.hot.cutoff_used >= 6
         assert abs(report.work - (report.q_hot + report.q_cold)) < 1e-12
 
+    def test_auto_cutoff_is_each_sides_own(self):
+        # at g = 3.5 the hot side, at half the cold side's g/omega, certifies below it
+        protocol = resonator_frequency_protocol(g=3.5)
+        states, report = run_cycle(protocol)
+        assert states.hot.cutoff_used == converged_cutoff(protocol.hot, protocol.n_levels) == 48
+        assert states.cold.cutoff_used == converged_cutoff(protocol.cold, protocol.n_levels) == 72
+        assert len(states.populations_hot) == 96 and len(states.populations_cold) == 144
+        assert report.regime == "engine" and not report.warnings
+
+    def test_one_cutoff_or_a_cold_hot_pair(self):
+        protocol = resonator_frequency_protocol(g=1.0)
+        shared, shared_report = run_cycle(protocol, cutoff=np.int64(32))
+        split, split_report = run_cycle(protocol, cutoff=(32, 24))
+        assert (shared.cold.cutoff_used, shared.hot.cutoff_used) == (32, 32)
+        assert (split.cold.cutoff_used, split.hot.cutoff_used) == (32, 24)
+        assert abs(split_report.work - shared_report.work) < 1e-13
+        # rho2 and rho4 carry their populations onto the other side's basis
+        for rho in all_states(split):
+            assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
+        with pytest.raises(ValueError, match="n_max must be an integer >= 2"):
+            run_cycle(protocol, cutoff=(32, 8.5))
+
     def test_proportional_hamiltonian_efficiency(self):
         # alpha = 1 makes H_h = R H_c exactly, so eta = 1 - 1/R at any g
         for g in (0.3, 1.0, 1.7):
@@ -184,6 +207,21 @@ class TestRunCycle:
         _, report = run_cycle(protocol, cutoff=24)
         assert report.tail_mass_hot > 1e-8
         assert any("tail population" in w for w in report.warnings)
+
+
+class TestCarryPopulations:
+    def test_truncates_and_pads_with_zeros(self):
+        p = np.array([0.5, 0.25, 0.25, 0.0, 0.0])
+        np.testing.assert_array_equal(carry_populations(p, 3), [0.5, 0.25, 0.25])
+        np.testing.assert_array_equal(carry_populations(p, 7), [0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(carry_populations(p, 5), p)
+
+    def test_raises_above_its_bound(self):
+        carry_populations(np.array([1.0 - CARRY_TOL, CARRY_TOL]), 1)  # at the bound: carried
+        with pytest.raises(ValueError, match=r"drops mass 2\.000e-12 above 1e-12"):
+            carry_populations(np.array([1.0 - 2e-12, 0.0, 2e-12]), 2)
+        with pytest.raises(ValueError, match="drops mass nan"):
+            carry_populations(np.array([1.0, math.nan]), 1)
 
 
 class TestWorkPerLevel:

@@ -18,6 +18,7 @@ from rabiotto.sweep import (
     SeriesSpec,
     SweepAxis,
     SweepConfig,
+    _series_cutoffs,
     build_protocol,
     render_csv,
     render_json,
@@ -353,10 +354,11 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "preset, scans, cutoffs",
         [
-            # the cold side does not depend on omega_qh: 2 cold + 3 x 2 hot
-            ("fig7", 8, [72, 72, 72]),
+            # the cold side does not depend on omega_qh: 2 cold + 3 x 2 hot;
+            # each side gets its own (cold, hot) cutoff
+            ("fig7", 8, [(72, 72), (72, 72), (72, 72)]),
             # nor on alpha, and g = 0 makes every hot side (2, 2, 0): 2 + 1 + 3
-            ("fig6", 6, [48, 48, 72]),
+            ("fig6", 6, [(48, 48), (48, 48), (48, 72)]),
         ],
     )
     def test_each_distinct_side_is_scanned_once(self, preset, scans, cutoffs, monkeypatch):
@@ -383,6 +385,34 @@ class TestRunSweep:
         assert len(scanned) == len(set(scanned)) == scans
         assert used == [c for c in cutoffs for _ in range(2)]
         assert all(row[result.columns.index("error")] == "" for row in result.rows)
+
+    def test_each_side_is_solved_at_its_own_cutoff(self, monkeypatch):
+        # fig2's hot side, at half the cold side's g/omega, certifies at 48
+        # where the cold side needs 72
+        import rabiotto.cycle
+
+        solved = []
+        solve_hamiltonian = rabiotto.cycle.solve_hamiltonian
+
+        def recording_solve(params, n_max):
+            solved.append((params, n_max))
+            return solve_hamiltonian(params, n_max)
+
+        monkeypatch.setattr(rabiotto.cycle, "solve_hamiltonian", recording_solve)
+        config = figure_preset("fig2")
+        config = dataclasses.replace(
+            config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
+        )
+        result = run_sweep(config)
+        assert all(row[result.columns.index("error")] == "" for row in result.rows)
+        protocols = [build_protocol(config, None, x) for x in (config.sweep.start, config.sweep.stop)]
+        assert solved == [solve for p in protocols for solve in ((p.hot, 48), (p.cold, 72))]
+
+    def test_proportional_fig6_series_shares_one_cutoff(self):
+        # criterion 3's exact eta = 1 - 1/R rests on H_h = 2 H_c at alpha = 1,
+        # which holds only when both sides are solved at one cutoff
+        cold, hot = _series_cutoffs(figure_preset("fig6"))[1.0]
+        assert cold == hot == 48
 
     def test_spectrum_scans_only_cold_sides(self, monkeypatch):
         import rabiotto.sweep
