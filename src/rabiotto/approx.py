@@ -26,13 +26,21 @@ from .units import DEFAULT_OMEGA_REF, thermal_energy
 __all__ = ["approx_levels", "approx_w1", "laguerre", "positive_work_bound"]
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def laguerre(n: int, x: float) -> float:
     """Laguerre polynomial L_n(x) by the stable three-term recurrence.
 
-    An integer-valued float order such as 2.0 is taken as that integer.
+    An integer-valued float order such as 2.0 is taken as that integer; a
+    non-finite x raises ValueError.
     """
     if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"order must be a nonnegative integer, got {n}")
+    _check_finite(x=x)
     n = int(n)
     if n == 0:
         return 1.0
@@ -48,9 +56,11 @@ def approx_levels(omega: float, big_omega: float, g: float, n: int) -> tuple[flo
     For n = 0 these are the approximate ground and first-excited energies
     E_G = -g^2/omega - (Omega/2) e^{-2g^2/omega^2} and E_1 with the opposite
     sign on the exponential term. The oscillator term is -omega*n, as printed.
+    Every argument must be finite.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
+    _check_finite(big_omega=big_omega, g=g)
     if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
@@ -71,10 +81,12 @@ def approx_w1(
     """Two-level approximation of the first-excited-state work contribution.
 
     Temperatures are in kelvin; the result is in units of hbar * omega_ref,
-    like the numeric cycle output it approximates.
+    like the numeric cycle output it approximates. Every argument must be
+    finite.
     """
-    if ratio <= 1.0:
-        raise ValueError(f"ratio R = omega_h/omega_c must be > 1, got {ratio}")
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"ratio R = omega_h/omega_c must be finite and > 1, got {ratio}")
+    _check_finite(omega_c=omega_c, g=g)
     kt_c = thermal_energy(t_cold, omega_ref)
     kt_h = thermal_energy(t_hot, omega_ref)
     b_h = 0.5 * ratio * omega_c * math.exp(-2.0 * g**2 / (ratio * omega_c) ** 2)
@@ -83,9 +95,13 @@ def approx_w1(
 
 
 def positive_work_bound(ratio: float, temp_ratio: float) -> float:
-    """Critical g/omega below which the two-level approximation gives W > 0."""
-    if ratio <= 1.0:
-        raise ValueError(f"ratio R must be > 1, got {ratio}")
+    """Critical g/omega below which the two-level approximation gives W > 0.
+
+    Both ratios must be finite.
+    """
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"ratio R must be finite and > 1, got {ratio}")
+    _check_finite(temp_ratio=temp_ratio)
     if temp_ratio <= ratio:
         raise ValueError(
             f"requires T_h/T_c > R (got T_h/T_c = {temp_ratio}, R = {ratio}): "

@@ -16,7 +16,9 @@ parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
 Where H conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0)
 it builds and solves the two tridiagonal parity sectors of
 ``hamiltonian.parity_sectors``, each half the dimension; otherwise it builds
-and solves the whole matrix. It is the package's one certified solve. Every
+and solves the whole matrix. One assembly serves both: each block's
+energies and vectors fill their own columns of one decomposition, which a
+stable sort then orders. It is the package's one certified solve. Every
 matrix and vector here is float64: the one LAPACK path is ``symmetric_eigh``.
 """
 
@@ -91,52 +93,6 @@ def symmetric_eigh(matrix: np.ndarray, vectors: bool = True) -> tuple[np.ndarray
 hermitian_eigh = symmetric_eigh  # bench/tracing.py wraps this name
 
 
-def _certified(pairs: list[tuple[np.ndarray, np.ndarray]], cutoff_used: int | None) -> SpectralDecomposition:
-    """Decomposition of the matrix whose every entry lies in one of the (indices, block) pairs.
-
-    Each block is solved by one ``symmetric_eigh`` call and must pass both
-    gates. A single pair is the whole matrix in its own order, so LAPACK's
-    ascending energies and their vectors are the decomposition as they come.
-    Otherwise each block's vectors are scattered once into their energy-sorted
-    columns of the full basis, zero off the block; energies merge by a stable
-    sort, so a tie between blocks lists the earlier block's level first.
-    """
-    solved = []
-    residual = ortho_err = 0.0
-    for indices, block in pairs:
-        w, v = symmetric_eigh(block)
-        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
-        if not block_residual <= RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-            )
-        block_ortho = float(np.max(np.abs(v.T @ v - np.eye(v.shape[1]))))
-        if not block_ortho <= ORTHONORMALITY_TOL:
-            raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
-        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
-        solved.append((indices, w, v))
-    if len(solved) == 1:
-        _, energies, states = solved[0]
-    else:
-        energies = np.concatenate([w for _, w, _ in solved])
-        order = np.argsort(energies, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(len(order))
-        states = np.zeros((len(energies), len(energies)))
-        start = 0
-        for indices, w, v in solved:
-            states[np.ix_(indices, column[start:start + len(w)])] = v
-            start += len(w)
-        energies = energies[order]
-    return SpectralDecomposition(
-        energies=energies,
-        states=states,
-        cutoff_used=cutoff_used,
-        residual_norm=residual,
-        orthonormality_error=ortho_err,
-    )
-
-
 def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(indices, block) pairs holding every entry of H(params) at cutoff n_max.
 
@@ -152,16 +108,40 @@ def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray
 def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
     """Certified decomposition of H(params) at Fock cutoff n_max, float64 states.
 
-    Where g sin(theta) == 0 the two parity sectors are solved apart: each
-    vector lies in one sector, exactly zero off it, and a tie between sectors
-    lists the +1 sector's level first. Inside an exactly degenerate cluster
-    the basis is the one LAPACK returns. A LAPACK failure raises
-    numpy.linalg.LinAlgError; a failed or NaN residual (RESIDUAL_TOL, 1e-9)
-    or orthonormality (ORTHONORMALITY_TOL, 1e-10) gate raises
-    ConvergenceError; a cutoff that is not an integer >= 2 raises ValueError.
+    Each (indices, block) pair of ``_hamiltonian_blocks`` is solved by one
+    ``symmetric_eigh`` call and must pass both gates on its own: a residual
+    (RESIDUAL_TOL, 1e-9) and an orthonormality (ORTHONORMALITY_TOL, 1e-10)
+    gate, whose failure, NaN included, raises ConvergenceError. Its energies
+    are written after the earlier blocks' and its vectors into its rows of
+    those columns, zero elsewhere; one stable sort then orders the columns.
+    So where g sin(theta) == 0 each vector lies in one parity sector, exactly
+    zero off it, and a tie between sectors lists the +1 sector's level first;
+    a matrix solved whole is LAPACK's ascending output bit for bit. Inside an
+    exactly degenerate cluster the basis is the one LAPACK returns. A LAPACK
+    failure raises numpy.linalg.LinAlgError; a cutoff that is not an integer
+    >= 2 raises ValueError.
     """
     n_max = check_cutoff(n_max)
-    return _certified(_hamiltonian_blocks(params, n_max), n_max)
+    energies, states = np.empty(2 * n_max), np.zeros((2 * n_max, 2 * n_max))
+    residual = ortho_err = 0.0
+    start = 0
+    for indices, block in _hamiltonian_blocks(params, n_max):
+        w, v = symmetric_eigh(block)
+        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
+        if not block_residual <= RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
+        block_ortho = float(np.max(np.abs(v.T @ v - np.eye(v.shape[1]))))
+        if not block_ortho <= ORTHONORMALITY_TOL:
+            raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
+        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
+        energies[start:start + len(w)] = w
+        states[indices, start:start + len(w)] = v
+        start += len(w)
+    order = np.argsort(energies, kind="stable")
+    states = states[:, order]  # frees the unsorted array before the decomposition copies this one
+    return SpectralDecomposition(energies[order], states, n_max, residual, ortho_err)
 
 
 def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np.ndarray:
@@ -207,8 +187,8 @@ def converged_cutoff(
     of every rung is on the ladder too, so each eigenvalues-only solve is kept
     for the scan and serves two tests, as the 2n solve of one and the n solve
     of a later one. Raises ConvergenceError if the ceiling (default 512) is
-    passed, and ValueError for a ceiling below the scan start; ``tol``
-    defaults to 1e-8.
+    passed, and ValueError for a ceiling below the scan start or a ``tol``
+    that is not finite and > 0; ``tol`` defaults to 1e-8.
 
     A scan that fails solves up to twice the ceiling. With one BLAS thread at
     theta = 0.3 and g = 40, the default ceiling's last solve is cutoff 1024
@@ -216,8 +196,8 @@ def converged_cutoff(
     of 95 MiB; at n_levels 24 it is cutoff 768, 0.6 s and 67 MiB (2 vCPUs,
     OpenBLAS).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     start = scan_start(n_levels)

@@ -25,11 +25,11 @@ def thermal_energy(temperature_k: float, omega_ref: float = DEFAULT_OMEGA_REF) -
 
     Parameters
     ----------
-    temperature_k : temperature in kelvin (> 0).
-    omega_ref : reference angular frequency in rad/s.
+    temperature_k : temperature in kelvin (finite, > 0).
+    omega_ref : reference angular frequency in rad/s (finite, > 0).
     """
-    if temperature_k <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature_k}")
-    if omega_ref <= 0.0:
-        raise ValueError(f"omega_ref must be positive, got {omega_ref}")
+    if not 0.0 < temperature_k < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {temperature_k}")
+    if not 0.0 < omega_ref < math.inf:
+        raise ValueError(f"omega_ref must be finite and positive, got {omega_ref}")
     return K_BOLTZMANN * temperature_k / (HBAR * omega_ref)

@@ -168,3 +168,30 @@ class TestPositiveWorkBound:
         assert w_a > 0.0 and w_b > 0.0
         kt = thermal_energy(0.019)
         assert kt > 0.0
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (thermal_energy, (NAN,)),
+        (thermal_energy, (INF,)),
+        (thermal_energy, (0.019, INF)),
+        (positive_work_bound, (2.0, INF)),
+        (positive_work_bound, (NAN, 9.0)),
+        (positive_work_bound, (2.0, NAN)),
+        (approx_w1, (1.0, 2.0, 0.019, NAN, 1.0)),
+        (approx_w1, (1.0, NAN, 0.019, 0.171, 1.0)),
+        (approx_w1, (1.0, 2.0, 0.019, 0.171, INF)),
+        (approx_levels, (NAN, 1.0, 1.0, 0)),
+        (approx_levels, (1.0, 1.0, INF, 1)),
+        (laguerre, (2, NAN)),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else ",".join(map(str, value)),
+)
+def test_non_finite_input_raises(function, args):
+    # each of these returned nan, inf or 0.0 without a word
+    with pytest.raises(ValueError, match="finite"):
+        function(*args)

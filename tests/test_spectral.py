@@ -359,6 +359,13 @@ class TestConvergedCutoff:
         with pytest.raises(ValueError):
             converged_cutoff(RabiParams.resonant(1.0), n_levels=4, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        # nan would climb the whole ladder to raise ConvergenceError, and inf
+        # would certify the scan start without testing it
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            converged_cutoff(RabiParams.resonant(1.0), n_levels=4, tol=tol)
+
 
 @pytest.fixture
 def solver_calls(monkeypatch):
