@@ -53,7 +53,7 @@ COMMAND_OVERRIDES = {
     "cycle": {"kind": "cycle"},
     "spectrum": {"kind": "spectrum"},
     "approx": {"kind": "approx"},
-    "discord": {"discord": {"enabled": True}},
+    "discord": {"discord": True},
 }
 
 

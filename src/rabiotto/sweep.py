@@ -104,7 +104,6 @@ class _Typed:
 class CutoffPolicy(_Typed):
     mode: str = "auto"  # "auto" | "fixed"
     n_max: int | None = None
-    ceiling: int = CUTOFF_CEILING
 
     def resolve(self, groups: list[list[RabiParams]], n_levels: int, mapper=map) -> list[int]:
         """Fock cutoff per group of Hamiltonian sides: n_max, or the largest certified.
@@ -112,17 +111,17 @@ class CutoffPolicy(_Typed):
         In auto mode a group's cutoff is the largest ``converged_cutoff`` of its
         sides: the smallest cutoff on that scan's 3/2-step ladder (s, 3s/2, 2s,
         3s, ...) whose doubling moves the lowest n_levels by less than the
-        fixed CUTOFF_TOL (1e-8). A group holds the sides that are solved at
-        one cutoff: sweeps and ``rabiotto cycle`` pass one group per cycle
-        side, so the cold and hot sides each get their own. Each distinct side
-        is scanned once per call, through ``mapper`` (the builtin ``map``, or
-        an executor's). The policy is checked where the SweepConfig that holds
-        it is built.
+        fixed CUTOFF_TOL (1e-8), scanned up to the fixed CUTOFF_CEILING (512).
+        A group holds the sides that are solved at one cutoff: sweeps and
+        ``rabiotto cycle`` pass one group per cycle side, so the cold and hot
+        sides each get their own. Each distinct side is scanned once per call,
+        through ``mapper`` (the builtin ``map``, or an executor's). The policy
+        is checked where the SweepConfig that holds it is built.
         """
         if self.mode == "fixed":
             return [self.n_max] * len(groups)
         sides = list(dict.fromkeys(side for group in groups for side in group))
-        scan = functools.partial(converged_cutoff, n_levels=n_levels, ceiling=self.ceiling)
+        scan = functools.partial(converged_cutoff, n_levels=n_levels)
         cutoffs = dict(zip(sides, mapper(scan, sides)))
         return [max(cutoffs[side] for side in group) for group in groups]
 
@@ -139,11 +138,6 @@ class SweepAxis(_Typed):
 class SeriesSpec(_Typed):
     parameter: str = "theta"
     values: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class DiscordOptions(_Typed):
-    enabled: bool = False
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ class SweepConfig(_Typed):
     cutoff: CutoffPolicy = field(default_factory=CutoffPolicy)
     sweep: SweepAxis = field(default_factory=SweepAxis)
     series: SeriesSpec | None = None
-    discord: DiscordOptions = field(default_factory=DiscordOptions)
+    discord: bool = False
     workers: int = 0
     out_path: str | None = None
     out_format: str = "csv"
@@ -210,13 +204,15 @@ class SweepConfig(_Typed):
             raise ConfigError(f"omega_ref: must be > 0, got {self.omega_ref}")
         if self.n_levels < 1:
             raise ConfigError(f"n_levels: must be >= 1, got {self.n_levels}")
-        if self.discord.enabled and self.kind != "cycle":
-            raise ConfigError(f"discord.enabled: only cycle sweeps compute discord, got kind {self.kind}")
+        if self.discord and self.kind != "cycle":
+            raise ConfigError(f"discord: only cycle sweeps compute discord, got kind {self.kind}")
         cutoff = self.cutoff
         if cutoff.mode not in ("auto", "fixed"):
             raise ConfigError(f"cutoff.mode: must be 'auto' or 'fixed', got {cutoff.mode!r}")
         if cutoff.mode == "fixed" and (cutoff.n_max is None or cutoff.n_max < 2):
             raise ConfigError("cutoff.n_max: fixed cutoff requires n_max >= 2")
+        if cutoff.mode == "auto" and cutoff.n_max is not None:
+            raise ConfigError(f"cutoff.n_max: only fixed mode reads n_max, got {cutoff.n_max}")
         if self.kind == "spectrum" and cutoff.mode == "fixed" and 2 * cutoff.n_max < self.n_levels:
             # a spectrum row lists n_levels levels, more than a basis of 2 n_max holds
             raise ConfigError(
@@ -224,9 +220,10 @@ class SweepConfig(_Typed):
                 f" got n_max {cutoff.n_max}"
             )
         # in auto mode the ceiling must reach the scan start, or no cutoff can certify
-        start = scan_start(self.n_levels)
-        if cutoff.mode == "auto" and cutoff.ceiling < start:
-            raise ConfigError(f"cutoff.ceiling: must be >= the scan start {start}, got {cutoff.ceiling}")
+        if cutoff.mode == "auto" and scan_start(self.n_levels) > CUTOFF_CEILING:
+            raise ConfigError(
+                f"n_levels: auto cutoffs certify at most {CUTOFF_CEILING} levels, got {self.n_levels}"
+            )
         if self.kind != "spectrum" and self.n_levels < 2:
             # every other kind runs the cycle, whose heat and work over the ground
             # level alone are zero; levels and approx rows report level 1
@@ -394,7 +391,7 @@ _PRESETS: dict[str, dict] = {
     # first-excited energies and populations against the thermal energies
     "fig3": {"kind": "levels", "sweep": {"n_points": 141}},
     # discord differences D(rho4)-D(rho1), D(rho3)-D(rho1) per mixing angle
-    "fig4": {**_THETA_SERIES, "discord": {"enabled": True}},
+    "fig4": {**_THETA_SERIES, "discord": True},
     "fig5": _THETA_SERIES,
     # efficiency under the coupled-coupling protocol per alpha
     "fig6": {
@@ -403,7 +400,7 @@ _PRESETS: dict[str, dict] = {
         "sweep": {"parameter": "g_over_omega_c", "start": 0.0, "stop": 2.0, "n_points": 50},
     },
     "fig7": _QUBIT_FREQUENCY,
-    "fig8": {**_QUBIT_FREQUENCY, "discord": {"enabled": True}},
+    "fig8": {**_QUBIT_FREQUENCY, "discord": True},
     # energy spectrum of the quantum Rabi model relative to the ground state
     "fig9": {"kind": "spectrum", "n_levels": 10, "sweep": {"n_points": 71}},
     # numeric W_1 against the two-level approximation and its sign bound
@@ -518,7 +515,7 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> 
         **{f"W_{n}": float(wn[n]) if n < len(wn) else None for n in (1, 2, 3)},
         "tail_mass_hot": report.tail_mass_hot,
     }
-    if config.discord.enabled:
+    if config.discord:
         diffs = discord_differences(states)
         row.update(
             {
@@ -566,7 +563,7 @@ def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) ->
 
 
 # kind -> (columns, point function, protocol sides it solves); the discord
-# columns show only when enabled
+# columns show only when discord is on
 _KINDS = {
     "cycle": (
         ["g_over_omega_c", "theta", "alpha", "omega_qh", "variant", "W", "Q_h", "Q_c", "eta",
@@ -590,7 +587,7 @@ def _point_task(args: tuple) -> tuple[list[dict], tuple, str | None]:
 
 
 def _columns_for(config: SweepConfig) -> list[str]:
-    columns = [c for c in _KINDS[config.kind][0] if config.discord.enabled or c not in DISCORD_COLUMNS]
+    columns = [c for c in _KINDS[config.kind][0] if config.discord or c not in DISCORD_COLUMNS]
     series = [f"series_{config.series.parameter}"] if config.series is not None else []
     return series + columns + ["error", "config_hash"]
 
@@ -639,7 +636,7 @@ def _executor(config: SweepConfig, n_tasks: int):
     workers = min(config.workers or _available_cpus(), n_tasks)
     if workers <= 1:
         return contextlib.nullcontext()
-    pool = ProcessPoolExecutor if config.discord.enabled else ThreadPoolExecutor
+    pool = ProcessPoolExecutor if config.discord else ThreadPoolExecutor
     return pool(max_workers=workers)
 
 

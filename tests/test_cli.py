@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rabiotto import figure_preset, parse_config
+from rabiotto import figure_preset, parse_config, spectral
 from rabiotto.cli import _load_config, build_parser, main
 
 
@@ -27,9 +28,9 @@ FAST_CONFIG = {
 
 
 PRESET_HASHES = {
-    "fig2": "2a315136955f", "fig3": "aea7c6013df2", "fig4": "590631994535",
-    "fig5": "bc223f00b4ef", "fig6": "4baa3eb0e649", "fig7": "ae161fdb40f8",
-    "fig8": "1ab29e0bd524", "fig9": "1ac81ba169a1", "fig10": "a0de9f5f9a09",
+    "fig2": "9db5b1bf61a8", "fig3": "692e703d9e44", "fig4": "25eb3fa81fa3",
+    "fig5": "19452d2dfddd", "fig6": "fb641e11ce00", "fig7": "b08677a1aabe",
+    "fig8": "b1645b4b7d50", "fig9": "e17d38089b5d", "fig10": "a838b78eb3bb",
 }
 
 
@@ -65,17 +66,22 @@ class TestPresetCommand:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("cutoff", "tol", 1e-6), ("discord", "refine", False), ("discord", "n_theta", 16), ("discord", "n_phi", 32)],
+        [("cutoff", "tol", 1e-6), ("discord", "refine", False), ("discord", "n_theta", 16), ("discord", "n_phi", 32),
+         ("cutoff", "ceiling", 512)],
     )
     def test_removed_certificate_keys_are_config_errors(self, section, key, value, tmp_path, capsys):
-        # the cutoff tolerance, the discord refinement and the discord grid are
-        # fixed; a document saved by an older `rabiotto preset` that still sets
-        # them is rejected
+        # the cutoff tolerance and ceiling, the discord refinement and the
+        # discord grid are fixed, and discord is a boolean; a document saved by
+        # an older `rabiotto preset` that still sets them is rejected
         path = tmp_path / "old.json"
         path.write_text(json.dumps({**FAST_CONFIG, section: {key: value}}), encoding="utf-8")
         code, out, err = run_cli(["sweep", "--config", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == f"rabiotto: config error: {section}.{key}: unknown configuration key\n"
+        if section == "discord":
+            message = f"discord: expected a boolean, got {({key: value})!r}"
+        else:
+            message = f"{section}.{key}: unknown configuration key"
+        assert err == f"rabiotto: config error: {message}\n"
 
     def test_round_trips_through_config_flag(self, tmp_path, capsys):
         cfg = tmp_path / "fig9.json"
@@ -225,22 +231,40 @@ class TestSweepCommand:
         assert "g must be >= 0" in err
 
     def test_ceiling_below_scan_start_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RABIOTTO_CUTOFF__CEILING", "4")
+        # the scan would start at 600, above the ceiling 512, and certify nothing
+        monkeypatch.setenv("RABIOTTO_N_LEVELS", "600")
         monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
         code, out, err = run_cli(["sweep"], capsys)
         assert code == 2
         assert out == ""
-        assert "cutoff.ceiling: must be >= the scan start 24, got 4" in err
+        assert err == "rabiotto: config error: n_levels: auto cutoffs certify at most 512 levels, got 600\n"
 
     @pytest.mark.parametrize("command", [["sweep"], ["discord", "--preset", "fig4"]])
     def test_cutoff_scan_failure_is_the_same_for_any_worker_count(self, command, capsys, monkeypatch):
         # the endpoint scans run on the sweep's executor: threads for sweep,
-        # processes for discord; a scan that fails there fails the run as it does serially
-        monkeypatch.setenv("RABIOTTO_CUTOFF__CEILING", "24")
+        # processes for discord; a scan that fails there fails the run as it does serially.
+        # The partial pickles, so the process pool runs it too
+        monkeypatch.setattr(
+            "rabiotto.sweep.converged_cutoff", functools.partial(spectral.converged_cutoff, ceiling=24)
+        )
         monkeypatch.setenv("RABIOTTO_SWEEP__N_POINTS", "2")
         message = "rabiotto: numerical failure: cutoff ceiling 24 reached without 24-level convergence to 1.0e-08\n"
         for workers in ("1", "2"):
             assert run_cli([*command, "--workers", workers], capsys) == (3, "", message)
+
+    def test_every_point_failing_is_numerical_failure(self, fast_config_path, capsys, monkeypatch):
+        # each failed point leaves its row with an error cell; when no point
+        # computed anything the run exits 3, after printing the table
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("rabiotto.sweep.run_cycle", fail)
+        code, out, err = run_cli(["sweep", "--config", fast_config_path, "--workers", "1"], capsys)
+        assert code == 3
+        assert err == "rabiotto: every sweep point failed\n"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == FAST_CONFIG["sweep"]["n_points"]
+        assert all(row["error"] == "LinAlgError: Eigenvalues did not converge" for row in rows)
 
     def test_single_level_cycle_is_config_error(self, capsys, monkeypatch):
         # W and Q over the ground level alone are zero at every point
@@ -365,7 +389,7 @@ class TestDiscordCommand:
     def test_discord_forced_on(self, tmp_path, capsys):
         cfg = dict(FAST_CONFIG)
         cfg["sweep"] = {"start": 0.5, "stop": 1.0, "n_points": 2}
-        cfg["discord"] = {"enabled": False}
+        cfg["discord"] = False
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         code, out, _ = run_cli(["discord", "--config", str(path)], capsys)
@@ -380,7 +404,7 @@ class TestDiscordCommand:
         code, out, err = run_cli(["discord", "--preset", name, "--workers", "1"], capsys)
         assert code == 2
         assert out == ""
-        assert f"discord.enabled: only cycle sweeps compute discord, got kind {kind}" in err
+        assert f"discord: only cycle sweeps compute discord, got kind {kind}" in err
 
 
 @pytest.mark.parametrize(

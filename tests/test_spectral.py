@@ -465,7 +465,7 @@ class TestParitySectors:
         config = figure_preset(preset)
         protocol = build_protocol(config, series_value, endpoint)
         found = {
-            side: converged_cutoff(getattr(protocol, side), config.n_levels, ceiling=config.cutoff.ceiling)
+            side: converged_cutoff(getattr(protocol, side), config.n_levels)
             for side in expected
         }
         assert found == expected

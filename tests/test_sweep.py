@@ -14,7 +14,6 @@ import pytest
 from rabiotto import ConfigError, figure_preset, parse_config, run_sweep
 from rabiotto.sweep import (
     CutoffPolicy,
-    DiscordOptions,
     SeriesSpec,
     SweepAxis,
     SweepConfig,
@@ -47,7 +46,7 @@ class TestParseConfig:
         assert (config.sweep.start, config.sweep.stop) == (0.0, 3.5)
         assert config.sweep.parameter == "g_over_omega_c"
         assert config.sweep.n_points == 100
-        assert not config.discord.enabled
+        assert not config.discord
 
     def test_empty_text_is_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -56,11 +55,11 @@ class TestParseConfig:
     def test_overrides_apply_after_the_environment(self):
         doc = json.dumps({"workers": 1, "sweep": {"stop": 1.0}})
         environ = {
-            "RABIOTTO_WORKERS": "3", "RABIOTTO_DISCORD__ENABLED": "false", "RABIOTTO_SWEEP__N_POINTS": "5",
+            "RABIOTTO_WORKERS": "3", "RABIOTTO_DISCORD": "false", "RABIOTTO_SWEEP__N_POINTS": "5",
         }
-        overrides = {"workers": 2, "discord": {"enabled": True}, "sweep": {"start": 0.5}}
+        overrides = {"workers": 2, "discord": True, "sweep": {"start": 0.5}}
         config = parse_config(doc, environ=environ, overrides=overrides)
-        assert (config.workers, config.discord.enabled) == (2, True)
+        assert (config.workers, config.discord) == (2, True)
         # the nested override keeps the document's and the environment's sibling keys
         assert (config.sweep.start, config.sweep.stop, config.sweep.n_points) == (0.5, 1.0, 5)
 
@@ -135,12 +134,12 @@ class TestParseConfig:
             parse_config(json.dumps({"kind": "approx", **extra}), environ={})
 
     def test_rejects_ceiling_below_scan_start(self):
-        # auto mode scans from max(n_levels, 8); fixed mode never reads the ceiling
-        with pytest.raises(ConfigError, match="cutoff.ceiling: must be >= the scan start 24, got 4"):
-            parse_config(json.dumps({"cutoff": {"ceiling": 4}}), environ={})
-        with pytest.raises(ConfigError, match="cutoff.ceiling: must be >= the scan start 8, got -1"):
-            parse_config(json.dumps({"n_levels": 4, "cutoff": {"ceiling": -1}}), environ={})
-        parse_config(json.dumps({"cutoff": {"mode": "fixed", "n_max": 12, "ceiling": 4}}), environ={})
+        # auto mode scans from max(n_levels, 8) up to the fixed ceiling 512;
+        # fixed mode never reads the ceiling
+        with pytest.raises(ConfigError, match="^n_levels: auto cutoffs certify at most 512 levels, got 600$"):
+            parse_config(json.dumps({"n_levels": 600}), environ={})
+        parse_config(json.dumps({"n_levels": 512}), environ={})
+        parse_config(json.dumps({"n_levels": 600, "cutoff": {"mode": "fixed", "n_max": 12}}), environ={})
 
     @pytest.mark.parametrize(
         "cutoff, message",
@@ -148,8 +147,10 @@ class TestParseConfig:
             ({"mode": "per-point"}, "cutoff.mode: must be 'auto' or 'fixed', got 'per-point'"),
             ({"mode": "fixed"}, "cutoff.n_max: fixed cutoff requires n_max >= 2"),
             ({"mode": "fixed", "n_max": 1}, "cutoff.n_max: fixed cutoff requires n_max >= 2"),
+            # an n_max in auto mode would be ignored: the scans pick the cutoffs
+            ({"n_max": 8}, "cutoff.n_max: only fixed mode reads n_max, got 8"),
         ],
-        ids=["mode", "no-n_max", "n_max=1"],
+        ids=["mode", "no-n_max", "n_max=1", "n_max-in-auto-mode"],
     )
     def test_rejects_bad_cutoff_policy(self, cutoff, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -173,13 +174,13 @@ class TestParseConfig:
         env = {
             "RABIOTTO_N_LEVELS": "12",
             "RABIOTTO_SWEEP__N_POINTS": "7",
-            "RABIOTTO_DISCORD__ENABLED": "true",
+            "RABIOTTO_DISCORD": "true",
             "RABIOTTO_VARIANT": "coupled-coupling",
         }
         config = parse_config("{}", environ=env)
         assert config.n_levels == 12
         assert config.sweep.n_points == 7
-        assert config.discord.enabled
+        assert config.discord
         assert config.variant == "coupled-coupling"
 
     def test_misspelled_env_variable_is_config_error(self):
@@ -194,6 +195,16 @@ class TestParseConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{nope", environ={})
+
+    @pytest.mark.parametrize("text", ["[]", "null"])
+    def test_rejects_a_document_that_is_not_an_object(self, text):
+        with pytest.raises(ConfigError, match="^config document must be a JSON object$"):
+            parse_config(text, environ={})
+
+    @pytest.mark.parametrize("key", ["cutoff", "series"])
+    def test_rejects_a_section_that_is_not_an_object(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: expected an object$"):
+            parse_config(json.dumps({key: [1.0]}), environ={})
 
 
 class TestBuiltConfigsAreChecked:
@@ -225,19 +236,43 @@ class TestBuiltConfigsAreChecked:
             ),
             (
                 # only cycle points compute discord
-                {"kind": "spectrum", "discord": DiscordOptions(enabled=True)},
-                {"kind": "spectrum", "discord": {"enabled": True}},
-                "discord.enabled: only cycle sweeps compute discord, got kind spectrum",
+                {"kind": "spectrum", "discord": True},
+                {"kind": "spectrum", "discord": True},
+                "discord: only cycle sweeps compute discord, got kind spectrum",
             ),
+            (
+                {"out_format": "xml"},
+                {"out_format": "xml"},
+                "out_format: must be one of ('csv', 'json'), got 'xml'",
+            ),
+            (
+                {"sweep": SweepAxis("omega_c", 0.5, 1.5, 3)},
+                {"sweep": {"parameter": "omega_c", "start": 0.5, "stop": 1.5, "n_points": 3}},
+                "sweep.parameter: must be one of ('g_over_omega_c', 'theta', 'alpha', 'omega_qh'), got 'omega_c'",
+            ),
+            (
+                {"series": SeriesSpec("g_over_omega_c", (1.0,))},
+                {"series": {"parameter": "g_over_omega_c", "values": [1.0]}},
+                "series.parameter: must differ from sweep.parameter",
+            ),
+            (
+                {"series": SeriesSpec("theta", ())},
+                {"series": {"parameter": "theta", "values": []}},
+                "series.values: must not be empty",
+            ),
+            ({"omega_ref": 0.0}, {"omega_ref": 0.0}, "omega_ref: must be > 0, got 0.0"),
+            ({"n_levels": 0}, {"n_levels": 0}, "n_levels: must be >= 1, got 0"),
+            ({"workers": -1}, {"workers": -1}, "workers: must be >= 0, got -1"),
         ],
         ids=["misspelled-variant", "alpha-axis", "approx-variant", "spectrum-theta-axis", "unknown-kind",
-             "discord-on-spectrum"],
+             "discord-on-spectrum", "out-format", "unknown-axis", "series-on-the-swept-axis", "empty-series",
+             "omega-ref", "no-levels", "negative-workers"],
     )
     def test_invalid_config_fails_when_built(self, fields, document, message):
-        base = {"cutoff": CutoffPolicy("fixed", 16), "workers": 1}
+        built = {"cutoff": CutoffPolicy("fixed", 16), "workers": 1, **fields}
         for build in (
-            lambda: SweepConfig(**base, **fields),
-            lambda: dataclasses.replace(figure_preset("fig2"), **base, **fields),
+            lambda: SweepConfig(**built),
+            lambda: dataclasses.replace(figure_preset("fig2"), **built),
             lambda: parse_config(json.dumps(document), environ={}),
         ):
             with pytest.raises(ConfigError) as raised:
@@ -252,7 +287,7 @@ class TestBuiltConfigsAreChecked:
             (SweepConfig, None, "n_levels", 2.5, "an integer"),
             (SweepConfig, None, "omega_c", math.inf, "a finite number"),
             (SweepAxis, "sweep", "n_points", 2.5, "an integer"),
-            (DiscordOptions, "discord", "enabled", 1, "a boolean"),
+            (SweepConfig, None, "discord", 1, "a boolean"),
             (SweepAxis, "sweep", "start", "zero", "a number"),
             (SeriesSpec, "series", "values", "pi", "a list"),
         ],
@@ -277,8 +312,8 @@ class TestBuiltConfigsAreChecked:
     def test_replace_reaches_the_cutoff_policy(self):
         with pytest.raises(ConfigError, match=r"^cutoff.n_max: fixed cutoff requires n_max >= 2$"):
             dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy("fixed"))
-        with pytest.raises(ConfigError, match=r"^cutoff.ceiling: must be >= the scan start 24, got 4$"):
-            dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy(ceiling=4))
+        with pytest.raises(ConfigError, match=r"^cutoff.n_max: only fixed mode reads n_max, got 8$"):
+            dataclasses.replace(figure_preset("fig2"), cutoff=CutoffPolicy(n_max=8))
 
     def test_benchmark_warm_up_config_builds(self):
         # the benchmark harness runs this config before timing anything
@@ -494,7 +529,7 @@ class TestRunSweep:
         for extra in (
             {},
             # the discord grid and its Nelder-Mead refinement, on processes
-            {"discord": {"enabled": True}},
+            {"discord": True},
             {"kind": "spectrum", "n_levels": 5},
             {"kind": "levels"},
             {"kind": "approx"},
@@ -536,7 +571,7 @@ class TestRunSweep:
     def test_executor_kind(self, kind, discord, pool):
         import rabiotto.sweep
 
-        overrides = {"kind": kind, "workers": 2, "discord": {"enabled": discord}}
+        overrides = {"kind": kind, "workers": 2, "discord": discord}
         config = parse_config(FAST, environ={}, overrides=overrides)
         with rabiotto.sweep._executor(config, 3) as executor:
             assert type(executor) is pool
@@ -667,7 +702,7 @@ class TestRunSweep:
                 {
                     "sweep": {"start": 0.5, "stop": 1.0, "n_points": 2},
                     "cutoff": {"mode": "fixed", "n_max": 10},
-                    "discord": {"enabled": True},
+                    "discord": True,
                     "workers": 1,
                 }
             ),
