@@ -27,13 +27,13 @@ _EXPORTS = {
     "cycle": (
         "CycleProtocol", "CycleReport", "CycleStates", "ReservoirSpec", "carry_populations", "classify_regime",
         "coupled_coupling_protocol", "qubit_frequency_protocol", "resonator_frequency_protocol",
-        "run_cycle", "thermal_populations",
+        "run_cycle", "run_cycles", "thermal_populations",
     ),
     "hamiltonian": ("RabiParams", "build_hamiltonian", "conserves_parity", "parity_sectors"),
     "hilbert": ("OperatorMatrix",),
     "spectral": (
         "ConvergenceError", "SpectralDecomposition", "converged_cutoff",
-        "relative_spectrum", "solve_hamiltonian", "symmetric_eigh",
+        "relative_spectrum", "solve_hamiltonian", "solve_hamiltonians", "symmetric_eigh",
     ),
     "sweep": ("ConfigError", "SweepConfig", "figure_preset", "parse_config", "run_sweep", "write_output"),
     "units": ("DEFAULT_OMEGA_REF", "thermal_energy"),

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,6 +68,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="reference angular frequency in rad/s")
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rabiotto",

@@ -39,13 +39,14 @@ changes).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .hilbert import frozen_copy
-from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonian
+from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonians
 from .units import DEFAULT_OMEGA_REF, thermal_energy
 eigendecompose = None  # never called: bench/tracing.py TARGETS sets this name until ROADMAP item 13
 
@@ -60,6 +61,7 @@ __all__ = [
     "qubit_frequency_protocol",
     "resonator_frequency_protocol",
     "run_cycle",
+    "run_cycles",
     "thermal_populations",
 ]
 
@@ -313,15 +315,26 @@ def run_cycle(
     if cutoff is None:
         scans = {side: converged_cutoff(side, protocol.n_levels) for side in {protocol.cold, protocol.hot}}
         cutoff = (scans[protocol.cold], scans[protocol.hot])
+    return run_cycles([protocol], cutoff)[0]
+
+
+def run_cycles(
+    protocols: Sequence[CycleProtocol], cutoff: int | tuple[int, int]
+) -> list[tuple[CycleStates, CycleReport]]:
+    """``run_cycle`` of each protocol at one shared cutoff, or (cold, hot) pair, in order.
+
+    The hot sides are solved in one ``solve_hamiltonians`` call and the cold
+    sides in another, so each result equals ``run_cycle(protocol, cutoff)``
+    bit for bit. A failure of either solve raises for the whole call.
+    """
     cutoff_cold, cutoff_hot = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
-
-    hot = solve_hamiltonian(protocol.hot, cutoff_hot)
-    cold = solve_hamiltonian(protocol.cold, cutoff_cold)
-    p_hot = thermal_populations(hot.energies, protocol.reservoirs.kt_hot)
-    p_cold = thermal_populations(cold.energies, protocol.reservoirs.kt_cold)
-
-    states = CycleStates(hot=hot, cold=cold, populations_hot=p_hot, populations_cold=p_cold)
-    report = _report_from_spectra(
-        hot.energies, cold.energies, p_hot, p_cold, protocol.n_levels
-    )
-    return states, report
+    hots = solve_hamiltonians([p.hot for p in protocols], cutoff_hot)
+    colds = solve_hamiltonians([p.cold for p in protocols], cutoff_cold)
+    results = []
+    for protocol, hot, cold in zip(protocols, hots, colds):
+        p_hot = thermal_populations(hot.energies, protocol.reservoirs.kt_hot)
+        p_cold = thermal_populations(cold.energies, protocol.reservoirs.kt_cold)
+        states = CycleStates(hot=hot, cold=cold, populations_hot=p_hot, populations_cold=p_cold)
+        report = _report_from_spectra(hot.energies, cold.energies, p_hot, p_cold, protocol.n_levels)
+        results.append((states, report))
+    return results

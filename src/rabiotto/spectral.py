@@ -11,20 +11,29 @@ rung's eigenvalues-only solve is done once per scan and serves as the 2n
 solve of one test and the n solve of a later one. A ceiling below the scan
 start can certify nothing and is rejected up front.
 
-``solve_hamiltonian`` is the solve of a Rabi Hamiltonian given by its
-parameters, used by the cycle, the spectrum sweeps and the cutoff scans.
-Where H conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0)
-it builds and solves the two tridiagonal parity sectors of
-``hamiltonian.parity_sectors``, each half the dimension; otherwise it builds
-and solves the whole matrix. One assembly serves both: each block's
-energies and vectors fill their own columns of one decomposition, which a
-stable sort then orders. It is the package's one certified solve. Every
-matrix and vector here is float64: the one LAPACK path is ``symmetric_eigh``.
+``solve_hamiltonians`` is the package's one certified solve: it solves many
+Rabi Hamiltonians, given by their parameters, at one cutoff. Where H
+conserves parity (g sin(theta) == 0: every theta = 0 point, and g = 0) it
+builds the two tridiagonal parity sectors of ``hamiltonian.parity_sectors``,
+each half the dimension; otherwise it builds the whole matrix. The blocks of
+every side are stacked by shape, and each stack goes to LAPACK in one
+``symmetric_eigh`` call: all n x n sectors in one, all 2n x 2n matrices in
+another. numpy runs LAPACK on each member of a stack as on the matrix alone,
+and releases the GIL for the whole stack, so a sweep's threads overlap
+their stacked calls. Both gates' values come from batched matmuls over the
+stack, and each block must pass them before it is written into its side's
+decomposition. One assembly serves every side: each block's energies and
+vectors fill their own columns of one decomposition, which a stable sort
+then orders. ``solve_hamiltonian`` is the
+one-side case. The cutoff scans solve eigenvalues only, block by block.
+Every matrix and vector here is float64: the one LAPACK path is
+``symmetric_eigh``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,7 @@ __all__ = [
     "converged_cutoff",
     "relative_spectrum",
     "solve_hamiltonian",
+    "solve_hamiltonians",
     "symmetric_eigh",
 ]
 
@@ -105,43 +115,85 @@ def _hamiltonian_blocks(params: RabiParams, n_max: int) -> list[tuple[np.ndarray
     return [(np.arange(h.shape[0]), h)]
 
 
-def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
-    """Certified decomposition of H(params) at Fock cutoff n_max, float64 states.
+def solve_hamiltonians(params: Sequence[RabiParams], n_max: int) -> list[SpectralDecomposition]:
+    """Certified decompositions of H(p) for each p in ``params``, all at Fock cutoff n_max.
 
-    Each (indices, block) pair of ``_hamiltonian_blocks`` is solved by one
-    ``symmetric_eigh`` call and must pass both gates on its own: a residual
-    (RESIDUAL_TOL, 1e-9) and an orthonormality (ORTHONORMALITY_TOL, 1e-10)
-    gate, whose failure, NaN included, raises ConvergenceError. Its energies
-    are written after the earlier blocks' and its vectors into its rows of
-    those columns, zero elsewhere; one stable sort then orders the columns.
-    So where g sin(theta) == 0 each vector lies in one parity sector, exactly
-    zero off it, and a tie between sectors lists the +1 sector's level first;
-    a matrix solved whole is LAPACK's ascending output bit for bit. Inside an
-    exactly degenerate cluster the basis is the one LAPACK returns. A LAPACK
-    failure raises numpy.linalg.LinAlgError; a cutoff that is not an integer
-    >= 2 raises ValueError.
+    The (indices, block) pairs of ``_hamiltonian_blocks`` of every side are
+    grouped by block shape, and each shape's blocks are solved by one
+    ``symmetric_eigh`` call over their stack: the n_max x n_max parity sectors
+    of every parity-conserving side in one call, the whole matrices of the
+    other sides in another. Each block must pass both gates on its own, a
+    residual (RESIDUAL_TOL, 1e-9) and an orthonormality (ORTHONORMALITY_TOL,
+    1e-10) gate taken from batched matmuls over the stack; a failure, NaN
+    included, raises ConvergenceError for the first failing block in the
+    order of ``params``. Each side is then assembled alone: a block's
+    energies are written after the side's earlier blocks' and its vectors
+    into its rows of those columns, zero elsewhere, and one stable sort
+    orders the columns. LAPACK solves each member of a stack as it solves
+    the matrix alone, so every decomposition equals ``solve_hamiltonian(p,
+    n_max)`` bit for bit. A LAPACK failure anywhere in a stack raises
+    numpy.linalg.LinAlgError; a cutoff that is not an integer >= 2 raises
+    ValueError.
     """
     n_max = check_cutoff(n_max)
+    indices: list[list[np.ndarray]] = []  # each side's blocks' composite-basis indices
+    stacks: dict[int, tuple[list, list]] = {}  # block size -> (side, position) and block, per block
+    for i, p in enumerate(params):
+        indices.append([])
+        for j, (block_indices, block) in enumerate(_hamiltonian_blocks(p, n_max)):
+            members, blocks = stacks.setdefault(block.shape[0], ([], []))
+            members.append((i, j))
+            blocks.append(block)
+            indices[i].append(block_indices)
+    solutions: list[list] = [[None] * len(side) for side in indices]
+    while stacks:  # popped, so that each stack's blocks are freed once it is solved
+        size, (members, blocks) = stacks.popitem()
+        stack = np.stack(blocks)
+        del blocks
+        w, v = symmetric_eigh(stack)
+        product = stack @ v
+        product -= np.multiply(v, w[:, None, :], out=stack)  # the stack's buffer now holds V diag(w)
+        residual = np.sqrt(np.square(product, out=product).sum(axis=1)).max(axis=1)
+        product = np.matmul(np.swapaxes(v, 1, 2), v, out=product)
+        product -= np.eye(size)
+        ortho_err = np.abs(product, out=product).max(axis=(1, 2))
+        del stack, product
+        for (i, j), *solution in zip(members, w, v, residual, ortho_err):
+            solutions[i][j] = solution
+    return [_assemble(side, solved, n_max) for side, solved in zip(indices, solutions)]
+
+
+def _assemble(indices: list[np.ndarray], solutions: list, n_max: int) -> SpectralDecomposition:
+    """One side's decomposition from its blocks' indices and (energies, vectors, residual,
+    orthonormality error), each block gated before it is written."""
     energies, states = np.empty(2 * n_max), np.zeros((2 * n_max, 2 * n_max))
     residual = ortho_err = 0.0
     start = 0
-    for indices, block in _hamiltonian_blocks(params, n_max):
-        w, v = symmetric_eigh(block)
-        block_residual = float(np.linalg.norm(block @ v - v * w, axis=0).max())
+    for block_indices, (w, v, block_residual, block_ortho) in zip(indices, solutions):
         if not block_residual <= RESIDUAL_TOL:
             raise ConvergenceError(
                 f"eigendecomposition residual {block_residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-        block_ortho = float(np.max(np.abs(v.T @ v - np.eye(v.shape[1]))))
         if not block_ortho <= ORTHONORMALITY_TOL:
             raise ConvergenceError(f"eigenvector orthonormality error {block_ortho:.3e}")
-        residual, ortho_err = max(residual, block_residual), max(ortho_err, block_ortho)
+        residual, ortho_err = max(residual, float(block_residual)), max(ortho_err, float(block_ortho))
         energies[start:start + len(w)] = w
-        states[indices, start:start + len(w)] = v
+        states[block_indices, start:start + len(w)] = v
         start += len(w)
     order = np.argsort(energies, kind="stable")
     states = states[:, order]  # frees the unsorted array before the decomposition copies this one
     return SpectralDecomposition(energies[order], states, n_max, residual, ortho_err)
+
+
+def solve_hamiltonian(params: RabiParams, n_max: int) -> SpectralDecomposition:
+    """Certified decomposition of H(params) at Fock cutoff n_max: ``solve_hamiltonians`` of one side.
+
+    Where g sin(theta) == 0 each vector lies in one parity sector, exactly
+    zero off it, and a tie between sectors lists the +1 sector's level
+    first; a matrix solved whole is LAPACK's ascending output bit for bit.
+    Inside an exactly degenerate cluster the basis is the one LAPACK returns.
+    """
+    return solve_hamiltonians([params], n_max)[0]
 
 
 def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np.ndarray:

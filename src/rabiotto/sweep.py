@@ -55,11 +55,12 @@ from .cycle import (
     coupled_coupling_protocol,
     qubit_frequency_protocol,
     resonator_frequency_protocol,
-    run_cycle,
+    run_cycle,  # noqa: F401  (bench/tracing.py wraps this name)
+    run_cycles,
 )
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .spectral import (
-    CUTOFF_CEILING, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonian,
+    CUTOFF_CEILING, SpectralDecomposition, converged_cutoff, relative_spectrum, scan_start, solve_hamiltonians,
 )
 from .units import DEFAULT_OMEGA_REF
 eigendecompose = None  # never called: bench/tracing.py TARGETS sets this name until ROADMAP item 13
@@ -75,6 +76,10 @@ __all__ = [
 ]
 
 ENV_PREFIX = "RABIOTTO_"
+# bytes of dense eigenvectors that the points of one stacked solve may hold: the full
+# fig2 preset on two threads peaked at 40.7 MiB RSS with 2**20 and at 44 MiB with
+# 2**21, against 38.4 MiB when each point was solved alone
+STACK_BYTES = 2**20
 
 VARIANTS = ("resonator-frequency", "coupled-coupling", "qubit-frequency")
 SWEEPABLE = ("g_over_omega_c", "theta", "alpha", "omega_qh")
@@ -497,13 +502,14 @@ def _series_cutoffs(config: SweepConfig, mapper=map) -> dict[float | None, tuple
     return {sv: tuple(cutoffs[i * len(sides):(i + 1) * len(sides)]) for i, sv in enumerate(series_values)}
 
 
-# Point functions take the cutoffs of the sides their kind solves (see
-# _series_cutoffs) and return the rows of columns they compute and the warnings
-# of the cycle they ran; run_sweep fills the columns that the grid point itself
-# fixes (_point_columns).
+# A chunk of one series' grid points is solved together at the series'
+# cutoffs (see _series_cutoffs) by _solve; point functions take one point's
+# share of that solve and return the rows of columns they compute and the
+# warnings of the cycle they ran; run_sweep fills the columns that the grid
+# point itself fixes (_point_columns).
 
-def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
-    states, report = run_cycle(protocol, cutoff=cutoff)
+def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cycle: tuple) -> tuple[list[dict], tuple]:
+    states, report = cycle
     wn = report.work_per_level
     row = {
         "W": report.work,
@@ -532,15 +538,15 @@ def _cycle_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> 
     return [row], report.warnings
 
 
-def _spectrum_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
-    (cutoff_cold,) = cutoff
-    decomposition = solve_hamiltonian(protocol.cold, cutoff_cold)
+def _spectrum_rows(
+    config: SweepConfig, protocol: CycleProtocol, decomposition: SpectralDecomposition
+) -> tuple[list[dict], tuple]:
     rel = relative_spectrum(decomposition, config.n_levels)
     return [{"level_index": k, "energy_relative": float(rel[k])} for k in range(len(rel))], ()
 
 
-def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
-    states, report = run_cycle(protocol, cutoff=cutoff)
+def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cycle: tuple) -> tuple[list[dict], tuple]:
+    states, report = cycle
     return [{
         "E1_h": float(states.hot.ground_referenced()[1]),
         "E1_c": float(states.cold.ground_referenced()[1]),
@@ -551,8 +557,8 @@ def _levels_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) ->
     }], report.warnings
 
 
-def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cutoff: tuple) -> tuple[list[dict], tuple]:
-    _, report = run_cycle(protocol, cutoff=cutoff)
+def _approx_rows(config: SweepConfig, protocol: CycleProtocol, cycle: tuple) -> tuple[list[dict], tuple]:
+    _, report = cycle
     return [{
         "W1_numeric": float(report.work_per_level[1]),
         "W1_approx": approx_w1(
@@ -577,13 +583,54 @@ _KINDS = {
 }
 
 
-def _point_task(args: tuple) -> tuple[list[dict], tuple, str | None]:
-    config, series_value, swept_value, cutoff = args
+def _solve(config: SweepConfig, protocols: list[CycleProtocol], cutoff: tuple) -> list:
+    """Each point's share of one stacked solve: its cold side's decomposition for a spectrum, else its cycle."""
+    if config.kind == "spectrum":
+        return solve_hamiltonians([p.cold for p in protocols], *cutoff)
+    return run_cycles(protocols, cutoff)
+
+
+def _failure(exc: Exception) -> tuple[list[dict], tuple, str]:
+    return [], (), f"{type(exc).__name__}: {exc}"
+
+
+def _solved_together(
+    config: SweepConfig, series_value: float | None, swept_values: list[float], cutoff: tuple
+) -> list[tuple[list[dict], tuple, str | None]]:
+    """Outcomes of points solved in one ``_solve``; if it raises, of each point solved alone."""
     try:
-        protocol = build_protocol(config, series_value, swept_value)
-        return *_KINDS[config.kind][1](config, protocol, cutoff), None
+        protocols = [build_protocol(config, series_value, x) for x in swept_values]
+        solved = _solve(config, protocols, cutoff)
     except Exception as exc:  # per-point failure: recorded, sweep continues
-        return [], (), f"{type(exc).__name__}: {exc}"
+        if len(swept_values) == 1:
+            return [_failure(exc)]
+        return [
+            outcome for x in swept_values for outcome in _solved_together(config, series_value, [x], cutoff)
+        ]
+    outcomes = []
+    for protocol, share in zip(protocols, solved):
+        try:
+            outcomes.append((*_KINDS[config.kind][1](config, protocol, share), None))
+        except Exception as exc:  # per-point failure: recorded, sweep continues
+            outcomes.append(_failure(exc))
+    return outcomes
+
+
+def _chunk_task(args: tuple) -> list[tuple[list[dict], tuple, str | None]]:
+    """(rows, warnings, error) of each point of a contiguous chunk of one series' grid.
+
+    The chunk's points are solved together, in runs of at most STACK_BYTES of
+    dense eigenvectors, so that a run's stacked solve and the states it holds
+    stay bounded however many points a chunk has.
+    """
+    config, series_value, swept_values, cutoff = args
+    point_bytes = sum(8 * (2 * n) ** 2 for n in cutoff)
+    runs = min(len(swept_values), -(-len(swept_values) * point_bytes // STACK_BYTES))  # ceiling division
+    return [
+        outcome
+        for run in np.array_split(np.array(swept_values), runs)
+        for outcome in _solved_together(config, series_value, run.tolist(), cutoff)
+    ]
 
 
 def _columns_for(config: SweepConfig) -> list[str]:
@@ -612,6 +659,11 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_count(config: SweepConfig, n_points: int) -> int:
+    """Workers the sweep uses, and so chunks per series: --workers (0: all CPUs), at most n_points."""
+    return min(config.workers or _available_cpus(), n_points)
+
+
 def _executor(config: SweepConfig, n_tasks: int):
     """The sweep's one executor, or a null context when it runs serially.
 
@@ -621,19 +673,23 @@ def _executor(config: SweepConfig, n_tasks: int):
     points/s on two processes against 45.1-48.9 on two threads, with
     39.2-39.3 against 49.3-49.6 MiB peak RSS (2 vCPUs, one BLAS thread),
     measured after the refinement's objective moved to Python floats.
-    Threads otherwise, though not every LAPACK call releases the GIL:
-    numpy's eigvalsh holds it (two threads looping it on a 96 x 96 matrix
-    took as long as one thread running both loops, two processes half that),
-    while eigh overlapped on threads about as well as on processes. So the
-    fig2 benchmark sweep (10 points, seed 1, three 30 s runs each, one cold
-    and one hot side solved per point at cutoffs 72 and 48) gains little
-    from threads over a serial loop, and a process pool costs more than it
-    saves: 389-417 points/s on two threads, 337-392 serial and 248-311 on
-    two processes. Its eigvalsh cutoff scans took 7.4-8.2 ms per request on
-    threads against 5.9-7.9 ms serial, its points 15.3-17.4 ms against
-    18.3-27.2 ms (quartiles of 37 requests each; 2 vCPUs, one BLAS thread).
+    Threads otherwise. A task is a contiguous chunk of one series' grid
+    points, ``_worker_count`` chunks per series, and each chunk's sides are
+    solved by stacked ``symmetric_eigh`` calls, which release the GIL for
+    their whole stack: a fig2-work request (10 points) is two tasks of five
+    points, and their stacked solves overlap on two threads. Solved one
+    point at a time, with GIL-held Python between each point's four small
+    eigh calls, they overlapped less: the points of fig2-work requests took
+    22.6-22.9 ms serially and 17.3-18.2 ms on two threads, against
+    20.4-20.7 ms and 15.2-15.3 ms stacked by chunk (seed 7, medians of 300
+    requests in two rounds; 2 vCPUs, one BLAS thread). numpy's eigvalsh
+    holds the GIL outright (a pure-Python loop took 0.164 s alone, 0.339 s
+    beside an eigvalsh loop and 0.168 s beside an eigh loop; numpy 2.4.6),
+    so under threads the endpoint cutoff scans run in the calling thread,
+    before the chunks: 7.1 ms per fig2-work request there, against
+    7.8-8.1 ms on the pool.
     """
-    workers = min(config.workers or _available_cpus(), n_tasks)
+    workers = _worker_count(config, n_tasks)
     if workers <= 1:
         return contextlib.nullcontext()
     pool = ProcessPoolExecutor if config.discord else ThreadPoolExecutor
@@ -643,19 +699,26 @@ def _executor(config: SweepConfig, n_tasks: int):
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute a sweep; rows ordered by (series, swept value), failures and warnings recorded.
 
-    The endpoint cutoff scans and the points run on the same executor.
+    Each series' grid is cut into ``_worker_count`` contiguous chunks, as
+    even as they go (sizes differ by at most one point), and each chunk is
+    one task (``_chunk_task``). The endpoint cutoff scans run on a process
+    pool when the points do, and in the calling thread otherwise.
     """
     grid = np.linspace(config.sweep.start, config.sweep.stop, config.sweep.n_points)
-    points = [(sv, float(gv)) for sv in _series_values(config) for gv in grid]
-    with _executor(config, len(points)) as pool:
+    chunks = np.array_split(grid, _worker_count(config, len(grid)))
+    tasks = [(sv, chunk.tolist()) for sv in _series_values(config) for chunk in chunks]
+    with _executor(config, len(tasks)) as pool:
         mapper = map if pool is None else pool.map  # both keep input order
-        cutoffs = _series_cutoffs(config, mapper)
-        outcomes = list(mapper(_point_task, [(config, sv, gv, cutoffs[sv]) for sv, gv in points]))
+        # scans on threads would contend for the GIL that numpy's eigvalsh holds
+        cutoffs = _series_cutoffs(config, mapper if config.discord else map)
+        chunk_outcomes = mapper(_chunk_task, [(config, sv, xs, cutoffs[sv]) for sv, xs in tasks])
+        outcomes = [outcome for chunk in chunk_outcomes for outcome in chunk]
 
     columns = _columns_for(config)
     config_hash = config.config_hash()
     rows: list[tuple] = []
     warnings: list[str] = []
+    points = [(sv, gv) for sv, xs in tasks for gv in xs]
     for (point_rows, point_warnings, error), (sv, gv) in zip(outcomes, points):
         fixed = _point_columns(config, sv, gv)
         fixed.update(error=error or "", config_hash=config_hash)

@@ -9,7 +9,9 @@ It reads bench/tracing.py and changes nothing there.
 Two kinds of target are placeholders until the tracer's spans move onto the
 paths that run (ROADMAP item 13): ``eigendecompose`` in ``cycle`` and
 ``sweep`` is None, since the solve it named is gone, and
-``spectral.hermitian_eigh`` is an alias of ``symmetric_eigh``.
+``spectral.hermitian_eigh`` is an alias of ``symmetric_eigh``. Sweeps solve
+their points through ``cycle.run_cycles``; ``sweep.run_cycle`` stays
+importable only for its target, which reads 0 calls on sweeps.
 ``build_hamiltonian`` still returns an ``OperatorMatrix``, because the tracer
 counts the bytes of its ``.matrix`` on every build.
 """

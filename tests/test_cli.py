@@ -258,7 +258,7 @@ class TestSweepCommand:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr("rabiotto.sweep.run_cycle", fail)
+        monkeypatch.setattr("rabiotto.sweep.run_cycles", fail)
         code, out, err = run_cli(["sweep", "--config", fast_config_path, "--workers", "1"], capsys)
         assert code == 3
         assert err == "rabiotto: every sweep point failed\n"
@@ -383,6 +383,41 @@ class TestCycleCommand:
         code, _, err = run_cli(["cycle", "--config", fast_config_path], capsys)
         assert code == 3
         assert "numerical failure: Eigenvalues did not converge" in err
+
+
+class TestParserReuse:
+    """``main`` parses every call with one cached parser."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_keep_their_own_values(self, fast_config_path, tmp_path, capsys, monkeypatch):
+        import rabiotto.cli
+
+        seen = []
+        run_sweep = rabiotto.cli.run_sweep
+
+        def recording(config):
+            seen.append((config.kind, config.workers, config.out_format))
+            return run_sweep(config)
+
+        monkeypatch.setattr(rabiotto.cli, "run_sweep", recording)
+        per_level = tmp_path / "levels.csv"
+        code, out, _ = run_cli(["sweep", "--config", fast_config_path, "--workers", "2", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["config"]["workers"] == 2
+        code, out, _ = run_cli(["cycle", "--config", fast_config_path, "--per-level", str(per_level)], capsys)
+        assert code == 0 and per_level.exists()
+        per_level.unlink()
+        code, out, _ = run_cli(["spectrum", "--config", fast_config_path], capsys)
+        assert code == 0 and out.startswith("g_over_omega,level_index,")
+        code, out, _ = run_cli(["cycle", "--config", fast_config_path], capsys)
+        assert code == 0 and out.startswith("g_over_omega_c,") and not per_level.exists()
+        code, out, _ = run_cli(["preset", "fig5"], capsys)
+        assert code == 0 and json.loads(out)["series"]["parameter"] == "theta"
+        code, out, _ = run_cli(["sweep", "--config", fast_config_path], capsys)
+        assert code == 0 and out.startswith("g_over_omega_c,")
+        # the document's workers (1) and the default format come back after --workers 2 --format json
+        assert seen == [("cycle", 2, "json"), ("spectrum", 1, "csv"), ("cycle", 1, "csv")]
 
 
 class TestDiscordCommand:

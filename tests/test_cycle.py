@@ -12,6 +12,7 @@ from rabiotto import (
     qubit_frequency_protocol,
     resonator_frequency_protocol,
     run_cycle,
+    run_cycles,
     thermal_energy,
     thermal_populations,
 )
@@ -207,6 +208,30 @@ class TestRunCycle:
         _, report = run_cycle(protocol, cutoff=24)
         assert report.tail_mass_hot > 1e-8
         assert any("tail population" in w for w in report.warnings)
+
+
+class TestRunCycles:
+    @pytest.mark.parametrize("cutoff", [24, (32, 24)])
+    def test_each_cycle_is_run_cycle_bit_for_bit(self, cutoff):
+        # theta = 0 sides in parity sectors, theta != 0 sides whole, g = 0 at
+        # theta != 0 in sectors again, all in one call
+        protocols = [
+            resonator_frequency_protocol(g=g, theta=theta) for theta in (0.0, 0.4) for g in (0.0, 0.9, 2.5)
+        ]
+        for protocol, (states, report) in zip(protocols, run_cycles(protocols, cutoff)):
+            alone_states, alone_report = run_cycle(protocol, cutoff=cutoff)
+            for side in ("hot", "cold"):
+                ours, theirs = getattr(states, side), getattr(alone_states, side)
+                assert ours.cutoff_used == theirs.cutoff_used
+                assert ours.energies.tobytes() == theirs.energies.tobytes()
+                assert ours.states.tobytes() == theirs.states.tobytes()
+            assert states.populations_hot.tobytes() == alone_states.populations_hot.tobytes()
+            assert states.populations_cold.tobytes() == alone_states.populations_cold.tobytes()
+            assert (report.work, report.q_hot, report.q_cold, report.regime, report.warnings) == (
+                alone_report.work, alone_report.q_hot, alone_report.q_cold, alone_report.regime,
+                alone_report.warnings,
+            )
+            assert report.work_per_level.tobytes() == alone_report.work_per_level.tobytes()
 
 
 class TestCarryPopulations:

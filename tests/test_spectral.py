@@ -13,9 +13,10 @@ from rabiotto import (
     converged_cutoff,
     relative_spectrum,
     solve_hamiltonian,
+    solve_hamiltonians,
 )
 from rabiotto.hamiltonian import conserves_parity
-from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL, symmetric_eigh
+from rabiotto.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL, _hamiltonian_blocks, symmetric_eigh
 from rabiotto.sweep import build_protocol, figure_preset
 
 from conftest import parity_diagonal, spectral_form
@@ -185,14 +186,15 @@ def changed_eigenpairs(nan=False, residual=0.0, stretch=0.0):
     original = spectral.symmetric_eigh
 
     def changed(matrix, vectors=True):
+        # a stack of matrices has each member changed alike
         w, v = original(matrix, vectors)
         if nan:
             return np.full_like(w, np.nan), np.full_like(v, np.nan)
-        s = residual / (w[1] - w[0])
-        c = math.sqrt(1.0 - s * s)
+        s = (residual / (w[..., 1] - w[..., 0]))[..., None]
+        c = np.sqrt(1.0 - s * s)
         v = v.copy()
-        v[:, 0], v[:, 1] = c * v[:, 0] + s * v[:, 1], c * v[:, 1] - s * v[:, 0]
-        v[:, 0] *= 1.0 + stretch
+        v[..., 0], v[..., 1] = c * v[..., 0] + s * v[..., 1], c * v[..., 1] - s * v[..., 0]
+        v[..., 0] *= 1.0 + stretch
         return w, v
 
     return changed
@@ -369,12 +371,17 @@ class TestConvergedCutoff:
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Calls of the solver and of the two Hamiltonian builders in rabiotto.spectral."""
-    calls = {"eigh": 0, "build": 0, "sectors": 0}
+    """Calls of the solver and of the two Hamiltonian builders in rabiotto.spectral.
+
+    ``blocks`` counts the matrices the solver was given, a stack's members each.
+    """
+    calls = {"eigh": 0, "blocks": 0, "build": 0, "sectors": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "eigh":
+                calls["blocks"] += args[0].shape[0] if args[0].ndim == 3 else 1
             return original(*args, **kwargs)
         return wrapper
 
@@ -407,13 +414,14 @@ class TestParitySectors:
         assert abs(full - d.residual_norm) < 1e-12
 
     # the split rule is g sin(theta) == 0; cos(pi/2) = 6.1e-17 does not enter
-    # it, and theta > 0 with g > 0 is solved whole
+    # it, and theta > 0 with g > 0 is solved whole; both sectors go to the
+    # solver in one stacked call
     @pytest.mark.parametrize("theta, solves", [(0.0, 2), (math.pi / 8, 1), (math.pi / 2, 1)])
     def test_one_solve_per_sector(self, theta, solves, solver_calls):
         params = RabiParams.resonant(1.0, g=0.7, theta=theta)
         assert conserves_parity(params) is (solves == 2)
         d = solve_hamiltonian(params, 24)
-        assert solver_calls["eigh"] == solves
+        assert (solver_calls["eigh"], solver_calls["blocks"]) == (1, solves)
         assert (solver_calls["sectors"], solver_calls["build"]) == ((1, 0) if solves == 2 else (0, 1))
         assert d.residual_norm < RESIDUAL_TOL
 
@@ -422,7 +430,8 @@ class TestParitySectors:
         params = RabiParams.resonant(1.0, g=0.0, theta=theta)
         assert conserves_parity(params)
         d = solve_hamiltonian(params, 24)
-        assert (solver_calls["eigh"], solver_calls["sectors"], solver_calls["build"]) == (2, 1, 0)
+        assert (solver_calls["eigh"], solver_calls["blocks"]) == (1, 2)
+        assert (solver_calls["sectors"], solver_calls["build"]) == (1, 0)
         np.testing.assert_array_equal(relative_spectrum(d, 4), [0.0, 1.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("theta, per_scan", [(0.0, 2), (math.pi / 8, 1)])
@@ -469,3 +478,71 @@ class TestParitySectors:
             for side in expected
         }
         assert found == expected
+
+
+def one_block_at_a_time(params, n):
+    """The solve as it was before blocks were stacked: one LAPACK call and one gate per block."""
+    energies, states = np.empty(2 * n), np.zeros((2 * n, 2 * n))
+    residual = ortho_err = 0.0
+    start = 0
+    for indices, block in _hamiltonian_blocks(params, n):
+        w, v = np.linalg.eigh(block)
+        residual = max(residual, float(np.linalg.norm(block @ v - v * w, axis=0).max()))
+        ortho_err = max(ortho_err, float(np.max(np.abs(v.T @ v - np.eye(v.shape[1])))))
+        energies[start:start + len(w)] = w
+        states[indices, start:start + len(w)] = v
+        start += len(w)
+    order = np.argsort(energies, kind="stable")
+    return energies[order], states[:, order], residual, ortho_err
+
+
+class TestStackedSolve:
+    """``solve_hamiltonians``: every side at one cutoff, one solver call per block shape."""
+
+    G_VALUES = (0.0, 0.4, 1.7, 3.5)
+
+    @pytest.mark.parametrize(
+        "thetas, calls",
+        [
+            ((0.0,), 1),  # every side in two sectors, one stack
+            ((0.3,), 2),  # g = 0 in sectors beside the g > 0 sides solved whole
+            ((0.0, 0.3, math.pi / 2), 2),
+        ],
+        ids=["theta-zero", "theta-nonzero", "mixed"],
+    )
+    @pytest.mark.parametrize("n", [8, 48])
+    def test_matches_one_at_a_time_bit_for_bit(self, thetas, calls, n, solver_calls):
+        params = [RabiParams.resonant(1.0, g=g, theta=t) for t in thetas for g in self.G_VALUES]
+        stacked = solve_hamiltonians(params, n)
+        assert solver_calls["eigh"] == calls
+        assert solver_calls["blocks"] == sum(1 + conserves_parity(p) for p in params)
+        for p, d in zip(params, stacked):
+            alone = solve_hamiltonian(p, n)
+            assert d.cutoff_used == alone.cutoff_used == n
+            assert d.energies.tobytes() == alone.energies.tobytes()
+            assert d.states.tobytes() == alone.states.tobytes()
+            assert (d.residual_norm, d.orthonormality_error) == (alone.residual_norm, alone.orthonormality_error)
+            energies, states, residual, ortho_err = one_block_at_a_time(p, n)
+            assert d.energies.tobytes() == energies.tobytes()
+            assert d.states.tobytes() == states.tobytes()
+            assert (d.residual_norm, d.orthonormality_error) == (residual, ortho_err)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_one_failing_member_fails_the_stack(self, theta, monkeypatch):
+        # the gate fails for the member whose coupling entry is g = 1.7, and
+        # the error is that block's, whichever members stand beside it
+        original = spectral.symmetric_eigh
+
+        def stretched(matrix, vectors=True):
+            w, v = original(matrix, vectors)
+            v = v.copy()
+            for k, block in enumerate(matrix):
+                if np.any(block == 1.7 * math.cos(theta)):  # <0|x|1> = 1 times g cos(theta)
+                    v[k, :, 0] *= 1.0 + 1e-8
+            return w, v
+
+        monkeypatch.setattr(spectral, "symmetric_eigh", stretched)
+        params = [RabiParams.resonant(1.0, g=g, theta=theta) for g in self.G_VALUES]
+        with pytest.raises(ConvergenceError, match="orthonormality error 2"):
+            solve_hamiltonians(params, 16)
+        assert solve_hamiltonians([params[1]], 16)[0].orthonormality_error < ORTHONORMALITY_TOL

@@ -400,18 +400,18 @@ class TestRunSweep:
         import rabiotto.sweep
 
         scanned, used = [], []
-        converged_cutoff, run_cycle = rabiotto.sweep.converged_cutoff, rabiotto.sweep.run_cycle
+        converged_cutoff, run_cycles = rabiotto.sweep.converged_cutoff, rabiotto.sweep.run_cycles
 
         def counting_scan(params, *args, **kwargs):
             scanned.append(params)
             return converged_cutoff(params, *args, **kwargs)
 
-        def recording_cycle(protocol, cutoff):
-            used.append(cutoff)
-            return run_cycle(protocol, cutoff=cutoff)
+        def recording_cycles(protocols, cutoff):
+            used.extend([cutoff] * len(protocols))
+            return run_cycles(protocols, cutoff)
 
         monkeypatch.setattr(rabiotto.sweep, "converged_cutoff", counting_scan)
-        monkeypatch.setattr(rabiotto.sweep, "run_cycle", recording_cycle)
+        monkeypatch.setattr(rabiotto.sweep, "run_cycles", recording_cycles)
         config = figure_preset(preset)
         config = dataclasses.replace(
             config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
@@ -427,13 +427,13 @@ class TestRunSweep:
         import rabiotto.cycle
 
         solved = []
-        solve_hamiltonian = rabiotto.cycle.solve_hamiltonian
+        solve_hamiltonians = rabiotto.cycle.solve_hamiltonians
 
         def recording_solve(params, n_max):
-            solved.append((params, n_max))
-            return solve_hamiltonian(params, n_max)
+            solved.extend((p, n_max) for p in params)
+            return solve_hamiltonians(params, n_max)
 
-        monkeypatch.setattr(rabiotto.cycle, "solve_hamiltonian", recording_solve)
+        monkeypatch.setattr(rabiotto.cycle, "solve_hamiltonians", recording_solve)
         config = figure_preset("fig2")
         config = dataclasses.replace(
             config, sweep=dataclasses.replace(config.sweep, n_points=2), workers=1
@@ -441,7 +441,8 @@ class TestRunSweep:
         result = run_sweep(config)
         assert all(row[result.columns.index("error")] == "" for row in result.rows)
         protocols = [build_protocol(config, None, x) for x in (config.sweep.start, config.sweep.stop)]
-        assert solved == [solve for p in protocols for solve in ((p.hot, 48), (p.cold, 72))]
+        # one chunk: both hot sides in one stacked solve, then both cold sides
+        assert solved == [(p.hot, 48) for p in protocols] + [(p.cold, 72) for p in protocols]
 
     def test_proportional_fig6_series_shares_one_cutoff(self):
         # criterion 3's exact eta = 1 - 1/R rests on H_h = 2 H_c at alpha = 1,
@@ -542,10 +543,12 @@ class TestRunSweep:
         ):
             base = {**json.loads(FAST), **extra, "workers": 1}
             serial = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
-            base["workers"] = 2
-            parallel = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
-            # the worker count is left out of the hash, so the whole table matches
-            assert serial == parallel
+            # 2 workers cut each series' 3 points into chunks of 2 and 1, and 3 into three of 1
+            for workers in (2, 3):
+                base["workers"] = workers
+                parallel = render_csv(run_sweep(parse_config(json.dumps(base), environ={})))
+                # the worker count is left out of the hash, so the whole table matches
+                assert serial == parallel
             assert ("D_rho1" in serial.splitlines()[0]) == ("discord" in extra)
             assert all(row["error"] == "" for row in csv.DictReader(io.StringIO(serial)))
 
@@ -615,17 +618,92 @@ class TestRunSweep:
         g_idx = result.columns.index("g_over_omega")
         assert [row[g_idx] for row in result.rows] == [0.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "preset, n_points, chunks",
+        [
+            ("fig2", 10, [5, 5]),  # the fig2-work request: two tasks of five points
+            ("fig4", 4, [2] * 8),  # fig4-discord: four theta series of two chunks each
+        ],
+    )
+    def test_a_chunk_per_worker_per_series(self, preset, n_points, chunks, monkeypatch):
+        import contextlib
+
+        import rabiotto.sweep
+
+        submitted, pools = [], []
+
+        def recording(args):
+            submitted.append(len(args[2]))
+            return [([], (), "not run")] * len(args[2])
+
+        def serial(config, n_tasks):
+            pools.append(n_tasks)
+            return contextlib.nullcontext()
+
+        monkeypatch.setattr(rabiotto.sweep, "_chunk_task", recording)
+        monkeypatch.setattr(rabiotto.sweep, "_executor", serial)
+        config = figure_preset(preset)
+        config = dataclasses.replace(
+            config, sweep=dataclasses.replace(config.sweep, n_points=n_points),
+            cutoff=CutoffPolicy("fixed", 8), workers=2,
+        )
+        run_sweep(config)
+        assert submitted == chunks
+        assert pools == [len(chunks)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "failure, error",
+        [
+            ("gate", "ConvergenceError: eigenvector orthonormality error 2.0"),
+            ("lapack", "LinAlgError: Eigenvalues did not converge"),
+        ],
+        ids=["gate", "lapack"],
+    )
+    def test_a_failing_stack_member_errors_only_its_row(self, failure, error, workers, monkeypatch):
+        # the chunk holding g = 0.5 fails its stacked solve and is solved again
+        # one point at a time, so only that point's row carries the error
+        import rabiotto.spectral
+
+        doc = {
+            "sweep": {"start": 0.0, "stop": 1.0, "n_points": 5},
+            "cutoff": {"mode": "fixed", "n_max": 12},
+            "n_levels": 6,
+            "workers": workers,
+        }
+        config = parse_config(json.dumps(doc), environ={})
+        clean = run_sweep(config).rows
+        original = rabiotto.spectral.symmetric_eigh
+
+        def failing(matrix, vectors=True):
+            w, v = original(matrix, vectors)
+            bad = [k for k, block in enumerate(matrix) if block[0, 1] == 0.5]  # a sector's g sqrt(1)
+            if bad and failure == "lapack":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            v = v.copy()
+            v[bad, :, 0] *= 1.0 + 1e-8
+            return w, v
+
+        monkeypatch.setattr(rabiotto.spectral, "symmetric_eigh", failing)
+        result = run_sweep(config)
+        rows = result.rows
+        errors = [row[result.columns.index("error")] for row in rows]
+        assert errors[:2] + errors[3:] == [""] * 4
+        assert errors[2].startswith(error)
+        assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
     def test_failed_row_keeps_its_grid_point(self, monkeypatch):
         import rabiotto.sweep
 
-        run_cycle = rabiotto.sweep.run_cycle
+        run_cycles = rabiotto.sweep.run_cycles
 
-        def fail_at_theta_one(protocol, cutoff):
-            if protocol.cold.theta == 1.0:
+        def fail_at_theta_one(protocols, cutoff):
+            # fails the chunk's stacked solve, then the theta = 1 point's own
+            if any(protocol.cold.theta == 1.0 for protocol in protocols):
                 raise ArithmeticError("forced")
-            return run_cycle(protocol, cutoff=cutoff)
+            return run_cycles(protocols, cutoff)
 
-        monkeypatch.setattr(rabiotto.sweep, "run_cycle", fail_at_theta_one)
+        monkeypatch.setattr(rabiotto.sweep, "run_cycles", fail_at_theta_one)
         doc = {
             "g_over_omega_c": 0.7,
             "sweep": {"parameter": "theta", "start": 0.0, "stop": 1.0, "n_points": 2},
@@ -745,10 +823,10 @@ class TestSerialization:
             assert f"{row_json[w_idx]:.12g}" == row_csv.split(",")[w_idx]
 
     def test_error_cell_with_a_comma_keeps_the_columns(self, monkeypatch):
-        def fail(protocol, cutoff):
+        def fail(protocols, cutoff):
             raise ValueError("density matrix must have unit trace, got 0.97")
 
-        monkeypatch.setattr("rabiotto.sweep.run_cycle", fail)
+        monkeypatch.setattr("rabiotto.sweep.run_cycles", fail)
         config = parse_config(FAST, environ={})
         rows = list(csv.DictReader(io.StringIO(render_csv(run_sweep(config)))))
         assert len(rows) == 3
