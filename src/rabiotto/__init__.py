@@ -8,18 +8,21 @@ Library layout:
   cycle         Otto-cycle states, heat, work, per-level work, efficiency
   correlations  von Neumann entropy and quantum discord
   approx        displaced-oscillator closed forms and the positive-work bound
-  sweep         parameter sweeps, figure presets, CSV/JSON export
+  config        sweep configs, their checks and the figure presets (no numpy)
+  sweep         parameter sweeps, CSV/JSON export
   cli           the `rabiotto` command-line interface
 
 The names below are loaded from their modules on first use, so ``import
 rabiotto`` alone loads no numpy: the CLI sets its BLAS thread variables
-after the package is imported and before numpy is.
+after the package is imported and before numpy is. Neither does resolving a
+config or a figure preset, whose names come from ``config``.
 """
 
 import importlib
 
 _EXPORTS = {
     "approx": ("approx_levels", "approx_w1", "laguerre", "positive_work_bound"),
+    "config": ("ConfigError", "SweepConfig", "figure_preset", "parse_config"),
     "correlations": (
         "DiscordDifferences", "DiscordResult", "MeasurementBasis", "discord_differences",
         "quantum_discord", "von_neumann_entropy",
@@ -35,7 +38,7 @@ _EXPORTS = {
         "ConvergenceError", "SpectralDecomposition", "converged_cutoff",
         "relative_spectrum", "solve_hamiltonian", "solve_hamiltonians", "symmetric_eigh",
     ),
-    "sweep": ("ConfigError", "SweepConfig", "figure_preset", "parse_config", "run_sweep", "write_output"),
+    "sweep": ("run_sweep", "write_output"),
     "units": ("DEFAULT_OMEGA_REF", "thermal_energy"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -30,18 +30,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from . import sweep  # noqa: E402
+from .config import ConfigError, SweepConfig, figure_preset, parse_config  # noqa: E402
 from .cycle import run_cycle  # noqa: E402
 from .spectral import ConvergenceError  # noqa: E402
 from .spectral import converged_cutoff  # noqa: E402, F401  (bench/tracing.py wraps this name)
-from .sweep import (  # noqa: E402
-    ConfigError,
-    SweepConfig,
-    SweepResult,
-    build_protocol,
-    figure_preset,
-    parse_config,
-    run_sweep,
-)
+from .sweep import SweepResult, build_protocol, resolve_cutoffs, run_sweep  # noqa: E402
 
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, ConvergenceError, ArithmeticError, FloatingPointError)
 
@@ -140,7 +133,7 @@ def write_output(result: SweepResult, path: str | None) -> None:
 def _run_single_cycle(args: argparse.Namespace) -> int:
     config = _load_config(args)
     protocol = build_protocol(config, None, getattr(config, config.sweep.parameter))
-    cutoff = tuple(config.cutoff.resolve([[protocol.cold], [protocol.hot]], config.n_levels))
+    cutoff = tuple(resolve_cutoffs(config.cutoff, [[protocol.cold], [protocol.hot]], config.n_levels))
     states, report = run_cycle(protocol, cutoff=cutoff)
     config_hash = config.config_hash()
 

@@ -47,7 +47,7 @@ import numpy as np
 from .hamiltonian import RabiParams, build_hamiltonian  # noqa: F401  (bench/tracing.py wraps this name)
 from .hilbert import frozen_copy
 from .spectral import SpectralDecomposition, converged_cutoff, ground_referenced, solve_hamiltonians
-from .units import DEFAULT_OMEGA_REF, thermal_energy
+from .units import DEFAULT_N_LEVELS, DEFAULT_OMEGA_REF, DEFAULT_T_COLD, DEFAULT_T_RATIO, thermal_energy
 eigendecompose = None  # never called: bench/tracing.py TARGETS sets this name until ROADMAP item 13
 
 __all__ = [
@@ -65,9 +65,6 @@ __all__ = [
     "thermal_populations",
 ]
 
-DEFAULT_N_LEVELS = 24
-DEFAULT_T_COLD = 0.019  # kelvin
-DEFAULT_T_RATIO = 9  # T_h / T_c, except in the qubit-frequency protocol
 TAIL_MASS_TOL = 1e-8
 CARRY_TOL = 1e-12  # population mass carry_populations may drop
 WORK_REGIME_TOL = 1e-12

@@ -40,6 +40,7 @@ import numpy as np
 
 from .hamiltonian import RabiParams, build_hamiltonian, conserves_parity, parity_sectors
 from .hilbert import check_cutoff, frozen_copy
+from .units import CUTOFF_CEILING, scan_start
 
 __all__ = [
     "ConvergenceError",
@@ -54,7 +55,6 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
 CUTOFF_TOL = 1e-8
-CUTOFF_CEILING = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -206,11 +206,6 @@ def relative_spectrum(decomposition: SpectralDecomposition, n_levels: int) -> np
 def _relative_levels(params: RabiParams, n_max: int, n_levels: int) -> np.ndarray:
     w = [symmetric_eigh(block, vectors=False)[0] for _, block in _hamiltonian_blocks(params, n_max)]
     return ground_referenced(np.sort(np.concatenate(w))[:n_levels])
-
-
-def scan_start(n_levels: int) -> int:
-    """The first cutoff ``converged_cutoff`` tests: max(n_levels, 8)."""
-    return max(n_levels, 8)
 
 
 def _ladder(start: int):

@@ -10,6 +10,9 @@ The default omega_ref is 2*pi*10 GHz, a typical superconducting-circuit
 frequency. At 19 mK this gives a thermal energy of ~0.0396 quanta, the regime
 in which the engine/refrigerator transitions of the resonator-frequency
 protocol occur near g/omega_c ~ 1.1 and ~2.6.
+
+The package's defaults and the cutoff scans' limits live here too, without
+numpy, so that configs are checked against them without loading the solvers.
 """
 
 import math
@@ -18,6 +21,15 @@ K_BOLTZMANN = 1.380649e-23  # J/K (exact, SI 2019)
 HBAR = 1.054571817e-34  # J*s
 
 DEFAULT_OMEGA_REF = 2.0 * math.pi * 10.0e9  # rad/s
+DEFAULT_N_LEVELS = 24
+DEFAULT_T_COLD = 0.019  # kelvin
+DEFAULT_T_RATIO = 9  # T_h / T_c, except in the qubit-frequency protocol
+CUTOFF_CEILING = 512  # the largest cutoff a cutoff scan tests
+
+
+def scan_start(n_levels: int) -> int:
+    """The first cutoff a cutoff scan tests: max(n_levels, 8)."""
+    return max(n_levels, 8)
 
 
 def thermal_energy(temperature_k: float, omega_ref: float = DEFAULT_OMEGA_REF) -> float:

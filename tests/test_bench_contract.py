@@ -1,4 +1,4 @@
-"""The library names that bench/tracing.py wraps must keep resolving.
+"""The library names that the benchmark reads must keep resolving.
 
 The benchmark's tracer replaces each ``TARGETS`` attribute where it is
 imported and restores it afterwards; it reads and sets these names and calls
@@ -14,20 +14,27 @@ their points through ``cycle.run_cycles``; ``sweep.run_cycle`` stays
 importable only for its target, which reads 0 calls on sweeps.
 ``build_hamiltonian`` still returns an ``OperatorMatrix``, because the tracer
 counts the bytes of its ``.matrix`` on every build.
+
+The harness reads library names outside ``TARGETS`` too: bench/run.py's
+``warm_up`` runs a cycle and a two-point sweep, and bench/inputs.py builds
+each request from ``rabiotto.sweep.figure_preset``. Their calls are repeated
+here as those files write them.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 from rabiotto import RabiParams, spectral
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(monkeypatch, path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up there
     spec.loader.exec_module(module)
@@ -35,7 +42,7 @@ def load_tracing(monkeypatch):
 
 
 def test_every_target_resolves(monkeypatch):
-    targets = load_tracing(monkeypatch).TARGETS
+    targets = load_bench_module(monkeypatch, TRACING).TARGETS
     assert targets
     missing = [
         f"{module}.{attr}"
@@ -49,3 +56,25 @@ def test_a_parity_breaking_build_has_a_matrix():
     # theta != 0 is the one path that builds the whole H through spectral.build_hamiltonian
     h = spectral.build_hamiltonian(RabiParams.resonant(1.0, g=0.7, theta=0.3), 8)
     assert h.matrix.shape == (16, 16) and h.matrix.nbytes == 16 * 16 * 8
+
+
+def test_the_warm_up_calls_run():
+    # bench/run.py warm_up, call for call
+    from rabiotto import cycle, sweep
+
+    cycle.run_cycle(cycle.resonator_frequency_protocol(0.5), cutoff=8)
+    text = sweep.render_csv(sweep.run_sweep(sweep.SweepConfig(
+        sweep=sweep.SweepAxis(stop=0.5, n_points=2), cutoff=sweep.CutoffPolicy("fixed", 8), workers=1,
+    )))
+    assert len(text.splitlines()) == 3
+
+
+def test_every_workload_resolves_its_preset(monkeypatch):
+    import rabiotto.sweep
+
+    inputs = load_bench_module(monkeypatch, BENCH / "inputs.py")
+    for workload, (preset, _, n_points) in inputs.WORKLOADS.items():
+        assert rabiotto.sweep.figure_preset(preset).resolved_dict()["sweep"]["n_points"] > n_points
+        document = inputs.sweep_config(workload, 0, 0, 1)
+        config = rabiotto.sweep.parse_config(json.dumps(document), environ={})
+        assert config.sweep.n_points == n_points and config.workers == 1

@@ -570,7 +570,40 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize(
         "code, numpy_loaded",
-        [("import rabiotto", False), ("from rabiotto import run_cycle", True)],
+        [
+            ("import rabiotto", False),
+            # configs and presets resolve without the solvers
+            ("import rabiotto; rabiotto.figure_preset('fig4')", False),
+            ("import rabiotto; rabiotto.parse_config('{}')", False),
+            pytest.param(
+                "import rabiotto\n"
+                "try:\n"
+                "    rabiotto.SweepConfig(workers=-1)\n"
+                "except rabiotto.ConfigError:\n"
+                "    pass\n"
+                "else:\n"
+                "    raise AssertionError('workers = -1 passed the config rules')",
+                False,
+                id="a SweepConfig that breaks a rule-False",
+            ),
+            ("from rabiotto import run_cycle", True),
+            ("from rabiotto import run_sweep", True),
+        ],
     )
     def test_library_import_leaves_the_environment_alone(self, code, numpy_loaded):
         assert _blas_environment_after(code) == f"[None, None, None] {numpy_loaded}"
+
+    @pytest.mark.parametrize("command, loaded", [("sweep fig2", False), ("discord fig4", True)])
+    def test_only_a_process_pool_loads_multiprocessing(self, command, loaded):
+        # discord sweeps run on processes, every other sweep on threads
+        subcommand, preset = command.split()
+        probe = (
+            "import os, sys\n"
+            "from rabiotto.cli import main\n"
+            f"code = main([{subcommand!r}, '--preset', {preset!r}, '--workers', '2', '--out', os.devnull])\n"
+            "print(code, 'multiprocessing' in sys.modules)"
+        )
+        env = os.environ | {"RABIOTTO_SWEEP__N_POINTS": "2"}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"

@@ -589,7 +589,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(rabiotto.sweep, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(rabiotto.sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)  # _executor looks it up there
         result = run_sweep(parse_config(FAST, environ={}, overrides={"workers": 0}))
         assert [row[result.columns.index("error")] for row in result.rows] == ["", "", ""]
 
